@@ -20,9 +20,7 @@ from .core import (
     StateVector,
     UnsupportedProblemError,
     fourier_modes,
-    l2_norm,
     make_grid,
-    transpose_state,
 )
 from .operators import (
     EtaDiagonal,

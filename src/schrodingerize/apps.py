@@ -28,30 +28,22 @@ from .core import (
     StateVector,
     UnsupportedProblemError,
 )
-from .costs import (
-    CostReport,
-    gibbs_cost,
-    ground_state_cost,
-    relaxation_time,
-    schrodingerisation_cost,
-)
+from .costs import CostReport, gibbs_cost, ground_state_cost, relaxation_time
 from .operators import (
     HermitianMatrix,
     HermitianPair,
     TransportModel,
-    assemble_eta_diagonal,
     assemble_schrodinger_hamiltonian,
 )
 from .oracle import expm_apply, heat_analytic, transport_reference
 from .pipeline import (
+    _p_grid_from,
     default_p_grid,
-    dft_p,
-    evolve_blocks,
-    idft_p,
+    evolve_lifted,
     project_positive,
     recover_integrate,
+    run_cost,
     schrodingerize_evolve,
-    warp_extend,
 )
 
 __all__ = [
@@ -73,6 +65,7 @@ __all__ = [
 GIBBS_P_HALF_WIDTH = 10.0
 GIBBS_P_COUNT = 2048
 TRANSPORT_P_HALF_WIDTH = 8.0
+TRANSPORT_P_COUNT = 64
 
 
 def _as_state(u0, grids: list[Grid1D], prefix: str = "x") -> StateVector:
@@ -82,15 +75,6 @@ def _as_state(u0, grids: list[Grid1D], prefix: str = "x") -> StateVector:
         AxisSpec(f"{prefix}{i + 1}", g.count, g) for i, g in enumerate(grids)
     )
     return StateVector(np.asarray(u0, dtype=complex).reshape(-1), layout)
-
-
-def _p_grid_from_config(p_config) -> Grid1D:
-    if p_config is None:
-        return default_p_grid()
-    if isinstance(p_config, Grid1D):
-        return p_config
-    half_width, count = p_config
-    return Grid1D(float(half_width), int(count))
 
 
 @dataclass(frozen=True)
@@ -113,6 +97,8 @@ def run_heat(
 ) -> HeatRunResult:
     """Heat pipeline: lift, transform, evolve every auxiliary mode, recover.
 
+    ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
+    take the defaults L=12, N=256.
     The reference is the exact Fourier solution when V = 0 and a dense
     matrix exponential of the assembled Hamiltonian otherwise.  The norms
     dictionary records the conserved lifted norm at both ends together with
@@ -125,16 +111,12 @@ def run_heat(
     u0_state = _as_state(u0, grids)
     h = assemble_schrodinger_hamiltonian(potential, grids)
     pair = HermitianPair(
-        h=h,
-        h_bar=HermitianMatrix.from_entries(np.zeros((h.dimension, h.dimension))),
-        source_dimension=h.dimension,
+        h=h, h_bar=HermitianMatrix.from_entries(np.zeros((h.dimension, h.dimension)))
     )
-    p_grid = _p_grid_from_config(p_config)
-    d_matrix = assemble_eta_diagonal(p_grid)
-    w0 = warp_extend(u0_state, p_grid)
-    s0 = dft_p(w0)
-    s_t = evolve_blocks(s0, pair, d_matrix, t, workers=workers)
-    w_t = idft_p(s_t)
+    p_grid = _p_grid_from(p_config)
+    w_t, (spectral_initial, spectral_final) = evolve_lifted(
+        u0_state, pair, p_grid, t, workers=workers, norms=True
+    )
     rec = recover_integrate(w_t, calibrate=True)
     projection = project_positive(w_t)
 
@@ -153,19 +135,13 @@ def run_heat(
         "u_initial": u0_state.norm,
         "u_recovered": rec.u.norm,
         "u_reference": u_ref.norm,
-        "w_spectral_initial": s0.state.norm,
-        "w_spectral_final": s_t.state.norm,
+        "w_spectral_initial": spectral_initial,
+        "w_spectral_final": spectral_final,
         "success_probability": projection.success_probability,
         "cost_factor": projection.cost_factor,
     }
-    cost = schrodingerisation_cost(
-        norm_ratio=projection.cost_factor,  # the measured |u(0)|/|u(t)|
-        s=max(h.sparsity, 1),
-        t=max(t, np.finfo(float).tiny),
-        max_norm=h.max_norm,
-        epsilon=epsilon,
-        m_h=math.log2(h.dimension * p_grid.count),
-    )
+    # the projection measures |u(0)|/|u(t)| from the lifted state alone
+    cost = run_cost(pair, p_grid, t, epsilon, projection.cost_factor)
     return HeatRunResult(
         u_recovered=rec.u,
         u_reference=u_ref,
@@ -189,6 +165,7 @@ class GroundStateReport:
     epsilon: float
     cost: CostReport
     u_recovered: StateVector | None = None
+    ground_state: np.ndarray | None = None
 
 
 def prepare_ground_state(
@@ -206,8 +183,7 @@ def prepare_ground_state(
     leftward.
     """
     h_mat = h if isinstance(h, HermitianMatrix) else HermitianMatrix.from_entries(h)
-    dense = h_mat.dense()
-    energies, vectors = np.linalg.eigh(dense)
+    energies, vectors = h_mat.spectrum
     gap = float(energies[1] - energies[0])
     scale = max(1.0, float(np.abs(energies).max()))
     if gap <= 1e-12 * scale:
@@ -224,7 +200,7 @@ def prepare_ground_state(
         raise InvalidArgumentError("initial state has no overlap with the ground state")
     t_final = estimate_t_final(gap, alpha0_sq, epsilon)
 
-    shifted = dense - energies[0] * np.eye(h_mat.dimension)
+    shifted = h_mat.dense() - energies[0] * np.eye(h_mat.dimension)
     lam_max = float(energies[-1] - energies[0])
     if p_grid is None:
         p_grid = default_p_grid(epsilon=epsilon, t=t_final, lambda_max=lam_max)
@@ -250,6 +226,7 @@ def prepare_ground_state(
         epsilon=epsilon,
         cost=cost,
         u_recovered=rec.u.with_amplitudes(u_rec),
+        ground_state=ground,
     )
 
 
@@ -260,6 +237,7 @@ class GibbsReport:
     trace_distance_to_exact: float
     partition_function: float
     cost: CostReport
+    rho_exact: np.ndarray
 
 
 def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -279,22 +257,21 @@ def prepare_gibbs(
     thermal state for any Hermitian H (for complex eigenvectors the other
     register would give the complex conjugate instead).  The spectrum is
     shifted to start at zero; the scalar cancels in the normalized density
-    matrix.
+    matrix.  ``p_grid`` is None, a Grid1D or an (L, N) pair whose None
+    entries take the defaults L=10, N=2048.
     """
     if not beta > 0:
         raise InvalidArgumentError(f"beta must be positive, got {beta}")
     h_mat = h if isinstance(h, HermitianMatrix) else HermitianMatrix.from_entries(h)
     dim = h_mat.dimension
-    dense = h_mat.dense()
-    energies = np.linalg.eigvalsh(dense)
-    shifted = dense - energies[0] * np.eye(dim)
+    energies, vectors = h_mat.spectrum
+    shifted = h_mat.dense() - energies[0] * np.eye(dim)
     partition_z = float(np.exp(-beta * energies).sum())
 
     big = np.kron(shifted, np.eye(dim))
     entangled = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
     state = StateVector(entangled, (AxisSpec("x1", dim * dim),))
-    if p_grid is None:
-        p_grid = Grid1D(GIBBS_P_HALF_WIDTH, GIBBS_P_COUNT)
+    p_grid = _p_grid_from(p_grid, GIBBS_P_HALF_WIDTH, GIBBS_P_COUNT)
     # projection recovery: only the direction of the purification matters
     # for rho, and the profile fit damps the periodic wrap of the lifted
     # state exponentially harder than the quadrature route does
@@ -305,7 +282,8 @@ def prepare_gibbs(
     rho = psi @ psi.conj().T
     rho = rho / np.trace(rho).real
 
-    exact = _exact_gibbs(dense, beta)
+    weights = np.exp(-beta * (energies - energies[0]))
+    exact = (vectors * weights) @ vectors.conj().T / weights.sum()
     cost = gibbs_cost(
         s=max(h_mat.sparsity, 1),
         max_norm=h_mat.max_norm,
@@ -320,14 +298,8 @@ def prepare_gibbs(
         trace_distance_to_exact=_trace_distance(rho, exact),
         partition_function=partition_z,
         cost=cost,
+        rho_exact=exact,
     )
-
-
-def _exact_gibbs(dense: np.ndarray, beta: float) -> np.ndarray:
-    energies, vectors = np.linalg.eigh(dense)
-    weights = np.exp(-beta * (energies - energies[0]))
-    rho = (vectors * weights) @ vectors.conj().T
-    return rho / weights.sum()
 
 
 @dataclass(frozen=True)
@@ -430,6 +402,10 @@ def run_transport(
     scattering enters through the (positive semi-definite) loss-gain
     matrix and the advection through the diagonal symbol.  The reference
     is the RK4 method-of-lines solution on the same (x, k) grid.
+    ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
+    take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
+    the largest scattering rate, so the convected profile stays inside
+    the auxiliary domain.
     """
     layout = _transport_layout(model)
     if isinstance(w0, StateVector):
@@ -459,20 +435,16 @@ def run_transport(
         np.kron(np.eye(model.x_count), collision).astype(complex)
     )
     h_bar = HermitianMatrix.from_entries(np.diag(model.advection_diagonal()).astype(complex))
-    pair = HermitianPair(h=h, h_bar=h_bar, source_dimension=h.dimension)
+    pair = HermitianPair(h=h, h_bar=h_bar)
 
-    if p_config is None:
+    def convection_half_width() -> float:
         lam_max = float(np.abs(np.linalg.eigvalsh(collision)).max())
-        half_width = max(TRANSPORT_P_HALF_WIDTH, t * lam_max + 4.0)
-        p_grid = Grid1D(half_width, 64)
-    else:
-        p_grid = _p_grid_from_config(p_config)
-    d_matrix = assemble_eta_diagonal(p_grid)
+        return max(TRANSPORT_P_HALF_WIDTH, t * lam_max + 4.0)
 
-    lifted = warp_extend(spec_state, p_grid, truncation_tol=1e-2)
-    s0 = dft_p(lifted)
-    s_t = evolve_blocks(s0, pair, d_matrix, t, workers=workers)
-    w_t = idft_p(s_t)
+    p_grid = _p_grid_from(p_config, convection_half_width, TRANSPORT_P_COUNT)
+    w_t, (spectral_initial, spectral_final) = evolve_lifted(
+        spec_state, pair, p_grid, t, truncation_tol=1e-2, workers=workers, norms=True
+    )
     rec = recover_integrate(w_t, calibrate=True)
     projection = project_positive(w_t)
 
@@ -490,21 +462,13 @@ def run_transport(
     norms = {
         "w_initial": w0_state.norm,
         "w_recovered": w_rec_state.norm,
-        "w_spectral_initial": s0.state.norm,
-        "w_spectral_final": s_t.state.norm,
+        "w_spectral_initial": spectral_initial,
+        "w_spectral_final": spectral_final,
         "success_probability": projection.success_probability,
         "cost_factor": projection.cost_factor,
     }
     norm_ratio = w0_state.norm / w_rec_state.norm if w_rec_state.norm > 0 else float("inf")
-    cost = schrodingerisation_cost(
-        norm_ratio=norm_ratio,
-        s=max(h.sparsity, h_bar.sparsity, 1),
-        t=max(t, np.finfo(float).tiny),
-        max_norm=max(h.max_norm, np.finfo(float).tiny),
-        epsilon=epsilon,
-        m_h=math.log2(h.dimension * p_grid.count),
-        max_norm_oscillatory=h_bar.max_norm,
-    )
+    cost = run_cost(pair, p_grid, t, epsilon, norm_ratio)
     return TransportRunResult(
         w_recovered=w_rec_state,
         w_reference=w_ref_state,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +26,7 @@ import numpy as np
 
 from . import apps
 from .core import (
+    AxisSpec,
     Grid1D,
     InvalidArgumentError,
     StateVector,
@@ -35,7 +35,9 @@ from .core import (
     UnsupportedProblemError,
 )
 from .operators import TransportModel, assemble_eta_diagonal
+from .oracle import expm_apply
 from .costs import hamsim_cost, transport_norm_parity
+from .pipeline import _p_grid_from, project_positive, schrodingerize_evolve
 
 __all__ = ["ExperimentConfig", "load_config", "run", "sweep", "main", "validate_summary"]
 
@@ -90,16 +92,6 @@ def _complex_array(spec, what: str) -> np.ndarray:
         raise ConfigError(f"{what}: expected numbers or a real/imag object") from exc
 
 
-def _threads() -> int | None:
-    env = os.environ.get("SCHRO_THREADS", "")
-    if not env:
-        return None
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return None
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -139,17 +131,35 @@ def load_config(path) -> ExperimentConfig:
         if key in cfg.resolution:
             value = cfg.resolution[key]
             if not isinstance(value, int) or value < 2 or value % 2:
-                raise ConfigError(f"{path}: resolution.{key} must being even and >= 2, got {value}")
+                raise ConfigError(f"{path}: resolution.{key} must be even and >= 2, got {value}")
     return cfg
 
 
-def _p_grid(cfg: ExperimentConfig, default_l=12.0, default_n=256) -> Grid1D:
-    half_width = float(cfg.resolution.get("L", default_l))
-    count = int(cfg.resolution.get("N", default_n))
-    return Grid1D(half_width, count)
+def _p_config(cfg: ExperimentConfig) -> tuple:
+    """(L, N) as the config sets them; None leaves the experiment's default."""
+    return cfg.resolution.get("L"), cfg.resolution.get("N")
 
 
-def _run_heat(cfg: ExperimentConfig, workers):
+def _matrix(cfg: ExperimentConfig) -> np.ndarray:
+    if "matrix" not in cfg.physics:
+        raise ConfigError(f"physics.matrix is required for the {cfg.experiment} experiment")
+    a = _complex_array(cfg.physics["matrix"], "physics.matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ConfigError("physics.matrix must be square")
+    return a
+
+
+def _u0(cfg: ExperimentConfig, dim: int) -> np.ndarray:
+    u0_spec = cfg.physics.get("u0")
+    if u0_spec is None:
+        return np.ones(dim, dtype=complex) / math.sqrt(dim)
+    u0 = _complex_array(u0_spec, "physics.u0").reshape(-1)
+    if u0.size != dim:
+        raise ConfigError("physics.u0 length must match the matrix dimension")
+    return u0
+
+
+def _run_heat(cfg: ExperimentConfig):
     m = int(cfg.res("M", 64))
     grid = Grid1D(1.0, m)
     x = grid.points
@@ -163,47 +173,31 @@ def _run_heat(cfg: ExperimentConfig, workers):
             pot = None
     t = float(cfg.physics.get("t", 0.1))
     result = apps.run_heat(
-        u0, pot, grid, p_config=_p_grid(cfg), t=t,
-        epsilon=float(cfg.physics.get("epsilon", 1e-3)), workers=workers,
+        u0, pot, grid, p_config=_p_config(cfg), t=t,
+        epsilon=float(cfg.physics.get("epsilon", 1e-3)),
     )
     coords = [("x", x)]
-    return result, coords, result.u_recovered.amplitudes, result.u_reference.amplitudes, {
+    return coords, result.u_recovered.amplitudes, result.u_reference.amplitudes, {
         "l2_relative_error": result.l2_relative_error,
         "norms": result.norms,
         "cost": result.cost.as_dict(),
     }
 
 
-def _run_general(cfg: ExperimentConfig, workers):
-    if "matrix" not in cfg.physics:
-        raise ConfigError("physics.matrix is required for the general experiment")
-    a = _complex_array(cfg.physics["matrix"], "physics.matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConfigError("physics.matrix must be square")
+def _run_general(cfg: ExperimentConfig):
+    a = _matrix(cfg)
     dim = a.shape[0]
-    u0_spec = cfg.physics.get("u0")
-    u0 = (
-        _complex_array(u0_spec, "physics.u0").reshape(-1)
-        if u0_spec is not None
-        else np.ones(dim, dtype=complex) / math.sqrt(dim)
-    )
-    if u0.size != dim:
-        raise ConfigError("physics.u0 length must match the matrix dimension")
+    u0 = _u0(cfg, dim)
     t = float(cfg.physics.get("t", 0.5))
-    from .core import AxisSpec
-    from .oracle import expm_apply
-    from .pipeline import project_positive, schrodingerize_evolve
-
     state = StateVector(u0, (AxisSpec("x1", dim),))
     w_t, rec = schrodingerize_evolve(
-        state, a, _p_grid(cfg), t,
-        epsilon=float(cfg.physics.get("epsilon", 1e-3)), workers=workers,
+        state, a, _p_config(cfg), t, epsilon=float(cfg.physics.get("epsilon", 1e-3))
     )
     projection = project_positive(w_t)
     u_ref = expm_apply(a, u0, t)
     err = float(np.linalg.norm(rec.u.amplitudes - u_ref) / np.linalg.norm(u_ref))
     coords = [("index", np.arange(dim))]
-    return rec, coords, rec.u.amplitudes, u_ref, {
+    return coords, rec.u.amplitudes, u_ref, {
         "l2_relative_error": err,
         "norms": {
             "u_initial": float(np.linalg.norm(u0)),
@@ -215,25 +209,17 @@ def _run_general(cfg: ExperimentConfig, workers):
     }
 
 
-def _run_ground_state(cfg: ExperimentConfig, workers):
-    if "matrix" not in cfg.physics:
-        raise ConfigError("physics.matrix is required for the ground_state experiment")
-    h = _complex_array(cfg.physics["matrix"], "physics.matrix")
+def _run_ground_state(cfg: ExperimentConfig):
+    h = _matrix(cfg)
     dim = h.shape[0]
-    u0_spec = cfg.physics.get("u0")
-    u0 = (
-        _complex_array(u0_spec, "physics.u0").reshape(-1)
-        if u0_spec is not None
-        else np.ones(dim, dtype=complex) / math.sqrt(dim)
-    )
     epsilon = float(cfg.physics.get("epsilon", 0.01))
-    report = apps.prepare_ground_state(h, u0, epsilon, workers=workers)
-    ground = np.linalg.eigh(np.asarray(h, dtype=complex))[1][:, 0]
+    report = apps.prepare_ground_state(h, _u0(cfg, dim), epsilon)
+    ground = report.ground_state
     overlap = ground.conj() @ report.u_recovered.amplitudes
     aligned = ground * np.exp(1j * np.angle(overlap))
     err = 1.0 - report.fidelity
     coords = [("index", np.arange(dim))]
-    return report, coords, report.u_recovered.amplitudes, aligned, {
+    return coords, report.u_recovered.amplitudes, aligned, {
         "l2_relative_error": err,
         "t_final": report.t_final,
         "fidelity": report.fidelity,
@@ -244,22 +230,13 @@ def _run_ground_state(cfg: ExperimentConfig, workers):
     }
 
 
-def _run_gibbs(cfg: ExperimentConfig, workers):
-    if "matrix" not in cfg.physics:
-        raise ConfigError("physics.matrix is required for the gibbs experiment")
-    h = _complex_array(cfg.physics["matrix"], "physics.matrix")
+def _run_gibbs(cfg: ExperimentConfig):
     beta = float(cfg.physics.get("beta", 1.0))
-    p_grid = None
-    if "L" in cfg.resolution or "N" in cfg.resolution:
-        p_grid = _p_grid(cfg, default_l=10.0, default_n=2048)
-    report = apps.prepare_gibbs(h, beta, p_grid=p_grid, workers=workers)
+    report = apps.prepare_gibbs(_matrix(cfg), beta, p_grid=_p_config(cfg))
     dim = report.rho.shape[0]
-    energies, vectors = np.linalg.eigh(np.asarray(h, dtype=complex))
-    weights = np.exp(-beta * (energies - energies[0]))
-    exact = (vectors * weights) @ vectors.conj().T / weights.sum()
     rows, cols = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     coords = [("row", rows.reshape(-1)), ("col", cols.reshape(-1))]
-    return report, coords, report.rho.reshape(-1), exact.reshape(-1), {
+    return coords, report.rho.reshape(-1), report.rho_exact.reshape(-1), {
         "l2_relative_error": report.trace_distance_to_exact,
         "trace_distance": report.trace_distance_to_exact,
         "partition_function": report.partition_function,
@@ -283,7 +260,7 @@ def _sigma_matrix(cfg: ExperimentConfig, k_count: int) -> np.ndarray:
     return sigma
 
 
-def _run_transport(cfg: ExperimentConfig, workers):
+def _run_transport(cfg: ExperimentConfig):
     j = int(cfg.res("J", 16))
     k = int(cfg.res("K", 16))
     x_grid = Grid1D(1.0, j)
@@ -297,13 +274,10 @@ def _run_transport(cfg: ExperimentConfig, workers):
     else:
         w0 = _complex_array(ic, "initial_condition").reshape(j, k)
     t = float(cfg.physics.get("t", 1.0))
-    p_config = None
-    if "L" in cfg.resolution or "N" in cfg.resolution:
-        p_config = _p_grid(cfg, default_l=8.0, default_n=64)
-    result = apps.run_transport(model, w0, p_config=p_config, t=t, workers=workers)
+    result = apps.run_transport(model, w0, p_config=_p_config(cfg), t=t)
     xx, kk = np.meshgrid(x_grid.points, k_grid.points, indexing="ij")
     coords = [("x", xx.reshape(-1)), ("k", kk.reshape(-1))]
-    return result, coords, result.w_recovered.amplitudes, result.w_reference.amplitudes, {
+    return coords, result.w_recovered.amplitudes, result.w_reference.amplitudes, {
         "l2_relative_error": result.l2_relative_error,
         "moments": {
             "mass": result.moments.mass,
@@ -315,7 +289,7 @@ def _run_transport(cfg: ExperimentConfig, workers):
     }
 
 
-def _run_cost(cfg: ExperimentConfig, workers):
+def _run_cost(cfg: ExperimentConfig):
     phys = cfg.physics
     report = hamsim_cost(
         s=float(phys.get("s", 2.0)),
@@ -330,9 +304,9 @@ def _run_cost(cfg: ExperimentConfig, workers):
         model = TransportModel.create(
             [Grid1D(1.0, j)], [Grid1D(1.0, k)], _sigma_matrix(cfg, k)
         )
-        d_matrix = assemble_eta_diagonal(_p_grid(cfg, default_l=1.0, default_n=64))
+        d_matrix = assemble_eta_diagonal(_p_grid_from(_p_config(cfg), 1.0, 64))
         extras["transport_parity"] = transport_norm_parity(model, d_matrix)
-    return report, [], None, None, extras
+    return [], None, None, extras
 
 
 _RUNNERS = {
@@ -381,34 +355,22 @@ def validate_summary(summary: dict) -> list[str]:
 
 
 def _execute(cfg: ExperimentConfig, out_dir: Path) -> tuple[int, dict]:
-    workers = _threads()
-    runner = _RUNNERS[cfg.experiment]
+    error = None
     try:
-        _, coords, solution, reference, results = runner(cfg, workers)
+        coords, solution, reference, results = _RUNNERS[cfg.experiment](cfg)
     except ConfigError:
         raise
     except (InvalidArgumentError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     except (StabilityError, DegenerateStateError, UnsupportedProblemError) as exc:
-        summary = {
-            "schema_version": 1,
-            "experiment": cfg.experiment,
-            "config": {
-                "resolution": cfg.resolution,
-                "physics": _jsonable(cfg.physics),
-                "tolerance": cfg.tolerance,
-            },
-            "results": {},
-            "status": "error",
-            "error": str(exc),
-        }
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-        return 3, summary
+        solution, results, error = None, {}, str(exc)
 
-    tol = float(cfg.tolerance.get("l2_relative_error", DEFAULT_TOLERANCES[cfg.experiment]))
-    err = float(results.get("l2_relative_error", 0.0))
-    status = "ok" if err <= tol else "tolerance_exceeded"
+    if error is not None:
+        status = "error"
+    else:
+        tol = float(cfg.tolerance.get("l2_relative_error", DEFAULT_TOLERANCES[cfg.experiment]))
+        err = float(results.get("l2_relative_error", 0.0))
+        status = "ok" if err <= tol else "tolerance_exceeded"
     summary = {
         "schema_version": 1,
         "experiment": cfg.experiment,
@@ -420,6 +382,8 @@ def _execute(cfg: ExperimentConfig, out_dir: Path) -> tuple[int, dict]:
         "results": _jsonable(results),
         "status": status,
     }
+    if error is not None:
+        summary["error"] = error
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     formats = cfg.output.get("formats", ["json", "csv"])

@@ -34,8 +34,6 @@ __all__ = [
     "StateVector",
     "make_grid",
     "fourier_modes",
-    "l2_norm",
-    "transpose_state",
 ]
 
 
@@ -215,18 +213,3 @@ class StateVector:
                 return i
         raise InvalidArgumentError(f"no axis named {name!r} in layout {self.axis_names}")
 
-
-def l2_norm(state) -> float:
-    """Euclidean norm of a StateVector or plain array."""
-    if isinstance(state, StateVector):
-        return state.norm
-    return float(np.linalg.norm(np.asarray(state).reshape(-1)))
-
-
-def transpose_state(state: StateVector, order: tuple[int, ...]) -> StateVector:
-    """Reorder the axes of a state; a pure permutation of amplitudes."""
-    if sorted(order) != list(range(len(state.layout))):
-        raise InvalidArgumentError(f"order {order} is not a permutation of the axes")
-    arr = state.as_array().transpose(order)
-    layout = tuple(state.layout[i] for i in order)
-    return StateVector(np.ascontiguousarray(arr).reshape(-1), layout)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,8 +130,13 @@ class HermitianMatrix:
             return self.entries.toarray()
         return np.array(self.entries)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.dense())
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvector columns, decomposed on first use."""
+        lam, vec = np.linalg.eigh(self.dense())
+        lam.setflags(write=False)
+        vec.setflags(write=False)
+        return lam, vec
 
 
 def _zero_like(dimension: int) -> HermitianMatrix:
@@ -148,7 +154,6 @@ class HermitianPair:
 
     h: HermitianMatrix
     h_bar: HermitianMatrix
-    source_dimension: int
 
     def __post_init__(self):
         if self.h.dimension != self.h_bar.dimension:
@@ -175,7 +180,7 @@ def hermitian_decompose(a: np.ndarray, *, check_psd: bool = True) -> HermitianPa
     hm = HermitianMatrix.from_entries(h)
     hbm = HermitianMatrix.from_entries(h_bar)
     if check_psd and hm.max_norm > 0:
-        lam_min = float(np.linalg.eigvalsh(hm.dense()).min())
+        lam_min = float(hm.spectrum[0][0])
         if lam_min < -PSD_RTOL * hm.max_norm:
             warnings.warn(
                 f"dissipative part has negative eigenvalue {lam_min:.3e}; "
@@ -183,7 +188,7 @@ def hermitian_decompose(a: np.ndarray, *, check_psd: bool = True) -> HermitianPa
                 AccuracyWarning,
                 stacklevel=2,
             )
-    return HermitianPair(h=hm, h_bar=hbm, source_dimension=a.shape[0])
+    return HermitianPair(h=hm, h_bar=hbm)
 
 
 @dataclass(frozen=True)
@@ -213,9 +218,6 @@ class EtaDiagonal:
     @property
     def max_norm(self) -> float:
         return float(np.abs(self.diagonal).max())
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
 
 
 def assemble_eta_diagonal(eta_grid: Grid1D) -> EtaDiagonal:

@@ -30,7 +30,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .core import (
     InvalidArgumentError,
     StateVector,
 )
+from .costs import CostReport, schrodingerisation_cost
 from .operators import EtaDiagonal, HermitianPair, assemble_eta_diagonal, hermitian_decompose
 
 __all__ = [
@@ -57,6 +58,8 @@ __all__ = [
     "recover_integrate",
     "recover_point",
     "project_positive",
+    "evolve_lifted",
+    "run_cost",
     "schrodingerize_evolve",
 ]
 
@@ -130,6 +133,25 @@ def default_p_grid(epsilon: float | None = None, t: float = 0.0, lambda_max: flo
     return Grid1D(half_width, max(count, 2))
 
 
+def _p_grid_from(
+    p_config,
+    half_width=DEFAULT_P_HALF_WIDTH,
+    count: int = DEFAULT_P_COUNT,
+) -> Grid1D:
+    """Auxiliary grid of ``p_config``, one experiment's defaults filling the gaps.
+
+    ``p_config`` is None, a Grid1D, or a (half_width, count) pair whose None
+    entries take the defaults.  ``half_width`` may be a callable, evaluated
+    only when the half-width is not given, for defaults that cost work.
+    """
+    if isinstance(p_config, Grid1D):
+        return p_config
+    given_width, given_count = p_config or (None, None)
+    if given_width is None:
+        given_width = half_width() if callable(half_width) else half_width
+    return Grid1D(float(given_width), int(count if given_count is None else given_count))
+
+
 def warp_extend(u0: StateVector, p_grid: Grid1D, truncation_tol: float = 1e-4) -> WarpedState:
     """Lift u0 into w(0, x, p) = exp(-|p|) u0(x) on the extended p grid.
 
@@ -199,10 +221,10 @@ def evolve_blocks(
 
     Flattened, this equals exp(-i*(H (x) D + Hbar (x) 1)*t).  Every block
     is computed by its own dense eigendecomposition; with Hbar = 0 all
-    blocks share the eigenbasis of H, which is decomposed once.  Blocks are
-    independent, so they may be processed by ``workers`` threads; results
-    are written into preallocated slots, making the output identical for
-    any worker count.
+    blocks share the eigenbasis of H, read from its cached spectrum.
+    Blocks are independent, so they may be processed by ``workers``
+    threads; results are written into preallocated slots, making the output
+    identical for any worker count.
     """
     if t < 0:
         raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
@@ -215,14 +237,14 @@ def evolve_blocks(
             f"state block dimension {arr.shape[0]} != Hamiltonian dimension {pair.h.dimension}"
         )
     mus = d_matrix.diagonal
-    h = pair.h.dense()
     if pair.h_bar.max_norm == 0.0:
-        lam, vec = np.linalg.eigh(h)
+        lam, vec = pair.h.spectrum
         coeff = vec.conj().T @ arr
         coeff = coeff * np.exp(-1j * t * np.outer(lam, mus))
         out = vec @ coeff
         return SpectralState(s0.state.with_amplitudes(out.reshape(-1)), s0.eta_grid)
 
+    h = pair.h.dense()
     hbar = pair.h_bar.dense()
     out = np.empty_like(arr)
 
@@ -402,10 +424,56 @@ def project_positive(w: WarpedState) -> RecoveryResult:
     )
 
 
+def evolve_lifted(
+    u0: StateVector,
+    pair: HermitianPair,
+    p_grid: Grid1D,
+    t: float,
+    truncation_tol: float = 1e-4,
+    workers: int | None = None,
+    norms: bool = False,
+) -> tuple[WarpedState, tuple[float, float] | None]:
+    """Lift u0, transform p, evolve every mode to time t, transform back.
+
+    The one route from an initial state to the lifted state at time t.
+    With ``norms`` it also returns the norms of the spectral state before
+    and after the evolution, which agree to rounding because every block is
+    unitary; otherwise None, sparing two passes over the lifted array.
+    """
+    s0 = dft_p(warp_extend(u0, p_grid, truncation_tol=truncation_tol))
+    s_t = evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t, workers=workers)
+    spectral_norms = (s0.state.norm, s_t.state.norm) if norms else None
+    del s0  # one lifted copy fewer while the inverse transform allocates
+    return idft_p(s_t), spectral_norms
+
+
+def run_cost(
+    pair: HermitianPair,
+    p_grid: Grid1D,
+    t: float,
+    epsilon: float,
+    norm_ratio: float,
+) -> CostReport:
+    """Query/gate cost of simulating H (x) D + Hbar (x) 1 for one run.
+
+    ``norm_ratio`` is the measured amplification |u(0)|/|u(t)|; the
+    auxiliary register adds log2(N) qubits to the system's.
+    """
+    return schrodingerisation_cost(
+        norm_ratio=norm_ratio,
+        s=max(pair.h.sparsity, pair.h_bar.sparsity, 1),
+        t=max(t, np.finfo(float).tiny),
+        max_norm=max(pair.h.max_norm, np.finfo(float).tiny),
+        epsilon=epsilon,
+        m_h=math.log2(pair.h.dimension * p_grid.count),
+        max_norm_oscillatory=pair.h_bar.max_norm,
+    )
+
+
 def schrodingerize_evolve(
     u0: StateVector,
     a_matrix: np.ndarray,
-    p_grid: Grid1D | None,
+    p_grid: Grid1D | tuple | None,
     t: float,
     recovery: str = "integration",
     p_star: float | None = None,
@@ -414,12 +482,12 @@ def schrodingerize_evolve(
 ) -> tuple[WarpedState, RecoveryResult]:
     """End-to-end run for du/dt = -A u: decompose, lift, evolve, recover.
 
-    Returns the lifted state at time t together with the recovery result;
-    the recovery carries a query/gate cost report for simulating the total
-    Hamiltonian, using the measured norm ratio |u(0)|/|u(t)|.
+    ``p_grid`` is None, a Grid1D or an (L, N) pair whose None entries take
+    the defaults L=12, N=256.  Returns the lifted state at time t together
+    with the recovery result; the recovery carries a query/gate cost report
+    for simulating the total Hamiltonian, using the measured norm ratio
+    |u(0)|/|u(t)|.
     """
-    from .costs import schrodingerisation_cost
-
     a = np.asarray(a_matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"matrix must be square, got shape {a.shape}")
@@ -428,11 +496,8 @@ def schrodingerize_evolve(
             f"matrix dimension {a.shape[0]} != state length {u0.amplitudes.size}"
         )
     pair = hermitian_decompose(a)
-    if p_grid is None:
-        p_grid = default_p_grid()
-    lam_max = 0.0
-    if pair.h.max_norm > 0:
-        lam_max = float(np.abs(np.linalg.eigvalsh(pair.h.dense())).max())
+    p_grid = _p_grid_from(p_grid)
+    lam_max = float(np.abs(pair.h.spectrum[0]).max()) if pair.h.max_norm > 0 else 0.0
     if t * lam_max >= p_grid.half_width:
         warnings.warn(
             f"convection t*lambda_max = {t * lam_max:.2f} reaches the p boundary "
@@ -440,10 +505,9 @@ def schrodingerize_evolve(
             AccuracyWarning,
             stacklevel=2,
         )
-    d_matrix = assemble_eta_diagonal(p_grid)
-    w0 = warp_extend(u0, p_grid, truncation_tol=max(1e-4, epsilon))
-    s_t = evolve_blocks(dft_p(w0), pair, d_matrix, t, workers=workers)
-    w_t = idft_p(s_t)
+    w_t, _ = evolve_lifted(
+        u0, pair, p_grid, t, truncation_tol=max(1e-4, epsilon), workers=workers
+    )
     if recovery == "integration":
         rec = recover_integrate(w_t, calibrate=True)
         u_t_norm = rec.u.norm
@@ -458,22 +522,4 @@ def schrodingerize_evolve(
     else:
         raise InvalidArgumentError(f"unknown recovery method {recovery!r}")
     norm_ratio = u0.norm / u_t_norm if u_t_norm > 0 else float("inf")
-    cost = schrodingerisation_cost(
-        norm_ratio=norm_ratio,
-        s=max(pair.h.sparsity, pair.h_bar.sparsity, 1),
-        t=max(t, np.finfo(float).tiny),
-        max_norm=max(pair.h.max_norm, np.finfo(float).tiny),
-        epsilon=epsilon,
-        m_h=math.log2(pair.h.dimension * p_grid.count),
-        max_norm_oscillatory=pair.h_bar.max_norm,
-    )
-    rec = RecoveryResult(
-        u=rec.u,
-        method=rec.method,
-        success_probability=rec.success_probability,
-        p_star=rec.p_star,
-        u_norm=rec.u_norm,
-        cost_factor=rec.cost_factor,
-        cost=cost,
-    )
-    return w_t, rec
+    return w_t, replace(rec, cost=run_cost(pair, p_grid, t, epsilon, norm_ratio))

@@ -26,6 +26,21 @@ def heat_config(tmp_path, out="out", **overrides):
     return write_config(tmp_path, payload)
 
 
+def general_config(tmp_path, out="out"):
+    # symmetric imaginary part: Hbar != 0, so every mode has its own block
+    payload = {
+        "experiment": "general",
+        "resolution": {"N": 64, "L": 12.0},
+        "physics": {
+            "matrix": {"real": [[1.0, 0.3], [0.3, 0.8]], "imag": [[0.2, 0.5], [0.5, -0.4]]},
+            "u0": {"real": [1.0, 0.5]},
+            "t": 0.5,
+        },
+        "output": {"directory": str(tmp_path / out)},
+    }
+    return write_config(tmp_path, payload)
+
+
 class TestLoadConfig:
     def test_valid(self, tmp_path):
         cfg = load_config(heat_config(tmp_path))
@@ -51,7 +66,7 @@ class TestLoadConfig:
         path = write_config(
             tmp_path, {"experiment": "heat", "resolution": {"M": 63, "N": 256}}
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="resolution.M must be even and >= 2"):
             load_config(path)
 
 
@@ -136,6 +151,19 @@ class TestRun:
         assert summary["results"]["l2_relative_error"] < 5e-2
         assert "mass" in summary["results"]["moments"]
 
+    def test_transport_n_alone_keeps_convection_half_width(self, tmp_path):
+        # L is left to the transport rule max(8, t*lambda_max + 4), not a fixed 8
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "transport",
+                "resolution": {"J": 8, "K": 8, "N": 64},
+                "physics": {"t": 10.0},
+                "output": {"directory": str(tmp_path / "trn")},
+            },
+        )
+        assert run(path) == 0
+
     def test_ground_state_run(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -168,14 +196,34 @@ class TestRun:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "make_config, pools_expected",
+        [(heat_config, []), (general_config, [8])],
+        ids=["heat", "general"],
+    )
+    def test_byte_identical_across_thread_counts(
+        self, tmp_path, monkeypatch, make_config, pools_expected
+    ):
+        # heat has Hbar = 0 and shares one eigenbasis, so no pool starts;
+        # the general config must reach the pool with SCHRO_THREADS workers
+        from schrodingerize import pipeline
+
+        pools = []
+        pool_class = pipeline.ThreadPoolExecutor
+
+        def recording_pool(max_workers=None, **kwargs):
+            pools.append(max_workers)
+            return pool_class(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", recording_pool)
         outputs = {}
         for threads in ("1", "8"):
             monkeypatch.setenv("SCHRO_THREADS", threads)
             out = f"out{threads}"
-            assert run(heat_config(tmp_path, out=out)) == 0
+            assert run(make_config(tmp_path, out=out)) == 0
             outputs[threads] = (tmp_path / out / "solution.csv").read_bytes()
         assert outputs["1"] == outputs["8"]
+        assert pools == pools_expected
 
     def test_byte_identical_on_repeat(self, tmp_path):
         assert run(heat_config(tmp_path, out="a")) == 0

@@ -6,9 +6,7 @@ from schrodingerize import (
     InvalidArgumentError,
     StateVector,
     fourier_modes,
-    l2_norm,
     make_grid,
-    transpose_state,
 )
 
 
@@ -85,17 +83,6 @@ class TestFourierModes:
 
 
 class TestStateVector:
-    def test_l2_norm_zero(self):
-        sv = StateVector(np.zeros(4), (AxisSpec("x1", 4),))
-        assert l2_norm(sv) == 0.0
-
-    def test_l2_norm_basis_vector(self):
-        sv = StateVector(np.eye(8)[3], (AxisSpec("x1", 8),))
-        assert l2_norm(sv) == pytest.approx(1.0)
-
-    def test_l2_norm_pythagorean(self):
-        assert l2_norm(np.array([3.0, 4.0j])) == pytest.approx(5.0)
-
     def test_norm_matches_sum_of_squares(self):
         rng = np.random.default_rng(3)
         amps = rng.standard_normal(24) + 1j * rng.standard_normal(24)
@@ -114,17 +101,6 @@ class TestStateVector:
     def test_axis_grid_count_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             AxisSpec("p", 8, make_grid(1.0, 4))
-
-    def test_transpose_is_pure_permutation(self):
-        rng = np.random.default_rng(11)
-        amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        sv = StateVector(amps, (AxisSpec("x1", 3), AxisSpec("k1", 4)))
-        flipped = transpose_state(sv, (1, 0))
-        assert flipped.shape == (4, 3)
-        assert np.allclose(sorted(np.abs(flipped.amplitudes)), sorted(np.abs(amps)))
-        assert flipped.norm == pytest.approx(sv.norm, rel=1e-14)
-        back = transpose_state(flipped, (1, 0))
-        assert np.array_equal(back.amplitudes, sv.amplitudes)
 
     def test_unitary_dft_preserves_norm(self):
         rng = np.random.default_rng(5)

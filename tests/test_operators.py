@@ -39,6 +39,17 @@ class TestHermitianMatrix:
         assert m.sparsity == 2
         assert m.max_norm == 2.0
 
+    def test_spectrum_decomposed_once_and_read_only(self):
+        rng = np.random.default_rng(8)
+        b = random_complex(rng, (5, 5))
+        m = HermitianMatrix.from_entries(b + b.conj().T)
+        lam, vec = m.spectrum
+        assert m.spectrum[0] is lam and m.spectrum[1] is vec
+        assert np.allclose(lam, np.linalg.eigvalsh(m.dense()), atol=1e-12)
+        assert np.allclose((vec * lam) @ vec.conj().T, m.dense(), atol=1e-12)
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+
     def test_triplet_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         a = random_complex(rng, (6, 6))
@@ -151,7 +162,6 @@ class TestTotalHamiltonian:
         pair = HermitianPair(
             h=HermitianMatrix.from_entries(np.array([[0.0, 1.0], [1.0, 0.0]])),
             h_bar=HermitianMatrix.from_entries(np.zeros((2, 2))),
-            source_dimension=2,
         )
         # ascending eta diagonal (0, pi) is realised by a 2-mode grid of
         # half-width 1 shifted: build the matrix directly instead
@@ -169,7 +179,6 @@ class TestTotalHamiltonian:
         pair = HermitianPair(
             h=HermitianMatrix.from_entries(np.zeros((3, 3))),
             h_bar=HermitianMatrix.from_entries(b),
-            source_dimension=3,
         )
         d = assemble_eta_diagonal(make_grid(1.0, 4))
         total = assemble_total_hamiltonian(pair, d).dense()
@@ -208,7 +217,6 @@ class TestTotalHamiltonian:
         pair = HermitianPair(
             h=HermitianMatrix.from_entries(np.eye(8)),
             h_bar=HermitianMatrix.from_entries(np.zeros((8, 8))),
-            source_dimension=8,
         )
         d = assemble_eta_diagonal(make_grid(1.0, 256))
         total = assemble_total_hamiltonian(pair, d)

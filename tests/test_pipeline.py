@@ -136,7 +136,6 @@ class HeatFixture:
         self.pair = HermitianPair(
             h=self.h,
             h_bar=HermitianMatrix.from_entries(np.zeros((m, m))),
-            source_dimension=m,
         )
         self.p_grid = make_grid(half_width, n)
         self.d = assemble_eta_diagonal(self.p_grid)
@@ -244,7 +243,6 @@ class TestSplitStepHeat:
         pair = HermitianPair(
             h=h,
             h_bar=HermitianMatrix.from_entries(np.zeros((16, 16))),
-            source_dimension=16,
         )
         d = assemble_eta_diagonal(p_grid)
         u0 = StateVector(
