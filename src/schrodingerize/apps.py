@@ -387,31 +387,21 @@ def _transport_layout(model: TransportModel) -> tuple[AxisSpec, ...]:
     return axes
 
 
-def run_transport(
+def _evolve_transport(
     model: TransportModel,
-    w0,
-    p_config=None,
-    t: float = 0.0,
-    epsilon: float = 1e-3,
-    workers: int | None = None,
-) -> TransportRunResult:
-    """Transport pipeline over (x, k): spatial Fourier transform, lift in p,
-    per-mode unitary evolution, inverse transforms, recovery.
+    w0_state: StateVector,
+    p_config,
+    t: float,
+    workers: int | None,
+):
+    """Spatial Fourier transform, lift in p, evolve every mode, recover, and
+    transform back.
 
-    The per-mode generator is mu*(Sigma - sigma) + diag(xi . k): the
-    scattering enters through the (positive semi-definite) loss-gain
-    matrix and the advection through the diagonal symbol.  The reference
-    is the RK4 method-of-lines solution on the same (x, k) grid.
-    ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
-    take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
-    the largest scattering rate, so the convected profile stays inside
-    the auxiliary domain.
+    Returns the recovered state over (x, k), the lifted state at time t,
+    the pair and auxiliary grid it was evolved with, and the spectral norms
+    before and after the evolution.
     """
     layout = _transport_layout(model)
-    if isinstance(w0, StateVector):
-        w0_state = w0
-    else:
-        w0_state = StateVector(np.asarray(w0, dtype=complex).reshape(-1), layout)
     arr0 = w0_state.as_array()
     if np.iscomplexobj(arr0) and (
         float(np.abs(arr0.imag).max()) > 1e-12 or float(arr0.real.min()) < -1e-12
@@ -419,7 +409,7 @@ def run_transport(
         warnings.warn(
             "transport initial data should be real and nonnegative",
             AccuracyWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     d = model.dimension
     x_axes = tuple(range(d))
@@ -442,17 +432,53 @@ def run_transport(
         return max(TRANSPORT_P_HALF_WIDTH, t * lam_max + 4.0)
 
     p_grid = _p_grid_from(p_config, convection_half_width, TRANSPORT_P_COUNT)
-    w_t, (spectral_initial, spectral_final) = evolve_lifted(
+    w_t, spectral_norms = evolve_lifted(
         spec_state, pair, p_grid, t, truncation_tol=1e-2, workers=workers, norms=True
     )
     rec = recover_integrate(w_t, calibrate=True)
-    projection = project_positive(w_t)
-
     spec_rec = rec.u.amplitudes.reshape(spec0.shape)
     w_rec = np.fft.ifftn(spec_rec, axes=x_axes, norm="ortho")
-    w_rec_state = StateVector(w_rec.reshape(-1), layout)
+    return StateVector(w_rec.reshape(-1), layout), w_t, pair, p_grid, spectral_norms
 
-    w_ref = transport_reference(model, arr0, t)
+
+def _transport_state(model: TransportModel, w0) -> StateVector:
+    if isinstance(w0, StateVector):
+        return w0
+    return StateVector(np.asarray(w0, dtype=complex).reshape(-1), _transport_layout(model))
+
+
+def run_transport(
+    model: TransportModel,
+    w0,
+    p_config=None,
+    t: float = 0.0,
+    epsilon: float = 1e-3,
+    workers: int | None = None,
+) -> TransportRunResult:
+    """Transport pipeline over (x, k): spatial Fourier transform, lift in p,
+    per-mode unitary evolution decomposed block by block, inverse
+    transforms, recovery.
+
+    The per-mode generator is mu*(Sigma - sigma) + diag(xi . k): the
+    scattering enters through the (positive semi-definite) loss-gain
+    matrix and the advection through the diagonal symbol.  With x Fourier
+    transformed it is block diagonal, one K^d x K^d block per spatial
+    frequency xi, and ``evolve_blocks`` decomposes those blocks rather than
+    the whole generator.  The reference is the RK4 method-of-lines solution
+    on the same (x, k) grid.
+    ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
+    take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
+    the largest scattering rate, so the convected profile stays inside
+    the auxiliary domain.
+    """
+    layout = _transport_layout(model)
+    w0_state = _transport_state(model, w0)
+    w_rec_state, w_t, pair, p_grid, (spectral_initial, spectral_final) = _evolve_transport(
+        model, w0_state, p_config, t, workers
+    )
+    projection = project_positive(w_t)
+
+    w_ref = transport_reference(model, w0_state.as_array(), t)
     w_ref_state = StateVector(np.asarray(w_ref).reshape(-1), layout)
     err = float(
         np.linalg.norm(w_rec_state.amplitudes - w_ref_state.amplitudes)
@@ -491,17 +517,13 @@ def find_stationary_transport(
 
     Runs the pipeline leg by leg (re-lifting the recovered state each time)
     rather than solving a nullspace problem, so the stationary state is
-    produced by the same machinery as the transient runs.  Returns
-    (W_stationary, legs_used, converged).
+    produced by the same machinery as the transient runs; the legs skip the
+    reference solve and the diagnostics that only ``run_transport`` reports.
+    Returns (W_stationary, legs_used, converged).
     """
-    layout = _transport_layout(model)
-    if isinstance(w0, StateVector):
-        current = w0
-    else:
-        current = StateVector(np.asarray(w0, dtype=complex).reshape(-1), layout)
+    current = _transport_state(model, w0)
     for n in range(1, max_legs + 1):
-        result = run_transport(model, current, t=leg, workers=workers)
-        nxt = result.w_recovered
+        nxt = _evolve_transport(model, current, None, leg, workers)[0]
         delta = float(np.linalg.norm(nxt.amplitudes - current.amplitudes))
         current = nxt
         if delta < tol:

@@ -16,8 +16,10 @@ same config produce byte-identical files for any thread count.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,11 +74,55 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_MAX_INT_POWER_BITS = 4096
+
+
+def _eval_node(node: ast.AST, env: dict):
+    """Evaluate one node of the whitelisted grammar: numbers, names, + - * / **,
+    unary +/- and calls of the ``_SAFE_FUNCS`` functions."""
+    if isinstance(node, ast.Expression):
+        return _eval_node(node.body, env)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in env:
+        return env[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        left, right = _eval_node(node.left, env), _eval_node(node.right, env)
+        if (
+            isinstance(node.op, ast.Pow)
+            and type(left) is int
+            and type(right) is int
+            and abs(right) * max(1, abs(left).bit_length()) > _MAX_INT_POWER_BITS
+        ):
+            raise ConfigError(f"integer power {left}**{right} is too large")
+        return _BINARY_OPS[type(node.op)](left, right)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_eval_node(node.operand, env))
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and callable(_SAFE_FUNCS.get(node.func.id))
+        and not node.keywords
+    ):
+        return _SAFE_FUNCS[node.func.id](*(_eval_node(arg, env) for arg in node.args))
+    if isinstance(node, ast.Name):
+        raise ConfigError(f"unknown name {node.id!r}")
+    raise ConfigError(f"{type(node).__name__} is not allowed")
+
+
 def _eval_expression(expr: str, names: dict) -> np.ndarray:
     env = dict(_SAFE_FUNCS)
     env.update(names)
     try:
-        return np.asarray(eval(expr, {"__builtins__": {}}, env))  # noqa: S307 desk tool
+        return np.asarray(_eval_node(ast.parse(expr, mode="eval"), env))
     except Exception as exc:
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
 

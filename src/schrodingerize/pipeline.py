@@ -210,6 +210,31 @@ def _resolve_workers(workers: int | None) -> int:
         return 1
 
 
+def _block_size(h: np.ndarray, hbar: np.ndarray) -> int:
+    """Size b of the equal contiguous diagonal blocks of H and Hbar together.
+
+    The combined nonzero pattern is symmetric, so a boundary follows row i
+    exactly when no row up to i reaches past column i: a cumulative max of
+    each row's last nonzero column finds the finest contiguous blocks.
+    Returns the full dimension unless all those blocks have one size.
+    """
+    n = h.shape[0]
+    pattern = (h != 0) | (hbar != 0)
+    np.fill_diagonal(pattern, True)  # a row is never empty
+    last = n - 1 - np.argmax(pattern[:, ::-1], axis=1)
+    rows = np.arange(n)
+    ends = np.flatnonzero(np.maximum.accumulate(last) == rows) + 1
+    sizes = np.diff(ends, prepend=0)
+    return int(sizes[0]) if np.all(sizes == sizes[0]) else n
+
+
+def _diagonal_blocks(matrix: np.ndarray, b: int) -> np.ndarray:
+    """The (B, b, b) stack of the diagonal b x b blocks of ``matrix``."""
+    nblocks = matrix.shape[0] // b
+    idx = np.arange(nblocks)
+    return matrix.reshape(nblocks, b, nblocks, b)[idx, :, idx, :]
+
+
 def evolve_blocks(
     s0: SpectralState,
     pair: HermitianPair,
@@ -219,11 +244,16 @@ def evolve_blocks(
 ) -> SpectralState:
     """Evolve each mode slice by exp(-i*t*(mu_j*H + Hbar)), exact in time.
 
-    Flattened, this equals exp(-i*(H (x) D + Hbar (x) 1)*t).  Every block
-    is computed by its own dense eigendecomposition; with Hbar = 0 all
-    blocks share the eigenbasis of H, read from its cached spectrum.
-    Blocks are independent, so they may be processed by ``workers``
-    threads; results are written into preallocated slots, making the output
+    Flattened, this equals exp(-i*(H (x) D + Hbar (x) 1)*t).  With Hbar = 0
+    all modes share the eigenbasis of H, read from its cached spectrum.
+    Otherwise every mode is decomposed block by block: H and Hbar are cut
+    into the B equal contiguous diagonal blocks of their combined nonzero
+    pattern (B = 1 when there are none, e.g. a fully coupled matrix), and
+    each mode takes one batched eigendecomposition of the (B, b, b) stack
+    mu_j*H_blocks + Hbar_blocks.  For transport, whose x axis is Fourier
+    transformed, that is one K^d x K^d block per spatial frequency.  Modes
+    are independent, so they may be processed by ``workers`` threads;
+    results are written into preallocated slots, making the output
     identical for any worker count.
     """
     if t < 0:
@@ -246,11 +276,17 @@ def evolve_blocks(
 
     h = pair.h.dense()
     hbar = pair.h_bar.dense()
-    out = np.empty_like(arr)
+    b = _block_size(h, hbar)
+    h_blocks = _diagonal_blocks(h, b)
+    hbar_blocks = _diagonal_blocks(hbar, b)
+    del h, hbar
+    blocks_in = arr.reshape(-1, b, n)
+    blocks_out = np.empty_like(blocks_in)
 
     def run_block(j: int) -> None:
-        lam, vec = np.linalg.eigh(mus[j] * h + hbar)
-        out[:, j] = vec @ (np.exp(-1j * t * lam) * (vec.conj().T @ arr[:, j]))
+        lam, vec = np.linalg.eigh(mus[j] * h_blocks + hbar_blocks)
+        coeff = vec.conj().transpose(0, 2, 1) @ blocks_in[:, :, j, None]
+        blocks_out[:, :, j] = (vec @ (np.exp(-1j * t * lam)[:, :, None] * coeff))[:, :, 0]
 
     nworkers = _resolve_workers(workers)
     if nworkers == 1:
@@ -259,7 +295,7 @@ def evolve_blocks(
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             list(pool.map(run_block, range(n)))
-    return SpectralState(s0.state.with_amplitudes(out.reshape(-1)), s0.eta_grid)
+    return SpectralState(s0.state.with_amplitudes(blocks_out.reshape(-1)), s0.eta_grid)
 
 
 def evolve_splitstep_heat(

@@ -21,6 +21,7 @@ from schrodingerize import (
     run_transport,
     transport_reference,
 )
+from schrodingerize import apps, oracle
 
 
 class TestRunHeat:
@@ -346,7 +347,51 @@ class TestRunTransport:
         assert result.moments.mass == pytest.approx(m0, rel=1e-3)
 
 
+    def test_generator_decomposed_block_by_block(self, monkeypatch):
+        # one (J, K, K) stack per auxiliary mode, never the (J*K)^2 generator
+        j = k = 8
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        model = constant_sigma_model(j=j, k=k)
+        xx, kk = np.meshgrid(model.x_grids[0].points, model.k_grids[0].points, indexing="ij")
+        w0 = 1.0 + 0.5 * np.cos(np.pi * xx) + 0.25 * np.cos(np.pi * kk)
+        result = run_transport(model, w0, t=0.5)
+        assert result.l2_relative_error < 1e-2
+        assert len(shapes) == 64  # the default auxiliary grid has 64 modes
+        assert all(shape == (j, k, k) for shape in shapes)
+        assert (j * k, j * k) not in shapes
+
+
 class TestStationaryTransport:
+    def test_legs_skip_the_reference_and_match_run_transport(self, monkeypatch):
+        model = constant_sigma_model(j=4, k=8, c=2.0)
+        gk = model.k_grids[0]
+        w0 = np.broadcast_to(1.0 + 0.5 * np.cos(np.pi * gk.points), (4, 8)).copy()
+        expected = StateVector(w0.astype(complex).reshape(-1), apps._transport_layout(model))
+        for _ in range(9):  # the leg count the search has always taken here
+            expected = run_transport(model, expected, t=1.0).w_recovered
+
+        calls = []
+
+        def counting_reference(*args, **kwargs):
+            calls.append(args)
+            return transport_reference(*args, **kwargs)
+
+        monkeypatch.setattr(apps, "transport_reference", counting_reference)
+        monkeypatch.setattr(oracle, "transport_reference", counting_reference)
+        stationary, legs, converged = find_stationary_transport(
+            model, w0, leg=1.0, tol=1e-6, max_legs=40
+        )
+        assert calls == []
+        assert (legs, converged) == (9, True)
+        assert np.array_equal(stationary.amplitudes, expected.amplitudes)
+
     def test_constant_scattering_reaches_velocity_average(self):
         model = constant_sigma_model(j=4, k=8, c=2.0)
         gk = model.k_grids[0]

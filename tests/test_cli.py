@@ -3,8 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from schrodingerize import cli
 from schrodingerize.cli import load_config, main, run, sweep, validate_summary
 from schrodingerize.cli import ConfigError
 
@@ -38,6 +40,18 @@ def general_config(tmp_path, out="out"):
         },
         "output": {"directory": str(tmp_path / out)},
     }
+    return write_config(tmp_path, payload)
+
+
+def transport_config(tmp_path, out="out", initial_condition=None):
+    payload = {
+        "experiment": "transport",
+        "resolution": {"J": 8, "K": 8, "N": 32, "L": 8.0},
+        "physics": {"t": 0.5, "sigma": {"kind": "constant", "value": 1.0}},
+        "output": {"directory": str(tmp_path / out)},
+    }
+    if initial_condition is not None:
+        payload["physics"]["initial_condition"] = initial_condition
     return write_config(tmp_path, payload)
 
 
@@ -198,14 +212,14 @@ class TestRun:
 class TestDeterminism:
     @pytest.mark.parametrize(
         "make_config, pools_expected",
-        [(heat_config, []), (general_config, [8])],
-        ids=["heat", "general"],
+        [(heat_config, []), (general_config, [8]), (transport_config, [8])],
+        ids=["heat", "general", "transport"],
     )
     def test_byte_identical_across_thread_counts(
         self, tmp_path, monkeypatch, make_config, pools_expected
     ):
         # heat has Hbar = 0 and shares one eigenbasis, so no pool starts;
-        # the general config must reach the pool with SCHRO_THREADS workers
+        # general and transport must reach the pool with SCHRO_THREADS workers
         from schrodingerize import pipeline
 
         pools = []
@@ -230,6 +244,71 @@ class TestDeterminism:
         assert run(heat_config(tmp_path, out="b")) == 0
         assert (tmp_path / "a" / "solution.csv").read_bytes() == (
             tmp_path / "b" / "solution.csv"
+        ).read_bytes()
+
+
+def _python_eval(expr, names):
+    # the former evaluator, kept as the reference for trusted expressions
+    env = dict(cli._SAFE_FUNCS)
+    env.update(names)
+    return np.asarray(eval(expr, {"__builtins__": {}}, env))  # noqa: S307
+
+
+class TestExpressions:
+    @pytest.mark.parametrize(
+        "expr", ["().__class__.__base__.__subclasses__()", "x.__class__"]
+    )
+    def test_attribute_access_exits_2(self, tmp_path, expr):
+        physics = {"t": 0.1, "initial_condition": expr}
+        assert run(heat_config(tmp_path, physics=physics)) == 2
+        assert not (tmp_path / "out" / "solution.csv").exists()
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["__import__('os')", "[x]", "x[0]", "cos(x, out=x)", "pi(x)", "y", "'1'", "True"],
+    )
+    def test_outside_the_grammar_rejected(self, expr):
+        with pytest.raises(ConfigError):
+            cli._eval_expression(expr, {"x": np.zeros(2)})
+
+    def test_huge_integer_power_rejected(self):
+        with pytest.raises(ConfigError, match="too large"):
+            cli._eval_expression("2**10**10", {})
+
+    @pytest.mark.parametrize(
+        "physics",
+        [
+            {"t": 0.1, "initial_condition": "1 + cos(pi*x)"},
+            {"t": 0.1},
+            {
+                "t": 0.1,
+                "initial_condition": "1.5 + 0.31*cos(1*pi*x + 0.7) + 0.42*cos(2*pi*x + 2.1)",
+            },
+            {
+                "t": 0.1,
+                "initial_condition": "exp(-x**2/0.5) + sqrt(abs(x)) - +2**-1 + e/3",
+                "potential": "1 + 0.5*cos(pi*x) - sin(pi*x)**2 + tan(0.1*x)",
+            },
+        ],
+        ids=["readme", "default", "benchmark", "operators"],
+    )
+    def test_heat_output_identical_to_python_eval(self, tmp_path, monkeypatch, physics):
+        run(heat_config(tmp_path, out="ast", physics=physics))
+        monkeypatch.setattr(cli, "_eval_expression", _python_eval)
+        run(heat_config(tmp_path, out="eval", physics=physics))
+        assert (tmp_path / "ast" / "solution.csv").read_bytes() == (
+            tmp_path / "eval" / "solution.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "expr", [None, "1 + 0.35*cos(pi*x + 1.3) + 0.25*cos(pi*k)"], ids=["default", "benchmark"]
+    )
+    def test_transport_output_identical_to_python_eval(self, tmp_path, monkeypatch, expr):
+        run(transport_config(tmp_path, out="ast", initial_condition=expr))
+        monkeypatch.setattr(cli, "_eval_expression", _python_eval)
+        run(transport_config(tmp_path, out="eval", initial_condition=expr))
+        assert (tmp_path / "ast" / "solution.csv").read_bytes() == (
+            tmp_path / "eval" / "solution.csv"
         ).read_bytes()
 
 
