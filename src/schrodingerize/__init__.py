@@ -32,8 +32,6 @@ from .operators import (
     assemble_total_hamiltonian,
     assemble_transport_hamiltonian,
     hermitian_decompose,
-    read_triplets,
-    write_triplets,
 )
 from .pipeline import (
     RecoveryResult,

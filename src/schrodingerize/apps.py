@@ -420,12 +420,16 @@ def _evolve_transport(
     ) + layout[d:]
     spec_state = StateVector(spec0.reshape(-1), layout_xi)
 
-    collision = model.collision_matrix()  # Sigma - sigma, PSD for nonneg sigma
-    h = HermitianMatrix.from_entries(
-        np.kron(np.eye(model.x_count), collision).astype(complex)
+    # one K^d x K^d block per spatial frequency xi: Sigma - sigma (PSD for
+    # nonnegative sigma) in H, the advection symbol diag(xi . k) in Hbar
+    collision = model.collision_matrix()
+    jd, kd = model.x_count, model.k_count
+    advection = np.zeros((jd, kd, kd), dtype=complex)
+    advection[:, np.arange(kd), np.arange(kd)] = model.advection_diagonal().reshape(jd, kd)
+    pair = HermitianPair(
+        h=HermitianMatrix.from_entries(np.broadcast_to(collision, (jd, kd, kd))),
+        h_bar=HermitianMatrix.from_entries(advection),
     )
-    h_bar = HermitianMatrix.from_entries(np.diag(model.advection_diagonal()).astype(complex))
-    pair = HermitianPair(h=h, h_bar=h_bar)
 
     def convection_half_width() -> float:
         lam_max = float(np.abs(np.linalg.eigvalsh(collision)).max())
@@ -463,9 +467,10 @@ def run_transport(
     scattering enters through the (positive semi-definite) loss-gain
     matrix and the advection through the diagonal symbol.  With x Fourier
     transformed it is block diagonal, one K^d x K^d block per spatial
-    frequency xi, and ``evolve_blocks`` decomposes those blocks rather than
-    the whole generator.  The reference is the RK4 method-of-lines solution
-    on the same (x, k) grid.
+    frequency xi: H and Hbar are built as (J^d, K^d, K^d) block stacks, so
+    neither the (J^d K^d)^2 generator nor any matrix of that size is ever
+    formed.  The reference is the RK4 method-of-lines solution on the same
+    (x, k) grid.
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
     take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
     the largest scattering rate, so the convected profile stays inside

@@ -44,6 +44,7 @@ from .pipeline import _p_grid_from, project_positive, schrodingerize_evolve
 __all__ = ["ExperimentConfig", "load_config", "run", "sweep", "main", "validate_summary"]
 
 EXPERIMENTS = ("heat", "general", "ground_state", "gibbs", "transport", "cost")
+_GRID_SIZES = ("M", "N", "K", "J")
 
 DEFAULT_TOLERANCES = {
     "heat": 1e-2,
@@ -173,12 +174,15 @@ def load_config(path) -> ExperimentConfig:
         output=dict(raw.get("output", {})),
         tolerance=dict(raw.get("tolerance", {})),
     )
-    for key in ("M", "N", "K", "J"):
-        if key in cfg.resolution:
-            value = cfg.resolution[key]
-            if not isinstance(value, int) or value < 2 or value % 2:
-                raise ConfigError(f"{path}: resolution.{key} must be even and >= 2, got {value}")
+    for key, value in cfg.resolution.items():
+        _check_grid_size(key, value, path)
     return cfg
+
+
+def _check_grid_size(key: str, value, source) -> None:
+    """Grid sizes M, N, K and J must be even integers >= 2."""
+    if key in _GRID_SIZES and (not isinstance(value, int) or value < 2 or value % 2):
+        raise ConfigError(f"{source}: resolution.{key} must be even and >= 2, got {value}")
 
 
 def _p_config(cfg: ExperimentConfig) -> tuple:
@@ -470,9 +474,15 @@ def sweep(config_path, axis: str, values) -> int:
         cfg = load_config(config_path)
         if not values:
             raise ConfigError("sweep needs at least one value")
+        numerics = [
+            int(value) if axis in _GRID_SIZES and float(value).is_integer() else float(value)
+            for value in values
+        ]
+        for numeric in numerics:
+            _check_grid_size(axis, numeric, f"sweep of {axis}")
         rows = []
         base_dir = Path(cfg.output.get("directory", "out"))
-        for value in values:
+        for value, numeric in zip(values, numerics):
             sub = ExperimentConfig(
                 experiment=cfg.experiment,
                 resolution=dict(cfg.resolution),
@@ -480,10 +490,7 @@ def sweep(config_path, axis: str, values) -> int:
                 output=dict(cfg.output),
                 tolerance=dict(cfg.tolerance),
             )
-            numeric = int(value) if float(value).is_integer() and axis in (
-                "M", "N", "K", "J"
-            ) else float(value)
-            if axis in sub.resolution or axis in ("M", "N", "L", "K", "J"):
+            if axis in sub.resolution or axis in _GRID_SIZES or axis == "L":
                 sub.resolution[axis] = numeric
             elif axis in sub.physics or axis in ("t", "beta", "epsilon"):
                 sub.physics[axis] = numeric

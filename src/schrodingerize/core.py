@@ -207,9 +207,3 @@ class StateVector:
     def with_amplitudes(self, amplitudes: np.ndarray) -> "StateVector":
         return StateVector(np.asarray(amplitudes).reshape(-1), self.layout)
 
-    def axis_index(self, name: str) -> int:
-        for i, ax in enumerate(self.layout):
-            if ax.name == name:
-                return i
-        raise InvalidArgumentError(f"no axis named {name!r} in layout {self.axis_names}")
-

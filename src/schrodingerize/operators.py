@@ -12,8 +12,10 @@ Four families of operators are built here:
 * total Hamiltonians:  H (x) D + Hbar (x) 1  for general dynamics, and the
   kinetic-transport form  L (x) 1 - 1 (x) Sigma (x) D + 1 (x) sigma (x) D.
 
-Matrices of dimension <= DENSE_LIMIT are kept dense so that exact dense
-eigensolves stay cheap; larger ones switch to CSR storage.
+Every Hermitian matrix is stored as the (B, b, b) stack of its diagonal
+blocks, B = 1 for a matrix without block structure.  The blocks are
+stated where a problem is built: kinetic transport, Fourier transformed
+in x, has one K^d x K^d block per spatial frequency.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.linalg
 
 from .core import (
     AccuracyWarning,
@@ -35,7 +37,6 @@ from .core import (
 
 __all__ = [
     "HERMITICITY_ATOL",
-    "DENSE_LIMIT",
     "HermitianMatrix",
     "HermitianPair",
     "EtaDiagonal",
@@ -45,90 +46,67 @@ __all__ = [
     "hermitian_decompose",
     "assemble_total_hamiltonian",
     "assemble_transport_hamiltonian",
-    "write_triplets",
-    "read_triplets",
 ]
 
 HERMITICITY_ATOL = 1e-12
-DENSE_LIMIT = 1024
 PSD_RTOL = 1e-10
 
 
-def _hermiticity_defect(entries) -> float:
-    if sp.issparse(entries):
-        diff = entries - entries.conjugate().T
-        return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
-    return float(np.abs(entries - entries.conj().T).max())
-
-
-def _max_row_nnz(entries) -> int:
-    if sp.issparse(entries):
-        csr = entries.tocsr()
-        csr.eliminate_zeros()
-        if csr.shape[0] == 0:
-            return 0
-        return int(np.diff(csr.indptr).max())
-    return int(np.count_nonzero(entries, axis=1).max()) if entries.shape[0] else 0
-
-
-def _max_abs(entries) -> float:
-    if sp.issparse(entries):
-        return 0.0 if entries.nnz == 0 else float(np.abs(entries.data).max())
-    return float(np.abs(entries).max()) if entries.size else 0.0
+def _adjoint(blocks: np.ndarray) -> np.ndarray:
+    return blocks.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Dense or CSR Hermitian matrix with its sparsity and max-norm.
+    """Hermitian matrix held as the read-only (B, b, b) stack of its
+    diagonal blocks, with its sparsity and max-norm.
 
+    The matrix is block_diag(blocks[0], .., blocks[B-1]) of dimension B*b.
     ``sparsity`` is the maximum number of nonzeros in any row and
     ``max_norm`` the largest entry magnitude; together with an evolution
     time they set the scale tau = s*t*max_norm of the query-cost model.
     """
 
-    dimension: int
-    entries: object
+    blocks: np.ndarray
     sparsity: int
     max_norm: float
 
     @classmethod
-    def from_entries(cls, entries, *, symmetrize: bool = False) -> "HermitianMatrix":
-        if not sp.issparse(entries):
-            entries = np.asarray(entries, dtype=complex)
-            if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-                raise InvalidArgumentError(f"matrix must be square, got shape {entries.shape}")
-            if symmetrize:
-                entries = 0.5 * (entries + entries.conj().T)
-        else:
-            if entries.shape[0] != entries.shape[1]:
-                raise InvalidArgumentError(f"matrix must be square, got shape {entries.shape}")
-            entries = entries.tocsr().astype(complex)
-            if symmetrize:
-                entries = 0.5 * (entries + entries.conjugate().T)
-        defect = _hermiticity_defect(entries)
-        scale = max(1.0, _max_abs(entries))
+    def from_entries(cls, entries) -> "HermitianMatrix":
+        """From a square matrix (B = 1) or a (B, b, b) stack of diagonal blocks.
+
+        Rejects entries farther from Hermitian than HERMITICITY_ATOL times
+        the largest magnitude (at least 1), then stores (A + A^dag)/2.
+        """
+        blocks = np.asarray(entries, dtype=complex)
+        if blocks.ndim == 2:
+            blocks = blocks[None]
+        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+            raise InvalidArgumentError(
+                f"matrix must be square or a stack of square blocks, got shape {np.shape(entries)}"
+            )
+        defect = float(np.abs(blocks - _adjoint(blocks)).max(initial=0.0))
+        scale = max(1.0, float(np.abs(blocks).max(initial=0.0)))
         if defect > HERMITICITY_ATOL * scale:
             raise InvalidArgumentError(
                 f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}"
             )
-        if not sp.issparse(entries):
-            entries = 0.5 * (entries + entries.conj().T)
-            entries.setflags(write=False)
+        blocks = 0.5 * (blocks + _adjoint(blocks))
+        blocks.setflags(write=False)
         return cls(
-            dimension=entries.shape[0],
-            entries=entries,
-            sparsity=_max_row_nnz(entries),
-            max_norm=_max_abs(entries),
+            blocks=blocks,
+            sparsity=int(np.count_nonzero(blocks, axis=-1).max(initial=0)),
+            max_norm=float(np.abs(blocks).max(initial=0.0)),
         )
 
     @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.entries)
+    def dimension(self) -> int:
+        return self.blocks.shape[0] * self.blocks.shape[1]
 
     def dense(self) -> np.ndarray:
-        if self.is_sparse:
-            return self.entries.toarray()
-        return np.array(self.entries)
+        if self.blocks.shape[0] == 1:
+            return np.array(self.blocks[0])
+        return scipy.linalg.block_diag(*self.blocks)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -137,10 +115,6 @@ class HermitianMatrix:
         lam.setflags(write=False)
         vec.setflags(write=False)
         return lam, vec
-
-
-def _zero_like(dimension: int) -> HermitianMatrix:
-    return HermitianMatrix.from_entries(np.zeros((dimension, dimension), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -156,9 +130,9 @@ class HermitianPair:
     h_bar: HermitianMatrix
 
     def __post_init__(self):
-        if self.h.dimension != self.h_bar.dimension:
+        if self.h.blocks.shape != self.h_bar.blocks.shape:
             raise InvalidArgumentError(
-                f"pair dimensions differ: {self.h.dimension} vs {self.h_bar.dimension}"
+                f"pair block shapes differ: {self.h.blocks.shape} vs {self.h_bar.blocks.shape}"
             )
 
     def reconstruct(self) -> np.ndarray:
@@ -273,23 +247,13 @@ def assemble_schrodinger_hamiltonian(potential, grids, d: int | None = None) -> 
     if d < 1 or d != len(grids):
         raise InvalidArgumentError(f"need one grid per dimension, got d={d}, {len(grids)} grids")
     v = _sample_potential(potential, grids).reshape(-1)
-    total = int(np.prod([g.count for g in grids], dtype=np.int64))
-    use_sparse = total > DENSE_LIMIT
-    if use_sparse:
-        h = sp.diags(v.astype(complex), format="csr")
-        for l, g in enumerate(grids):
-            p2 = sp.csr_matrix(_momentum_squared_1d(g).astype(complex))
-            left = int(np.prod([gg.count for gg in grids[:l]], dtype=np.int64))
-            right = int(np.prod([gg.count for gg in grids[l + 1:]], dtype=np.int64))
-            h = h + sp.kron(sp.eye(left), sp.kron(p2, sp.eye(right)), format="csr")
-    else:
-        h = np.diag(v.astype(complex))
-        for l, g in enumerate(grids):
-            p2 = _momentum_squared_1d(g)
-            left = int(np.prod([gg.count for gg in grids[:l]], dtype=np.int64))
-            right = int(np.prod([gg.count for gg in grids[l + 1:]], dtype=np.int64))
-            h = h + np.kron(np.eye(left), np.kron(p2, np.eye(right)))
-    return HermitianMatrix.from_entries(h, symmetrize=True)
+    h = np.diag(v.astype(complex))
+    for l, g in enumerate(grids):
+        p2 = _momentum_squared_1d(g)
+        left = int(np.prod([gg.count for gg in grids[:l]], dtype=np.int64))
+        right = int(np.prod([gg.count for gg in grids[l + 1:]], dtype=np.int64))
+        h += np.kron(np.eye(left), np.kron(p2, np.eye(right)))
+    return HermitianMatrix.from_entries(h)
 
 
 def assemble_total_hamiltonian(pair: HermitianPair, d_matrix: EtaDiagonal) -> HermitianMatrix:
@@ -300,16 +264,9 @@ def assemble_total_hamiltonian(pair: HermitianPair, d_matrix: EtaDiagonal) -> He
     entry collisions on the diagonal.
     """
     n = d_matrix.count
-    dim = pair.h.dimension * n
-    diag = d_matrix.diagonal
-    if dim > DENSE_LIMIT:
-        h = sp.csr_matrix(pair.h.dense())
-        hb = sp.csr_matrix(pair.h_bar.dense())
-        total = sp.kron(h, sp.diags(diag), format="csr") + sp.kron(hb, sp.eye(n), format="csr")
-    else:
-        total = np.kron(pair.h.dense(), np.diag(diag)) + np.kron(
-            pair.h_bar.dense(), np.eye(n)
-        )
+    total = np.kron(pair.h.dense(), np.diag(d_matrix.diagonal)) + np.kron(
+        pair.h_bar.dense(), np.eye(n)
+    )
     return HermitianMatrix.from_entries(total)
 
 
@@ -403,56 +360,7 @@ def assemble_transport_hamiltonian(model: TransportModel, d_matrix: EtaDiagonal)
     n = d_matrix.count
     ladv = model.advection_diagonal()
     scatter = model.sigma - np.diag(model.sigma_total)  # sigma - Sigma
-    dim = ladv.size * n
-    if dim > DENSE_LIMIT:
-        total = sp.kron(sp.diags(ladv.astype(complex)), sp.eye(n), format="csr") + sp.kron(
-            sp.eye(model.x_count),
-            sp.kron(sp.csr_matrix(scatter.astype(complex)), sp.diags(d_matrix.diagonal)),
-            format="csr",
-        )
-    else:
-        total = np.kron(np.diag(ladv), np.eye(n)) + np.kron(
-            np.eye(model.x_count), np.kron(scatter, np.diag(d_matrix.diagonal))
-        )
+    total = np.kron(np.diag(ladv), np.eye(n)) + np.kron(
+        np.eye(model.x_count), np.kron(scatter, np.diag(d_matrix.diagonal))
+    )
     return HermitianMatrix.from_entries(total)
-
-
-def write_triplets(matrix: HermitianMatrix, path) -> None:
-    """Serialize to the triplet text format.
-
-    Line 1: ``dimension <D>``; every following line ``row col re im`` with
-    0-based indices, one per stored nonzero entry.
-    """
-    if matrix.is_sparse:
-        coo = matrix.entries.tocoo()
-        rows, cols, vals = coo.row, coo.col, coo.data
-    else:
-        rows, cols = np.nonzero(matrix.entries)
-        vals = matrix.entries[rows, cols]
-    with open(path, "w") as fh:
-        fh.write(f"dimension {matrix.dimension}\n")
-        for r, c, v in zip(rows, cols, vals):
-            fh.write(f"{r} {c} {float(v.real)!r} {float(v.imag)!r}\n")
-
-
-def read_triplets(path) -> HermitianMatrix:
-    """Inverse of write_triplets."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "dimension":
-            raise InvalidArgumentError(f"{path}: malformed triplet header")
-        dim = int(header[1])
-        rows, cols, vals = [], [], []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            vals.append(complex(float(parts[2]), float(parts[3])))
-    if dim > DENSE_LIMIT:
-        entries = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    else:
-        entries = np.zeros((dim, dim), dtype=complex)
-        entries[rows, cols] = vals
-    return HermitianMatrix.from_entries(entries)

@@ -210,31 +210,6 @@ def _resolve_workers(workers: int | None) -> int:
         return 1
 
 
-def _block_size(h: np.ndarray, hbar: np.ndarray) -> int:
-    """Size b of the equal contiguous diagonal blocks of H and Hbar together.
-
-    The combined nonzero pattern is symmetric, so a boundary follows row i
-    exactly when no row up to i reaches past column i: a cumulative max of
-    each row's last nonzero column finds the finest contiguous blocks.
-    Returns the full dimension unless all those blocks have one size.
-    """
-    n = h.shape[0]
-    pattern = (h != 0) | (hbar != 0)
-    np.fill_diagonal(pattern, True)  # a row is never empty
-    last = n - 1 - np.argmax(pattern[:, ::-1], axis=1)
-    rows = np.arange(n)
-    ends = np.flatnonzero(np.maximum.accumulate(last) == rows) + 1
-    sizes = np.diff(ends, prepend=0)
-    return int(sizes[0]) if np.all(sizes == sizes[0]) else n
-
-
-def _diagonal_blocks(matrix: np.ndarray, b: int) -> np.ndarray:
-    """The (B, b, b) stack of the diagonal b x b blocks of ``matrix``."""
-    nblocks = matrix.shape[0] // b
-    idx = np.arange(nblocks)
-    return matrix.reshape(nblocks, b, nblocks, b)[idx, :, idx, :]
-
-
 def evolve_blocks(
     s0: SpectralState,
     pair: HermitianPair,
@@ -246,11 +221,10 @@ def evolve_blocks(
 
     Flattened, this equals exp(-i*(H (x) D + Hbar (x) 1)*t).  With Hbar = 0
     all modes share the eigenbasis of H, read from its cached spectrum.
-    Otherwise every mode is decomposed block by block: H and Hbar are cut
-    into the B equal contiguous diagonal blocks of their combined nonzero
-    pattern (B = 1 when there are none, e.g. a fully coupled matrix), and
-    each mode takes one batched eigendecomposition of the (B, b, b) stack
-    mu_j*H_blocks + Hbar_blocks.  For transport, whose x axis is Fourier
+    Otherwise every mode is decomposed block by block: H and Hbar carry the
+    same (B, b, b) stack shape (B = 1 for a matrix without block
+    structure), and each mode takes one batched eigendecomposition of
+    mu_j*H.blocks + Hbar.blocks.  For transport, whose x axis is Fourier
     transformed, that is one K^d x K^d block per spatial frequency.  Modes
     are independent, so they may be processed by ``workers`` threads;
     results are written into preallocated slots, making the output
@@ -274,13 +248,9 @@ def evolve_blocks(
         out = vec @ coeff
         return SpectralState(s0.state.with_amplitudes(out.reshape(-1)), s0.eta_grid)
 
-    h = pair.h.dense()
-    hbar = pair.h_bar.dense()
-    b = _block_size(h, hbar)
-    h_blocks = _diagonal_blocks(h, b)
-    hbar_blocks = _diagonal_blocks(hbar, b)
-    del h, hbar
-    blocks_in = arr.reshape(-1, b, n)
+    h_blocks = pair.h.blocks
+    hbar_blocks = pair.h_bar.blocks
+    blocks_in = arr.reshape(-1, h_blocks.shape[-1], n)
     blocks_out = np.empty_like(blocks_in)
 
     def run_block(j: int) -> None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +347,32 @@ class TestRunTransport:
         m0 = compute_moments(w0, (model.x_grids, model.k_grids)).mass
         assert result.moments.mass == pytest.approx(m0, rel=1e-3)
 
+    def test_two_dimensional_memory_stays_block_sized(self, monkeypatch):
+        # 2-D J = K = 6: the generator is 36 blocks of 36 x 36; one dense
+        # (J^2 K^2)^2 matrix alone would take 26 MiB
+        pairs = []
+
+        def recording_evolve_lifted(u0, pair, *args, **kwargs):
+            pairs.append(pair)
+            return evolve_lifted(u0, pair, *args, **kwargs)
+
+        evolve_lifted = apps.evolve_lifted
+        monkeypatch.setattr(apps, "evolve_lifted", recording_evolve_lifted)
+        kd = 36
+        grid = make_grid(1.0, 6)
+        model = TransportModel.create([grid] * 2, [grid] * 2, np.full((kd, kd), 1.0 / kd))
+        x1, x2, k1, k2 = np.meshgrid(*[grid.points] * 4, indexing="ij")
+        w0 = 1.0 + 0.5 * np.cos(np.pi * x1) * np.cos(np.pi * x2) + 0.25 * np.cos(np.pi * k1)
+        tracemalloc.start()
+        try:
+            result = run_transport(model, w0, t=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.l2_relative_error < 1e-2
+        assert pairs[0].h.blocks.shape == (36, kd, kd)
+        assert pairs[0].h_bar.blocks.shape == (36, kd, kd)
+        assert peak < 32 * 2**20
 
     def test_generator_decomposed_block_by_block(self, monkeypatch):
         # one (J, K, K) stack per auxiliary mode, never the (J*K)^2 generator

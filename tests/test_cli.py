@@ -335,6 +335,15 @@ class TestSweep:
     def test_unknown_axis_exit_2(self, tmp_path):
         assert sweep(heat_config(tmp_path), "banana", [1.0]) == 2
 
+    @pytest.mark.parametrize(
+        "axis, values", [("M", "16,20.5"), ("N", "100.7"), ("M", "16,15"), ("J", "0")]
+    )
+    def test_bad_grid_size_exits_2_before_any_run(self, tmp_path, capsys, axis, values):
+        cfg = heat_config(tmp_path) if axis != "J" else transport_config(tmp_path)
+        assert main(["sweep", str(cfg), "--axis", axis, "--values", values]) == 2
+        assert f"resolution.{axis} must be even and >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMainEntry:
     def test_main_run(self, tmp_path):
@@ -351,6 +360,12 @@ class TestMainEntry:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        code = "import sys, schrodingerize; print('scipy.sparse' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_shipped_schema_agrees_with_validator(self, tmp_path):
         schema_path = Path(__file__).resolve().parents[1] / "docs" / "schemas" / "summary.schema.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,6 @@ from schrodingerize import (
     fourier_modes,
     hermitian_decompose,
     make_grid,
-    read_triplets,
-    write_triplets,
 )
 from schrodingerize.operators import HermitianMatrix, HermitianPair
 
@@ -50,15 +49,55 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError):
             lam[0] = 0.0
 
-    def test_triplet_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        a = random_complex(rng, (6, 6))
-        m = HermitianMatrix.from_entries(0.5 * (a + a.conj().T))
-        path = tmp_path / "m.triplets"
-        write_triplets(m, path)
-        back = read_triplets(path)
-        assert back.dimension == 6
-        assert np.allclose(back.dense(), m.dense(), atol=0)
+
+class TestBlockStack:
+    @staticmethod
+    def stack(rng, nblocks=3, b=2):
+        a = random_complex(rng, (nblocks, b, b))
+        return a + a.conj().swapaxes(-1, -2)
+
+    def test_dimension_and_dense_block_diag(self):
+        blocks = self.stack(np.random.default_rng(21))
+        m = HermitianMatrix.from_entries(blocks)
+        assert m.blocks.shape == (3, 2, 2)
+        assert m.dimension == 6
+        assert np.array_equal(m.dense(), scipy.linalg.block_diag(*blocks))
+
+    def test_square_matrix_is_one_block(self):
+        m = HermitianMatrix.from_entries(np.eye(4))
+        assert m.blocks.shape == (1, 4, 4)
+        assert m.dimension == 4
+        with pytest.raises(ValueError):
+            m.blocks[0, 0, 0] = 2.0
+
+    def test_norms_and_spectrum_match_dense_built(self):
+        rng = np.random.default_rng(22)
+        blocks = self.stack(rng, nblocks=4, b=3)
+        blocks[1, 0, 2] = blocks[1, 2, 0] = 0.0  # rows of unequal weight
+        blocks[2] *= 5.0
+        stacked = HermitianMatrix.from_entries(blocks)
+        dense = HermitianMatrix.from_entries(scipy.linalg.block_diag(*blocks))
+        assert stacked.sparsity == dense.sparsity == 3
+        assert stacked.max_norm == dense.max_norm
+        assert np.array_equal(stacked.spectrum[0], dense.spectrum[0])
+        assert np.array_equal(stacked.spectrum[1], dense.spectrum[1])
+
+    def test_non_hermitian_block_rejected(self):
+        blocks = self.stack(np.random.default_rng(23))
+        blocks[2, 0, 1] += 1.0
+        with pytest.raises(InvalidArgumentError, match="not Hermitian"):
+            HermitianMatrix.from_entries(blocks)
+
+    def test_non_square_blocks_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="square"):
+            HermitianMatrix.from_entries(np.zeros((2, 2, 3)))
+
+    def test_pair_rejects_different_block_shapes(self):
+        blocks = self.stack(np.random.default_rng(24))
+        stacked = HermitianMatrix.from_entries(blocks)
+        dense = HermitianMatrix.from_entries(scipy.linalg.block_diag(*blocks))
+        with pytest.raises(InvalidArgumentError, match="block shapes"):
+            HermitianPair(h=stacked, h_bar=dense)
 
 
 class TestHermitianDecompose:
@@ -212,16 +251,6 @@ class TestTotalHamiltonian:
         floor = max(pair.h.max_norm * d.max_norm, pair.h_bar.max_norm)
         ceiling = pair.h.max_norm * d.max_norm + pair.h_bar.max_norm
         assert 0.49 * floor <= total.max_norm <= ceiling + 1e-12
-
-    def test_sparse_above_dense_limit(self):
-        pair = HermitianPair(
-            h=HermitianMatrix.from_entries(np.eye(8)),
-            h_bar=HermitianMatrix.from_entries(np.zeros((8, 8))),
-        )
-        d = assemble_eta_diagonal(make_grid(1.0, 256))
-        total = assemble_total_hamiltonian(pair, d)
-        assert total.dimension == 2048
-        assert total.is_sparse
 
 
 class TestTransport:

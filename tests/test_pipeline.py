@@ -32,7 +32,6 @@ from schrodingerize import (
     schrodingerize_evolve,
     warp_extend,
 )
-from schrodingerize import pipeline
 from schrodingerize.operators import HermitianMatrix, HermitianPair
 from schrodingerize.pipeline import SpectralState
 
@@ -234,8 +233,13 @@ def block_diagonal(rng, sizes):
     return scipy.linalg.block_diag(*[random_hermitian(rng, b) for b in sizes])
 
 
+def block_stack(rng, nblocks, b):
+    return np.stack([random_hermitian(rng, b) for _ in range(nblocks)])
+
+
 def evolve_matrices(h, hbar, amps, p_grid, t):
-    """evolve_blocks of the (dim, N) mode amplitudes under the pair (h, hbar)."""
+    """evolve_blocks of the (dim, N) mode amplitudes under the pair (h, hbar),
+    each a square matrix or a (B, b, b) stack of diagonal blocks."""
     pair = HermitianPair(
         h=HermitianMatrix.from_entries(h), h_bar=HermitianMatrix.from_entries(hbar)
     )
@@ -244,55 +248,56 @@ def evolve_matrices(h, hbar, amps, p_grid, t):
     return evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t).state.as_array()
 
 
+def per_mode_expm(h, hbar, amps, p_grid, t):
+    mus = assemble_eta_diagonal(p_grid).diagonal
+    return np.stack(
+        [scipy.linalg.expm(-1j * t * (mu * h + hbar)) @ col for mu, col in zip(mus, amps.T)],
+        axis=1,
+    )
+
+
+STACK_SHAPES = (
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
 class TestBlockSplit:
     P_GRID = make_grid(4.0, 8)
 
-    def test_block_size_of_known_patterns(self):
-        rng = np.random.default_rng(31)
-        eq = block_diagonal(rng, [3, 3, 3])
-        assert pipeline._block_size(eq, np.zeros((9, 9))) == 3
-        assert pipeline._block_size(eq, np.diag(np.arange(9.0))) == 3
-        # Hbar couples the first two blocks: sizes 6 and 3 are unequal
-        coupled = np.zeros((9, 9))
-        coupled[0, 5] = coupled[5, 0] = 1.0
-        assert pipeline._block_size(eq, coupled) == 9
-        assert pipeline._block_size(np.zeros((5, 5)), np.zeros((5, 5))) == 1
-        assert pipeline._block_size(block_diagonal(rng, [2, 3]), np.zeros((5, 5))) == 5
-        full = random_hermitian(rng, 4)
-        assert pipeline._block_size(full, full) == 4
-
-    def test_diagonal_blocks_stack(self):
-        rng = np.random.default_rng(32)
-        blocks = [random_hermitian(rng, 2) for _ in range(3)]
-        stack = pipeline._diagonal_blocks(scipy.linalg.block_diag(*blocks), 2)
-        assert stack.shape == (3, 2, 2)
-        assert all(np.array_equal(stack[i], blocks[i]) for i in range(3))
-
     @settings(max_examples=30, deadline=None)
-    @given(
-        st.integers(min_value=2, max_value=6),
-        st.integers(min_value=2, max_value=4),
-        st.floats(min_value=0.0, max_value=1.0),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
+    @given(*STACK_SHAPES)
     def test_equal_blocks_match_interleaved_single_block(self, nblocks, b, t, seed):
-        # interleaving the blocks hides them from the contiguous scan, so the
-        # permuted problem takes the B = 1 path on the same dynamics
+        # the (B, b, b) stacks against their dense() matrices as one block
+        # (B = 1), rows and columns interleaved by a random relabelling
         rng = np.random.default_rng(seed)
         n = nblocks * b
-        h = block_diagonal(rng, [b] * nblocks)
-        hbar = block_diagonal(rng, [b] * nblocks)
+        h = HermitianMatrix.from_entries(block_stack(rng, nblocks, b))
+        hbar = HermitianMatrix.from_entries(block_stack(rng, nblocks, b))
         amps = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
         perm = np.arange(n).reshape(nblocks, b)[rng.permutation(nblocks)]
         perm = perm[:, rng.permutation(b)].T.reshape(-1)
-        h_perm, hbar_perm = h[np.ix_(perm, perm)], hbar[np.ix_(perm, perm)]
-        assert pipeline._block_size(h, hbar) == b
-        assert pipeline._block_size(h_perm, hbar_perm) == n
+        h_perm = h.dense()[np.ix_(perm, perm)]
+        hbar_perm = hbar.dense()[np.ix_(perm, perm)]
 
-        split = evolve_matrices(h, hbar, amps, self.P_GRID, t)
+        split = evolve_matrices(h.blocks, hbar.blocks, amps, self.P_GRID, t)
         whole = np.empty_like(split)
         whole[perm] = evolve_matrices(h_perm, hbar_perm, amps[perm], self.P_GRID, t)
         assert np.abs(split - whole).max() < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(*STACK_SHAPES)
+    def test_stack_matches_per_mode_expm(self, nblocks, b, t, seed):
+        rng = np.random.default_rng(seed)
+        h, hbar = block_stack(rng, nblocks, b), block_stack(rng, nblocks, b)
+        amps = rng.standard_normal((nblocks * b, 8)) + 1j * rng.standard_normal((nblocks * b, 8))
+        got = evolve_matrices(h, hbar, amps, self.P_GRID, t)
+        expected = per_mode_expm(
+            scipy.linalg.block_diag(*h), scipy.linalg.block_diag(*hbar), amps, self.P_GRID, t
+        )
+        assert np.abs(got - expected).max() < 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -301,21 +306,15 @@ class TestBlockSplit:
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_unequal_blocks_match_per_mode_expm(self, sizes, t, seed):
+        # unequal blocks have no stack form: the matrix is one block
         if len(set(sizes)) == 1:
             sizes = sizes + [sizes[0] + 1]
         rng = np.random.default_rng(seed)
         n = sum(sizes)
         h, hbar = block_diagonal(rng, sizes), block_diagonal(rng, sizes)
         amps = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
-        assert pipeline._block_size(h, hbar) == n
-
         got = evolve_matrices(h, hbar, amps, self.P_GRID, t)
-        mus = assemble_eta_diagonal(self.P_GRID).diagonal
-        expected = np.stack(
-            [scipy.linalg.expm(-1j * t * (mu * h + hbar)) @ col for mu, col in zip(mus, amps.T)],
-            axis=1,
-        )
-        assert np.abs(got - expected).max() < 1e-12
+        assert np.abs(got - per_mode_expm(h, hbar, amps, self.P_GRID, t)).max() < 1e-12
 
 
 class TestSplitStepHeat:
