@@ -38,12 +38,13 @@ from .operators import (
 from .oracle import expm_apply, heat_analytic, transport_reference
 from .pipeline import (
     _p_grid_from,
+    _warn_truncation,
+    decay_factors,
     default_p_grid,
     evolve_lifted,
     project_positive,
     recover_integrate,
     run_cost,
-    schrodingerize_evolve,
 )
 
 __all__ = [
@@ -172,15 +173,18 @@ def prepare_ground_state(
     h,
     u0,
     epsilon: float,
-    p_grid: Grid1D | None = None,
-    workers: int | None = None,
+    p_grid: Grid1D | tuple | None = None,
 ) -> GroundStateReport:
     """Relax u0 under exp(-H t) until the ground-state fidelity is 1 - eps.
 
     The spectrum is shifted by its smallest eigenvalue before the run; the
     removed scalar only rescales the state, so the recovered direction and
     the fidelity are unchanged while the lifted profile keeps convecting
-    leftward.
+    leftward.  With Hbar = 0 the lifted run scales each eigencomponent by
+    its own factor (``decay_factors``, quadrature recovery), so the state is
+    V diag(g) V^dag u0 in the eigenbasis of H, without a lifted array.
+    ``p_grid`` is None, a Grid1D or an (L, N) pair whose None entries take
+    the values of ``default_p_grid`` for eps, t_final and the spectral width.
     """
     h_mat = h if isinstance(h, HermitianMatrix) else HermitianMatrix.from_entries(h)
     energies, vectors = h_mat.spectrum
@@ -200,15 +204,13 @@ def prepare_ground_state(
         raise InvalidArgumentError("initial state has no overlap with the ground state")
     t_final = estimate_t_final(gap, alpha0_sq, epsilon)
 
-    shifted = h_mat.dense() - energies[0] * np.eye(h_mat.dimension)
-    lam_max = float(energies[-1] - energies[0])
-    if p_grid is None:
-        p_grid = default_p_grid(epsilon=epsilon, t=t_final, lambda_max=lam_max)
-    state = StateVector(u0, (AxisSpec("x1", u0.size),))
-    _, rec = schrodingerize_evolve(
-        state, shifted, p_grid, t_final, epsilon=epsilon, workers=workers
-    )
-    u_rec = rec.u.amplitudes / np.linalg.norm(rec.u.amplitudes)
+    shifted = energies - energies[0]
+    default = default_p_grid(epsilon=epsilon, t=t_final, lambda_max=float(shifted[-1]))
+    p_grid = _p_grid_from(p_grid, default.half_width, default.count)
+    _warn_truncation(p_grid, max(1e-4, epsilon))
+    factors = decay_factors(shifted, p_grid, t_final, "integration")
+    u_t = vectors @ (factors * (vectors.conj().T @ u0))
+    u_rec = u_t / np.linalg.norm(u_t)
     fidelity = float(np.abs(ground.conj() @ u_rec) ** 2)
     cost = ground_state_cost(
         s=max(h_mat.sparsity, 1),
@@ -225,7 +227,7 @@ def prepare_ground_state(
         alpha0_sq=alpha0_sq,
         epsilon=epsilon,
         cost=cost,
-        u_recovered=rec.u.with_amplitudes(u_rec),
+        u_recovered=StateVector(u_rec, (AxisSpec("x1", u_rec.size),)),
         ground_state=ground,
     )
 
@@ -248,7 +250,6 @@ def prepare_gibbs(
     h,
     beta: float,
     p_grid: Grid1D | None = None,
-    workers: int | None = None,
 ) -> GibbsReport:
     """Prepare exp(-beta*H)/Z by evolving a maximally entangled pair.
 
@@ -257,28 +258,28 @@ def prepare_gibbs(
     thermal state for any Hermitian H (for complex eigenvectors the other
     register would give the complex conjugate instead).  The spectrum is
     shifted to start at zero; the scalar cancels in the normalized density
-    matrix.  ``p_grid`` is None, a Grid1D or an (L, N) pair whose None
-    entries take the defaults L=10, N=2048.
+    matrix.  With Hbar = 0 the lifted run scales each eigencomponent of H by
+    its own factor (``decay_factors``, projection recovery), so the evolved
+    pair is psi = V diag(g) V^dag / sqrt(D) read as a D x D matrix, and
+    only the D x D spectrum of H is decomposed.  ``p_grid`` is None, a
+    Grid1D or an (L, N) pair whose None entries take the defaults L=10,
+    N=2048.
     """
     if not beta > 0:
         raise InvalidArgumentError(f"beta must be positive, got {beta}")
     h_mat = h if isinstance(h, HermitianMatrix) else HermitianMatrix.from_entries(h)
     dim = h_mat.dimension
     energies, vectors = h_mat.spectrum
-    shifted = h_mat.dense() - energies[0] * np.eye(dim)
     partition_z = float(np.exp(-beta * energies).sum())
+    epsilon = 1e-3
 
-    big = np.kron(shifted, np.eye(dim))
-    entangled = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
-    state = StateVector(entangled, (AxisSpec("x1", dim * dim),))
     p_grid = _p_grid_from(p_grid, GIBBS_P_HALF_WIDTH, GIBBS_P_COUNT)
+    _warn_truncation(p_grid, epsilon)
     # projection recovery: only the direction of the purification matters
     # for rho, and the profile fit damps the periodic wrap of the lifted
     # state exponentially harder than the quadrature route does
-    _, rec = schrodingerize_evolve(
-        state, big, p_grid, beta / 2.0, recovery="projection", workers=workers
-    )
-    psi = rec.u.amplitudes.reshape(dim, dim)
+    factors = decay_factors(energies - energies[0], p_grid, beta / 2.0, "projection")
+    psi = (vectors * factors) @ vectors.conj().T
     rho = psi @ psi.conj().T
     rho = rho / np.trace(rho).real
 
@@ -290,7 +291,7 @@ def prepare_gibbs(
         beta=beta,
         dim=dim,
         partition_z=partition_z,
-        epsilon=1e-3,
+        epsilon=epsilon,
     )
     return GibbsReport(
         beta=beta,

@@ -6,11 +6,12 @@
 it over one numeric parameter and aggregates ``sweep.csv``.
 
 Exit codes: 0 success, 2 config/validation failure, 3 numerical failure
-(reference disagreement beyond the configured tolerance, or a solver
-error).  The env var SCHRO_THREADS caps worker parallelism.  Floats in CSV
-output carry 17 significant digits so values round-trip exactly, and the
-per-mode evolution writes into preallocated slots, so repeated runs of the
-same config produce byte-identical files for any thread count.
+(reference disagreement beyond the configured tolerance, a solver error,
+or a resource cap such as the dense matrix-exponential limit).  The env
+var SCHRO_THREADS caps worker parallelism.  Floats in CSV output carry 17
+significant digits so values round-trip exactly, and the per-mode
+evolution writes into preallocated slots, so repeated runs of the same
+config produce byte-identical files for any thread count.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import (
     AxisSpec,
     Grid1D,
     InvalidArgumentError,
+    ResourceLimitError,
     StateVector,
     StabilityError,
     DegenerateStateError,
@@ -263,7 +265,7 @@ def _run_ground_state(cfg: ExperimentConfig):
     h = _matrix(cfg)
     dim = h.shape[0]
     epsilon = float(cfg.physics.get("epsilon", 0.01))
-    report = apps.prepare_ground_state(h, _u0(cfg, dim), epsilon)
+    report = apps.prepare_ground_state(h, _u0(cfg, dim), epsilon, p_grid=_p_config(cfg))
     ground = report.ground_state
     overlap = ground.conj() @ report.u_recovered.amplitudes
     aligned = ground * np.exp(1j * np.angle(overlap))
@@ -412,7 +414,9 @@ def _execute(cfg: ExperimentConfig, out_dir: Path) -> tuple[int, dict]:
         raise
     except (InvalidArgumentError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    except (StabilityError, DegenerateStateError, UnsupportedProblemError) as exc:
+    except (
+        StabilityError, DegenerateStateError, UnsupportedProblemError, ResourceLimitError
+    ) as exc:
         solution, results, error = None, {}, str(exc)
 
     if error is not None:

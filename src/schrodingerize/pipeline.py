@@ -58,6 +58,7 @@ __all__ = [
     "recover_integrate",
     "recover_point",
     "project_positive",
+    "decay_factors",
     "evolve_lifted",
     "run_cost",
     "schrodingerize_evolve",
@@ -152,19 +153,35 @@ def _p_grid_from(
     return Grid1D(float(given_width), int(count if given_count is None else given_count))
 
 
+def _warn_truncation(p_grid: Grid1D, truncation_tol: float) -> None:
+    """Warn the caller's caller when exp(-half_width) is not below the tolerance."""
+    if math.exp(-p_grid.half_width) >= truncation_tol:
+        warnings.warn(
+            f"exp(-{p_grid.half_width:g}) = {math.exp(-p_grid.half_width):.2e} "
+            f"exceeds the requested truncation tolerance {truncation_tol:g}",
+            AccuracyWarning,
+            stacklevel=3,
+        )
+
+
+def _warn_convection(t: float, lam_max: float, p_grid: Grid1D) -> None:
+    """Warn the caller's caller when the profile convects past the p boundary."""
+    if t * lam_max >= p_grid.half_width:
+        warnings.warn(
+            f"convection t*lambda_max = {t * lam_max:.2f} reaches the p boundary "
+            f"{p_grid.half_width:g}; refine the auxiliary domain",
+            AccuracyWarning,
+            stacklevel=3,
+        )
+
+
 def warp_extend(u0: StateVector, p_grid: Grid1D, truncation_tol: float = 1e-4) -> WarpedState:
     """Lift u0 into w(0, x, p) = exp(-|p|) u0(x) on the extended p grid.
 
     Warns when exp(-half_width) is not below ``truncation_tol``: the
     periodic wrap then feeds visible mass back into the domain.
     """
-    if math.exp(-p_grid.half_width) >= truncation_tol:
-        warnings.warn(
-            f"exp(-{p_grid.half_width:g}) = {math.exp(-p_grid.half_width):.2e} "
-            f"exceeds the requested truncation tolerance {truncation_tol:g}",
-            AccuracyWarning,
-            stacklevel=2,
-        )
+    _warn_truncation(p_grid, truncation_tol)
     profile = np.exp(-np.abs(p_grid.points))
     amplitudes = np.multiply.outer(u0.amplitudes, profile)
     layout = u0.layout + (AxisSpec("p", p_grid.count, p_grid),)
@@ -333,6 +350,23 @@ def _positive_indices(p_grid: Grid1D) -> np.ndarray:
     return np.arange(p_grid.count // 2, p_grid.count)
 
 
+def _integration_calibration(grid: Grid1D) -> float:
+    """The trapezoid rule of ``recover_integrate`` applied to exp(-|p|)."""
+    pos = _positive_indices(grid)
+    profile = np.exp(-np.abs(grid.points))
+    return grid.spacing * (0.5 * profile[pos[0]] + 0.5 * profile[0] + profile[pos[1:]].sum())
+
+
+def _projection_weights(grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Indices of the p >= 0 block, their weights (p = 0 counted half), the
+    profile exp(-p) there and its weighted squared norm."""
+    pos = _positive_indices(grid)
+    weights = np.ones(pos.size)
+    weights[0] = 0.5
+    profile = np.exp(-grid.points[pos])
+    return pos, weights, profile, float(np.sum(weights * profile**2))
+
+
 def recover_integrate(w: WarpedState, calibrate: bool = False) -> RecoveryResult:
     """u(x) = integral of w(x, p) over p >= 0 by the trapezoid rule.
 
@@ -352,9 +386,7 @@ def recover_integrate(w: WarpedState, calibrate: bool = False) -> RecoveryResult
     acc = acc + arr[..., pos[1:]].sum(axis=-1)
     u = dp * acc
     if calibrate:
-        profile = np.exp(-np.abs(grid.points))
-        cal = dp * (0.5 * profile[pos[0]] + 0.5 * profile[0] + profile[pos[1:]].sum())
-        u = u / cal
+        u = u / _integration_calibration(grid)
     layout = w.state.layout[:-1]
     return RecoveryResult(u=StateVector(u.reshape(-1), layout), method="integration")
 
@@ -403,15 +435,11 @@ def project_positive(w: WarpedState) -> RecoveryResult:
     """
     grid = w.p_grid
     arr = w.state.as_array()
-    pos = _positive_indices(grid)
-    weights = np.ones(pos.size)
-    weights[0] = 0.5  # p = 0 counted half
+    pos, weights, profile, denom = _projection_weights(grid)
     block = arr[..., pos]
     block_mass = float(np.sum(weights * np.abs(block) ** 2))
     if block_mass == 0.0:
         raise DegenerateStateError("state has no support on p >= 0")
-    profile = np.exp(-grid.points[pos])
-    denom = float(np.sum(weights * profile**2))
     u_est = (block * (weights * profile)).sum(axis=-1) / denom
     u_norm = float(np.linalg.norm(u_est))
     if u_norm == 0.0:
@@ -428,6 +456,83 @@ def project_positive(w: WarpedState) -> RecoveryResult:
         u_norm=u_norm,
         cost_factor=cost_factor,
     )
+
+
+def _mode_weights(p_grid: Grid1D, recovery: str) -> tuple[np.ndarray, np.ndarray]:
+    """Weights c_j = a_j b_j / cal of ``decay_factors`` over the ascending
+    modes, and the indices of the modes it sums.
+
+    a_j is the mode-j coefficient of the lifted profile exp(-|p|) under
+    ``dft_p``, a Poisson kernel (two geometric sums); b_j is the recovery
+    pulled back through ``idft_p`` and cal its calibration.  The
+    "integration" rule covers whole periods of every even mode j != 0, so
+    those weights are exactly 0 and their indices are left out.
+    """
+    n = p_grid.count
+    m = np.arange(-(n // 2), n // 2)  # mu_j = pi * m_j / half_width
+    odd = m % 2 == 1
+    if recovery == "integration":
+        summed = np.flatnonzero(odd | (m == 0))
+    elif recovery == "projection":
+        summed = np.arange(n)
+    else:
+        raise InvalidArgumentError(f"unknown recovery method {recovery!r}")
+    dp = p_grid.spacing
+    r = math.exp(-dp)
+    one_minus_r = -math.expm1(-dp)
+    half_theta = np.pi * m / n  # half the phase step mu_j * dp
+    sin_sq = np.sin(half_theta) ** 2
+    q = math.exp(-p_grid.half_width) * np.where(odd, -1.0, 1.0)  # r^(N/2) (-1)^m
+    a = (1.0 - q) * -math.expm1(-2.0 * dp) / (one_minus_r**2 + 4.0 * r * sin_sq)
+    if recovery == "integration":
+        # trapezoid over p = 0 .. half_width: L at m = 0, -i dp cot(pi m / N) at odd m
+        b = np.zeros(n, dtype=complex)
+        b[n // 2] = p_grid.half_width
+        b[odd] = -1j * dp * np.cos(half_theta[odd]) / np.sin(half_theta[odd])
+        cal = _integration_calibration(p_grid)
+    else:
+        # sum over p_k = k*dp >= 0 of (r exp(-i*mu_j*dp))^k, the k = 0 term halved
+        one_minus_z = (one_minus_r + 2.0 * r * sin_sq) + 1j * r * np.sin(2.0 * half_theta)
+        b = (1.0 - q) / one_minus_z - 0.5
+        cal = _projection_weights(p_grid)[3]
+    return summed, a * b / (n * cal)  # n: the two 1/sqrt(N) of the unitary transforms
+
+
+# eigenvalues times modes per chunk of decay_factors: bounds its
+# exp(-i t lam mu_j) block at 1 MiB
+_FACTOR_CHUNK = 1 << 16
+
+
+def decay_factors(lam, p_grid: Grid1D, t: float, recovery: str) -> np.ndarray:
+    """Factor by which lift, evolution to time t and recovery scale an
+    eigencomponent of H with eigenvalue ``lam`` when Hbar = 0.
+
+    Every eigencomponent then relaxes on its own and each stage is linear,
+    so ``evolve_lifted`` followed by the recovery equals
+    V diag(g(lam)) V^dag u0 with g(lam) = sum_j c_j exp(-i t mu_j lam) over
+    the ascending modes mu_j of ``dft_p``, the weights c_j in closed form.
+    ``recovery`` is "integration", the calibrated trapezoid rule of
+    ``recover_integrate`` (its weights vanish at every even mode j != 0,
+    which is skipped), or "projection", the profile fit u_est of
+    ``project_positive``, whose direction is that route's result.  The sum
+    over modes runs in chunks, so memory is O(N + len(lam) * chunk) and no
+    len(lam) x N array is built.  Warns like ``schrodingerize_evolve`` when
+    t * max|lam| reaches the p boundary.
+    """
+    if t < 0:
+        raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
+    summed, weights = _mode_weights(p_grid, recovery)
+    lam = np.asarray(lam, dtype=float)
+    _warn_convection(t, float(np.abs(lam).max(initial=0.0)), p_grid)
+    weights = weights[summed]
+    mus = assemble_eta_diagonal(p_grid).diagonal[summed]
+
+    out = np.zeros(lam.shape, dtype=complex)
+    step = max(1, _FACTOR_CHUNK // max(lam.size, 1))
+    for start in range(0, summed.size, step):
+        chunk = slice(start, start + step)
+        out += np.exp(-1j * t * np.multiply.outer(lam, mus[chunk])) @ weights[chunk]
+    return out
 
 
 def evolve_lifted(
@@ -504,13 +609,7 @@ def schrodingerize_evolve(
     pair = hermitian_decompose(a)
     p_grid = _p_grid_from(p_grid)
     lam_max = float(np.abs(pair.h.spectrum[0]).max()) if pair.h.max_norm > 0 else 0.0
-    if t * lam_max >= p_grid.half_width:
-        warnings.warn(
-            f"convection t*lambda_max = {t * lam_max:.2f} reaches the p boundary "
-            f"{p_grid.half_width:g}; refine the auxiliary domain",
-            AccuracyWarning,
-            stacklevel=2,
-        )
+    _warn_convection(t, lam_max, p_grid)
     w_t, _ = evolve_lifted(
         u0, pair, p_grid, t, truncation_tol=max(1e-4, epsilon), workers=workers
     )

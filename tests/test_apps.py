@@ -7,11 +7,13 @@ import pytest
 from schrodingerize import (
     AccuracyWarning,
     AxisSpec,
+    Grid1D,
     InvalidArgumentError,
     StateVector,
     TransportModel,
     UnsupportedProblemError,
     compute_moments,
+    default_p_grid,
     estimate_t_final,
     find_stationary_transport,
     make_grid,
@@ -20,6 +22,7 @@ from schrodingerize import (
     prepare_ground_state,
     run_heat,
     run_transport,
+    schrodingerize_evolve,
     transport_reference,
 )
 from schrodingerize import apps, oracle
@@ -165,6 +168,35 @@ class TestPrepareGroundState:
         with pytest.raises(UnsupportedProblemError):
             prepare_ground_state(np.eye(3), np.array([1.0, 0.0, 0.0]), 0.01)
 
+    def test_benchmark_size_stays_small_and_decomposes_once(self, monkeypatch):
+        # dim 32 at eps = 1e-3: the default auxiliary grid has 154,092 modes,
+        # so one lifted copy of the state would be 32 x 154,092 complex (75 MiB)
+        dim = 32
+        rng = np.random.default_rng(7)
+        energies = np.concatenate([[0.0], 0.5 + np.linspace(0.0, 3.5, dim - 1)])
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        h = (q * energies) @ q.T
+        rest = q[:, 1:] @ rng.standard_normal(dim - 1)
+        u0 = math.sqrt(0.2) * q[:, 0] + math.sqrt(0.8) * rest / np.linalg.norm(rest)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        tracemalloc.start()
+        try:
+            report = prepare_ground_state(h, u0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert default_p_grid(1e-3, report.t_final, 4.0).count == 154_092
+        assert report.fidelity >= 1 - 1e-3
+        assert shapes == [(dim, dim)]
+        assert peak < 32 * 2**20
+
 
 class TestPrepareGibbs:
     def test_two_level_reference(self):
@@ -209,6 +241,53 @@ class TestPrepareGibbs:
     def test_invalid_beta(self):
         with pytest.raises(InvalidArgumentError):
             prepare_gibbs(np.diag([0.0, 1.0]), beta=0.0)
+
+
+def vector_state(amps):
+    amps = np.asarray(amps, dtype=complex).reshape(-1)
+    return StateVector(amps, (AxisSpec("x1", amps.size),))
+
+
+class TestExplicitLiftParity:
+    """Ground state and Gibbs state against the lifted run they replace."""
+
+    def test_ground_state_matches_explicit_lift(self):
+        rng = np.random.default_rng(45)
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        q = np.linalg.qr(g)[0]
+        energies = np.array([0.3, 0.9, 1.4, 2.0, 2.2])
+        h = (q * energies) @ q.conj().T
+        u0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        u0 = u0 / np.linalg.norm(u0)
+        # an (L, N) pair with L missing takes L from the default grid rule
+        report = prepare_ground_state(h, u0, 0.01, p_grid=(None, 512))
+        lam = np.linalg.eigvalsh(h)
+        half_width = default_p_grid(0.01, report.t_final, lam[-1] - lam[0]).half_width
+        shifted = h - lam[0] * np.eye(5)
+        _, rec = schrodingerize_evolve(
+            vector_state(u0), shifted, Grid1D(half_width, 512), report.t_final, epsilon=0.01
+        )
+        expected = rec.u.amplitudes / rec.u.norm
+        assert np.linalg.norm(report.u_recovered.amplitudes - expected) < 1e-12
+        assert report.fidelity == pytest.approx(
+            float(np.abs(report.ground_state.conj() @ expected) ** 2), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("dim, beta", [(3, 0.8), (4, 2.0)])
+    def test_gibbs_matches_explicit_purification(self, dim, beta):
+        # H (x) 1 on the maximally entangled pair, lifted and projected
+        rng = np.random.default_rng(46 + dim)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = 0.5 * (g + g.conj().T)
+        report = prepare_gibbs(h, beta)
+        big = np.kron(h - np.linalg.eigvalsh(h)[0] * np.eye(dim), np.eye(dim))
+        pair = vector_state(np.eye(dim).reshape(-1) / math.sqrt(dim))
+        _, rec = schrodingerize_evolve(
+            pair, big, Grid1D(10.0, 2048), beta / 2.0, recovery="projection"
+        )
+        psi = rec.u.amplitudes.reshape(dim, dim)
+        rho = psi @ psi.conj().T
+        assert np.abs(report.rho - rho / np.trace(rho).real).max() < 1e-12
 
 
 def constant_sigma_model(j=16, k=16, c=1.0):

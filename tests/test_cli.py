@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schrodingerize import cli
+from schrodingerize import cli, oracle
 from schrodingerize.cli import load_config, main, run, sweep, validate_summary
 from schrodingerize.cli import ConfigError
 
@@ -114,6 +114,20 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "tolerance_exceeded"
         assert validate_summary(summary) == []
+
+    def test_resource_limit_exits_3_with_error_status(self, tmp_path, monkeypatch):
+        # a potential sends the reference through the dense matrix exponential
+        monkeypatch.setattr(oracle, "EXPM_DENSE_LIMIT", 8)
+        path = heat_config(
+            tmp_path, resolution={"M": 16, "N": 64, "L": 12.0},
+            physics={"t": 0.1, "potential": "1 + 0.5*cos(pi*x)"},
+        )
+        assert run(path) == 3
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert "capped at dimension 8" in summary["error"]
+        assert validate_summary(summary) == []
+        assert not (tmp_path / "out" / "solution.csv").exists()
 
     def test_gibbs_run(self, tmp_path):
         path = write_config(
@@ -328,6 +342,23 @@ class TestSweep:
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         probs = [float(line.split(",")[2]) for line in lines[1:]]
         assert probs[0] >= probs[1] >= probs[2]
+
+    def test_ground_state_sweep_over_n_changes_the_grid(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "ground_state",
+                "physics": {"matrix": [[0.0, 0.0], [0.0, 1.0]], "u0": [0.6, 0.8]},
+                "output": {"directory": str(tmp_path / "out")},
+            },
+        )
+        assert sweep(path, "N", [64, 4096]) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert lines[1].split(",")[1] != lines[2].split(",")[1]
+        for n in (64, 4096):
+            summary = json.loads((tmp_path / "out" / f"N={n}" / "summary.json").read_text())
+            # the cost model's register holds the dimension times the N modes
+            assert summary["results"]["cost"]["qubit_count"] == pytest.approx(np.log2(2 * n))
 
     def test_empty_values_exit_2(self, tmp_path):
         assert sweep(heat_config(tmp_path), "N", []) == 2

@@ -1,0 +1,22 @@
+"""Every walkthrough in demos/ runs to completion in-process.
+
+The pytest configuration turns AccuracyWarning into an error, so a demo
+that starts warning fails here as well as one broken by an API change.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
+def test_demo_runs(demo, capsys):
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out

@@ -33,7 +33,7 @@ from schrodingerize import (
     warp_extend,
 )
 from schrodingerize.operators import HermitianMatrix, HermitianPair
-from schrodingerize.pipeline import SpectralState
+from schrodingerize.pipeline import SpectralState, _mode_weights, decay_factors
 
 
 def vector_state(amps):
@@ -566,6 +566,66 @@ class TestSchrodingerizeEvolve:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
             schrodingerize_evolve(vector_state([1.0, 2.0]), np.zeros((3, 3)), None, 0.1)
+
+
+class TestDecayFactors:
+    @pytest.mark.parametrize("half_width, n", [(12.0, 8), (5.0, 10), (12.0, 64), (20.0, 250)])
+    def test_integration_weights_match_the_stages_and_vanish_on_even_modes(self, half_width, n):
+        # the weights against the explicit stages: the profile through
+        # dft_p, and the calibrated trapezoid rule pulled back through
+        # idft_p one unit mode at a time
+        grid = Grid1D(half_width, n)
+        summed, weights = _mode_weights(grid, "integration")
+        m = np.arange(-(n // 2), n // 2)
+        even = (m % 2 == 0) & (m != 0)
+        assert np.all(weights[even] == 0.0)
+        assert np.array_equal(summed, np.flatnonzero(~even))
+
+        profile = dft_p(warp_extend(vector_state([1.0]), grid, truncation_tol=1.0))
+        layout = (AxisSpec("x1", n), AxisSpec("eta", n, grid))
+        units = SpectralState(StateVector(np.eye(n).reshape(-1), layout), grid)
+        functional = recover_integrate(idft_p(units), calibrate=True).u.amplitudes
+        explicit = profile.state.amplitudes * functional
+        scale = np.abs(explicit).max()
+        assert np.abs(explicit[even]).max() < 1e-14 * scale
+        assert np.abs(weights - explicit).max() < 1e-13 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=4, max_value=256).map(lambda k: 2 * k),
+        st.floats(min_value=4.0, max_value=20.0),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_explicit_lift(self, dim, n, half_width, t, seed):
+        # V (g * V^dag u0) against schrodingerize_evolve on a PSD H (Hbar = 0)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = x @ x.conj().T / dim
+        lam, vec = np.linalg.eigh(h)
+        u0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        grid = Grid1D(half_width, n)
+        for recovery in ("integration", "projection"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AccuracyWarning)
+                _, rec = schrodingerize_evolve(vector_state(u0), h, grid, t, recovery=recovery)
+                u_t = vec @ (decay_factors(lam, grid, t, recovery) * (vec.conj().T @ u0))
+            if recovery == "projection":
+                assert np.linalg.norm(u_t) == pytest.approx(rec.u_norm, rel=1e-12)
+                u_t = u_t / np.linalg.norm(u_t)
+            expected = rec.u.amplitudes
+            assert np.linalg.norm(u_t - expected) <= 1e-12 * np.linalg.norm(expected), recovery
+
+    def test_warns_when_convection_reaches_the_boundary(self):
+        with pytest.warns(AccuracyWarning, match="convection"):
+            decay_factors(np.array([0.0, 2.0]), Grid1D(4.0, 64), 2.5, "integration")
+
+    def test_rejects_unknown_recovery_and_negative_time(self):
+        with pytest.raises(InvalidArgumentError):
+            decay_factors(np.array([1.0]), Grid1D(12.0, 64), 1.0, "point")
+        with pytest.raises(InvalidArgumentError):
+            decay_factors(np.array([1.0]), Grid1D(12.0, 64), -1.0, "integration")
 
 
 class TestDefaultPGrid:
