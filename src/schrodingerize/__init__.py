@@ -30,7 +30,6 @@ from .operators import (
     assemble_eta_diagonal,
     assemble_schrodinger_hamiltonian,
     assemble_total_hamiltonian,
-    assemble_transport_hamiltonian,
     hermitian_decompose,
 )
 from .pipeline import (
@@ -40,7 +39,6 @@ from .pipeline import (
     default_p_grid,
     dft_p,
     evolve_blocks,
-    evolve_splitstep_heat,
     idft_p,
     project_positive,
     recover_integrate,

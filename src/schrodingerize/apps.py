@@ -111,9 +111,9 @@ def run_heat(
     grids = list(grids)
     u0_state = _as_state(u0, grids)
     h = assemble_schrodinger_hamiltonian(potential, grids)
-    pair = HermitianPair(
-        h=h, h_bar=HermitianMatrix.from_entries(np.zeros((h.dimension, h.dimension)))
-    )
+    # Hbar = 0 as a read-only view: from_entries would check, symmetrise and
+    # count a dense zero matrix of the grid size squared
+    pair = HermitianPair(h=h, h_bar=HermitianMatrix(np.broadcast_to(0j, h.blocks.shape), 0, 0.0))
     p_grid = _p_grid_from(p_config)
     w_t, (spectral_initial, spectral_final) = evolve_lifted(
         u0_state, pair, p_grid, t, workers=workers, norms=True
@@ -262,8 +262,10 @@ def prepare_gibbs(
     its own factor (``decay_factors``, projection recovery), so the evolved
     pair is psi = V diag(g) V^dag / sqrt(D) read as a D x D matrix, and
     only the D x D spectrum of H is decomposed.  ``p_grid`` is None, a
-    Grid1D or an (L, N) pair whose None entries take the defaults L=10,
-    N=2048.
+    Grid1D or an (L, N) pair whose None entries take the defaults N=2048
+    and L = max(10, (beta/2)*(E_max - E_0) + 4), so the profile convected
+    for time beta/2 by the widest shifted energy stays inside the
+    auxiliary domain.
     """
     if not beta > 0:
         raise InvalidArgumentError(f"beta must be positive, got {beta}")
@@ -273,7 +275,8 @@ def prepare_gibbs(
     partition_z = float(np.exp(-beta * energies).sum())
     epsilon = 1e-3
 
-    p_grid = _p_grid_from(p_grid, GIBBS_P_HALF_WIDTH, GIBBS_P_COUNT)
+    half_width = max(GIBBS_P_HALF_WIDTH, beta / 2.0 * float(energies[-1] - energies[0]) + 4.0)
+    p_grid = _p_grid_from(p_grid, half_width, GIBBS_P_COUNT)
     _warn_truncation(p_grid, epsilon)
     # projection recovery: only the direction of the purification matters
     # for rho, and the profile fit damps the periodic wrap of the lifted
@@ -421,19 +424,10 @@ def _evolve_transport(
     ) + layout[d:]
     spec_state = StateVector(spec0.reshape(-1), layout_xi)
 
-    # one K^d x K^d block per spatial frequency xi: Sigma - sigma (PSD for
-    # nonnegative sigma) in H, the advection symbol diag(xi . k) in Hbar
-    collision = model.collision_matrix()
-    jd, kd = model.x_count, model.k_count
-    advection = np.zeros((jd, kd, kd), dtype=complex)
-    advection[:, np.arange(kd), np.arange(kd)] = model.advection_diagonal().reshape(jd, kd)
-    pair = HermitianPair(
-        h=HermitianMatrix.from_entries(np.broadcast_to(collision, (jd, kd, kd))),
-        h_bar=HermitianMatrix.from_entries(advection),
-    )
+    pair = model.hermitian_pair()
 
     def convection_half_width() -> float:
-        lam_max = float(np.abs(np.linalg.eigvalsh(collision)).max())
+        lam_max = float(np.abs(np.linalg.eigvalsh(model.collision_matrix())).max())
         return max(TRANSPORT_P_HALF_WIDTH, t * lam_max + 4.0)
 
     p_grid = _p_grid_from(p_config, convection_half_width, TRANSPORT_P_COUNT)
@@ -468,10 +462,10 @@ def run_transport(
     scattering enters through the (positive semi-definite) loss-gain
     matrix and the advection through the diagonal symbol.  With x Fourier
     transformed it is block diagonal, one K^d x K^d block per spatial
-    frequency xi: H and Hbar are built as (J^d, K^d, K^d) block stacks, so
-    neither the (J^d K^d)^2 generator nor any matrix of that size is ever
-    formed.  The reference is the RK4 method-of-lines solution on the same
-    (x, k) grid.
+    frequency xi: ``model.hermitian_pair()`` builds H and Hbar as
+    (J^d, K^d, K^d) block stacks, so neither the (J^d K^d)^2 generator nor
+    any matrix of that size is ever formed.  The reference is the RK4
+    method-of-lines solution on the same (x, k) grid.
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
     take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
     the largest scattering rate, so the convected profile stays inside

@@ -1,6 +1,6 @@
 """Assembly of the Hermitian matrices used by the warped-phase method.
 
-Four families of operators are built here:
+Five families of operators are built here:
 
 * the spectral Schrodinger Hamiltonian  P_1^2 + .. + P_d^2 + V  on a
   periodic tensor grid, where each P_l is the Fourier-collocation momentum
@@ -9,12 +9,13 @@ Four families of operators are built here:
   ascending order,
 * the Hermitian split A = H + i*Hbar of an arbitrary square matrix, with
   H = (A + A^dag)/2 and Hbar = i*(A^dag - A)/2,
-* total Hamiltonians:  H (x) D + Hbar (x) 1  for general dynamics, and the
-  kinetic-transport form  L (x) 1 - 1 (x) Sigma (x) D + 1 (x) sigma (x) D.
+* the total Hamiltonian  H (x) D + Hbar (x) 1  of any pair (H, Hbar),
+* the pair of kinetic transport (``TransportModel.hermitian_pair``):
+  H = Sigma - sigma and Hbar = diag(xi . k).
 
 Every Hermitian matrix is stored as the (B, b, b) stack of its diagonal
 blocks, B = 1 for a matrix without block structure.  The blocks are
-stated where a problem is built: kinetic transport, Fourier transformed
+stated where a problem is built: the transport pair, Fourier transformed
 in x, has one K^d x K^d block per spatial frequency.
 """
 
@@ -45,7 +46,6 @@ __all__ = [
     "assemble_eta_diagonal",
     "hermitian_decompose",
     "assemble_total_hamiltonian",
-    "assemble_transport_hamiltonian",
 ]
 
 HERMITICITY_ATOL = 1e-12
@@ -341,26 +341,22 @@ class TransportModel:
         return (xi[:, None, :] * k[None, :, :]).sum(axis=-1).reshape(-1)
 
     def collision_matrix(self) -> np.ndarray:
-        """sigma - diag(Sigma): the dissipative part of the scattering."""
+        """diag(Sigma) - sigma: the dissipative part of the scattering."""
         return np.diag(self.sigma_total) - self.sigma
 
+    def hermitian_pair(self) -> HermitianPair:
+        """The split A = H + i*Hbar of the spatially Fourier-transformed
+        transport generator, one K^d x K^d block per spatial frequency xi.
 
-def assemble_transport_hamiltonian(model: TransportModel, d_matrix: EtaDiagonal) -> HermitianMatrix:
-    """L (x) 1 - 1 (x) Sigma (x) D + 1 (x) sigma (x) D over (xi, k, eta).
-
-    L is diagonal with entries xi_i . k_j (spatial modes in DFT order);
-    the eta axis carries the ascending modes of ``d_matrix``.  The
-    evolution pipeline uses the mode-relabelled equivalent
-    (Sigma - sigma) (x) D + L (x) 1; the two differ only by the sign
-    labelling of the auxiliary modes.
-    """
-    defect = float(np.abs(model.sigma - model.sigma.T).max())
-    if defect > HERMITICITY_ATOL * max(1.0, float(np.abs(model.sigma).max())):
-        raise InvalidArgumentError("sigma asymmetry would break Hermiticity")
-    n = d_matrix.count
-    ladv = model.advection_diagonal()
-    scatter = model.sigma - np.diag(model.sigma_total)  # sigma - Sigma
-    total = np.kron(np.diag(ladv), np.eye(n)) + np.kron(
-        np.eye(model.x_count), np.kron(scatter, np.diag(d_matrix.diagonal))
-    )
-    return HermitianMatrix.from_entries(total)
+        H stacks diag(Sigma) - sigma (positive semi-definite for nonnegative
+        sigma) J^d times, and Hbar holds the advection symbol diag(xi . k)
+        on each block, so that mode mu evolves under
+        mu*(Sigma - sigma) + diag(xi . k).
+        """
+        jd, kd = self.x_count, self.k_count
+        advection = np.zeros((jd, kd, kd), dtype=complex)
+        advection[:, np.arange(kd), np.arange(kd)] = self.advection_diagonal().reshape(jd, kd)
+        return HermitianPair(
+            h=HermitianMatrix.from_entries(np.broadcast_to(self.collision_matrix(), (jd, kd, kd))),
+            h_bar=HermitianMatrix.from_entries(advection),
+        )

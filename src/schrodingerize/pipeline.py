@@ -54,7 +54,6 @@ __all__ = [
     "dft_p",
     "idft_p",
     "evolve_blocks",
-    "evolve_splitstep_heat",
     "recover_integrate",
     "recover_point",
     "project_positive",
@@ -283,67 +282,6 @@ def evolve_blocks(
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             list(pool.map(run_block, range(n)))
     return SpectralState(s0.state.with_amplitudes(blocks_out.reshape(-1)), s0.eta_grid)
-
-
-def evolve_splitstep_heat(
-    s0: SpectralState,
-    potential,
-    grids,
-    t: float,
-    steps: int,
-) -> SpectralState:
-    """Strang split-step fast path for heat-form problems (Hbar = 0).
-
-    Exploits that the Laplacian is diagonal in the spatial Fourier basis
-    and the potential is diagonal in space: per substep
-    exp(-i dt mu V/2) F^-1 exp(-i dt mu |xi|^2) F exp(-i dt mu V/2).
-    Exact for V = 0; otherwise second order, error O((t/steps)^2).
-    """
-    if isinstance(grids, Grid1D):
-        grids = [grids]
-    grids = list(grids)
-    if steps < 1:
-        raise InvalidArgumentError(f"steps must be >= 1, got {steps}")
-    if t < 0:
-        raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
-    n = s0.eta_grid.count
-    shape = tuple(g.count for g in grids) + (n,)
-    arr = s0.state.amplitudes.reshape(shape)
-    x_axes = tuple(range(len(grids)))
-    mus = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=s0.eta_grid.spacing))
-
-    ksq = np.zeros(shape[:-1])
-    for axis, g in enumerate(grids):
-        xi = 2.0 * np.pi * np.fft.fftfreq(g.count, d=g.spacing)
-        sh = [1] * len(shape[:-1])
-        sh[axis] = g.count
-        ksq = ksq + (xi**2).reshape(sh)
-
-    if potential is None:
-        v = np.zeros(shape[:-1])
-    elif callable(potential):
-        axes = np.meshgrid(*[g.points for g in grids], indexing="ij")
-        v = np.broadcast_to(np.asarray(potential(*axes)), shape[:-1])
-    else:
-        v = np.broadcast_to(np.asarray(potential), shape[:-1])
-    if np.iscomplexobj(v) and np.abs(np.asarray(v).imag).max() > 0:
-        raise InvalidArgumentError("split-step path requires a real potential (heat form)")
-    v = np.asarray(v, dtype=float)
-
-    if not np.any(v):
-        phase = np.exp(-1j * t * ksq[..., None] * mus)
-        out = np.fft.ifftn(np.fft.fftn(arr, axes=x_axes) * phase, axes=x_axes)
-        return SpectralState(s0.state.with_amplitudes(out.reshape(-1)), s0.eta_grid)
-
-    dt = t / steps
-    half_v = np.exp(-0.5j * dt * v[..., None] * mus)
-    kin = np.exp(-1j * dt * ksq[..., None] * mus)
-    out = arr
-    for _ in range(steps):
-        out = out * half_v
-        out = np.fft.ifftn(np.fft.fftn(out, axes=x_axes) * kin, axes=x_axes)
-        out = out * half_v
-    return SpectralState(s0.state.with_amplitudes(out.reshape(-1)), s0.eta_grid)
 
 
 def _positive_indices(p_grid: Grid1D) -> np.ndarray:

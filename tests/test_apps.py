@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,22 @@ class TestRunHeat:
         u0 = 1.0 + 0.5 * np.cos(np.pi * xx) * np.cos(np.pi * yy)
         result = run_heat(u0, None, [gx, gy], p_config=(12.0, 128), t=0.05)
         assert result.l2_relative_error < 1e-3
+
+    def test_two_dimensional_peak_memory(self):
+        # n = 1536: H is a 36 MiB dense matrix, and Hbar = 0 must not add
+        # another checked and symmetrised n x n copy (the peak was 162 MiB
+        # with one, 111 MiB without)
+        gx, gy = make_grid(1.0, 32), make_grid(1.0, 48)
+        xx, yy = np.meshgrid(gx.points, gy.points, indexing="ij")
+        u0 = 1.0 + 0.5 * np.cos(np.pi * xx) * np.cos(np.pi * yy)
+        tracemalloc.start()
+        try:
+            result = run_heat(u0, None, [gx, gy], p_config=(12.0, 64), t=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.l2_relative_error < 1e-3
+        assert peak < 136 * 2**20
 
     def test_norm_bookkeeping(self):
         grid = make_grid(1.0, 64)
@@ -237,6 +254,17 @@ class TestPrepareGibbs:
         h = 0.5 * (h + h.conj().T)
         report = prepare_gibbs(h, beta=0.8)
         assert report.trace_distance_to_exact < 1e-4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_half_width_covers_wide_spectrum(self, seed):
+        # (beta/2)*(E_max - E_0) is 10.8-13.3 here, past the floor L = 10
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        h = 0.5 * (g + g.conj().T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            report = prepare_gibbs(h, beta=2.0)
+        assert report.trace_distance_to_exact < 1e-8
 
     def test_invalid_beta(self):
         with pytest.raises(InvalidArgumentError):

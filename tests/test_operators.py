@@ -11,7 +11,6 @@ from schrodingerize import (
     assemble_eta_diagonal,
     assemble_schrodinger_hamiltonian,
     assemble_total_hamiltonian,
-    assemble_transport_hamiltonian,
     fourier_modes,
     hermitian_decompose,
     make_grid,
@@ -271,12 +270,15 @@ class TestTransport:
         with pytest.raises(InvalidArgumentError):
             TransportModel.create([make_grid(1.0, 4)], [make_grid(1.0, 4)], s)
 
+    def transport_total(self, model, d):
+        return assemble_total_hamiltonian(model.hermitian_pair(), d)
+
     def test_free_streaming_diagonal(self):
         model = TransportModel.create(
             [make_grid(1.0, 4)], [make_grid(1.0, 4)], np.zeros((4, 4))
         )
         d = assemble_eta_diagonal(make_grid(1.0, 2))
-        total = assemble_transport_hamiltonian(model, d).dense()
+        total = self.transport_total(model, d).dense()
         xi = fourier_modes(make_grid(1.0, 4)).modes
         kpts = make_grid(1.0, 4).points
         expected = np.kron(np.diag(np.multiply.outer(xi, kpts).reshape(-1)), np.eye(2))
@@ -291,7 +293,7 @@ class TestTransport:
             [make_grid(1.0, 2)], [make_grid(1.0, k)], np.full((k, k), c / k)
         )
         d = assemble_eta_diagonal(make_grid(1.0, 4))
-        total = assemble_transport_hamiltonian(model, d).dense()
+        total = self.transport_total(model, d).dense()
         n = d.count
         # remove the advection part to isolate the scattering block
         xi = fourier_modes(make_grid(1.0, 2)).modes
@@ -305,13 +307,42 @@ class TestTransport:
                 row = scatter[kk * n + eta_idx, :]
                 gain = sum(row[kk2 * n + eta_idx] for kk2 in range(k) if kk2 != kk)
                 rows.append(gain)
-            # off-diagonal gain row sums: (K-1)/K * c * mu (diagonal holds the rest)
-            assert np.allclose(rows, (k - 1) / k * c * mu, atol=1e-12)
+            # off-diagonal gain row sums: -(K-1)/K * c * mu (diagonal holds the rest)
+            assert np.allclose(rows, -(k - 1) / k * c * mu, atol=1e-12)
+
+    @staticmethod
+    def brute_force_generator(model, d):
+        """The warped transport generator mu*Sigma - mu*sigma + xi.k of the
+        pipeline's mode labelling, applied to every basis vector over
+        (xi, k, eta) with the axes of every dimension looped explicitly."""
+        x_counts = [g.count for g in model.x_grids]
+        k_counts = [g.count for g in model.k_grids]
+        xi_axes = [fourier_modes(g).modes for g in model.x_grids]
+        k_axes = [g.points for g in model.k_grids]
+        s, sig_tot = model.sigma, model.sigma.sum(axis=0)
+        jd, kd, n = model.x_count, model.k_count, d.count
+        dim = jd * kd * n
+        brute = np.zeros((dim, dim))
+        for col in range(dim):
+            vec = np.zeros(dim)
+            vec[col] = 1.0
+            arr = vec.reshape(jd, kd, n)
+            out = np.zeros_like(arr)
+            for ji in range(jd):
+                xi = [ax[i] for ax, i in zip(xi_axes, np.unravel_index(ji, x_counts))]
+                for ki in range(kd):
+                    kv = [ax[i] for ax, i in zip(k_axes, np.unravel_index(ki, k_counts))]
+                    advect = sum(a * b for a, b in zip(xi, kv))
+                    for ei in range(n):
+                        mu = d.diagonal[ei]
+                        acc = advect * arr[ji, ki, ei]
+                        acc += mu * sig_tot[ki] * arr[ji, ki, ei]
+                        acc -= mu * sum(s[ki, k2] * arr[ji, k2, ei] for k2 in range(kd))
+                        out[ji, ki, ei] = acc
+            brute[:, col] = out.reshape(-1)
+        return brute
 
     def test_matches_brute_force_generator(self):
-        # independent oracle: apply the discretized warped transport
-        # generator (k.xi - eta*Sigma + eta*sigma, with the eta sign of the
-        # assembled labelling) to every basis vector
         rng = np.random.default_rng(7)
         j = k = 2
         n = 2
@@ -319,31 +350,24 @@ class TestTransport:
         s = 0.5 * (s + s.T)
         model = TransportModel.create([make_grid(1.0, j)], [make_grid(1.0, k)], s)
         d = assemble_eta_diagonal(make_grid(1.0, n))
-        total = assemble_transport_hamiltonian(model, d).dense()
-        xi = fourier_modes(make_grid(1.0, j)).modes
-        kpts = make_grid(1.0, k).points
-        sig_tot = s.sum(axis=0)
-        dim = j * k * n
-        brute = np.zeros((dim, dim))
-        for col in range(dim):
-            vec = np.zeros(dim)
-            vec[col] = 1.0
-            arr = vec.reshape(j, k, n)
-            out = np.zeros_like(arr)
-            for ji in range(j):
-                for ki in range(k):
-                    for ei in range(n):
-                        mu = d.diagonal[ei]
-                        acc = xi[ji] * kpts[ki] * arr[ji, ki, ei]
-                        acc -= mu * sig_tot[ki] * arr[ji, ki, ei]
-                        acc += mu * sum(s[ki, k2] * arr[ji, k2, ei] for k2 in range(k))
-                        out[ji, ki, ei] = acc
-            brute[:, col] = out.reshape(-1)
-        assert np.abs(total - brute).max() < 1e-12
+        total = self.transport_total(model, d).dense()
+        assert np.abs(total - self.brute_force_generator(model, d)).max() < 1e-12
+
+    def test_matches_brute_force_generator_2d(self):
+        rng = np.random.default_rng(8)
+        j = k = 2
+        s = rng.uniform(0.1, 1.0, (k * k, k * k))
+        s = 0.5 * (s + s.T)
+        model = TransportModel.create(
+            [make_grid(1.0, j), make_grid(1.5, j)], [make_grid(1.0, k), make_grid(2.0, k)], s
+        )
+        d = assemble_eta_diagonal(make_grid(1.0, 4))
+        total = self.transport_total(model, d).dense()
+        assert np.abs(total - self.brute_force_generator(model, d)).max() < 1e-12
 
     def test_hermitian(self):
         model = self.make_model()
         d = assemble_eta_diagonal(make_grid(1.0, 4))
-        total = assemble_transport_hamiltonian(model, d)
+        total = self.transport_total(model, d)
         dense = total.dense()
         assert np.abs(dense - dense.conj().T).max() < 1e-12

@@ -20,7 +20,6 @@ from schrodingerize import (
     default_p_grid,
     dft_p,
     evolve_blocks,
-    evolve_splitstep_heat,
     expm_apply,
     fourier_modes,
     hermitian_decompose,
@@ -168,11 +167,10 @@ class TestEvolveBlocks:
         after = s.state.as_array()[:, zero_idx]
         assert np.abs(after - before).max() < 1e-12
 
-    def test_matches_dense_exponential_of_total_hamiltonian(self):
+    @staticmethod
+    def check_against_dense_exponential(rng, a):
         # oracle: exp(-i H_total t) applied to the flattened state
-        rng = np.random.default_rng(23)
-        dim, n, t = 2, 4, 0.7
-        a = random_dissipative(rng, dim)
+        dim, n, t = a.shape[0], 4, 0.7
         pair = hermitian_decompose(a, check_psd=False)
         p_grid = make_grid(1.0, n)
         d = assemble_eta_diagonal(p_grid)
@@ -187,6 +185,17 @@ class TestEvolveBlocks:
         expected = expm_apply(1j * total.dense(), s0.state.amplitudes, t)
         got = evolve_blocks(s0, pair, d, t)
         assert np.abs(got.state.amplitudes - expected).max() < 1e-10
+
+    def test_matches_dense_exponential_of_total_hamiltonian(self):
+        rng = np.random.default_rng(23)
+        self.check_against_dense_exponential(rng, random_dissipative(rng, 2))
+
+    def test_shared_eigenbasis_matches_dense_exponential_of_total_hamiltonian(self):
+        # Hermitian A: Hbar = 0, so every mode reuses the eigenbasis of H
+        rng = np.random.default_rng(25)
+        a = random_hermitian(rng, 3)
+        assert hermitian_decompose(a, check_psd=False).h_bar.max_norm == 0.0
+        self.check_against_dense_exponential(rng, a)
 
     def test_norm_conserved(self):
         fix = HeatFixture()
@@ -315,50 +324,6 @@ class TestBlockSplit:
         amps = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
         got = evolve_matrices(h, hbar, amps, self.P_GRID, t)
         assert np.abs(got - per_mode_expm(h, hbar, amps, self.P_GRID, t)).max() < 1e-12
-
-
-class TestSplitStepHeat:
-    def test_zero_potential_exact_any_steps(self):
-        fix = HeatFixture()
-        exact = fix.evolved(t=0.3)
-        for steps in (1, 7):
-            split = evolve_splitstep_heat(fix.s0, None, [fix.grid], 0.3, steps)
-            assert np.abs(split.state.amplitudes - exact.state.amplitudes).max() < 1e-10
-
-    def test_time_zero_identity(self):
-        fix = HeatFixture()
-        split = evolve_splitstep_heat(fix.s0, lambda x: x**2, [fix.grid], 0.0, 3)
-        assert np.abs(split.state.amplitudes - fix.s0.state.amplitudes).max() < 1e-14
-
-    def test_second_order_convergence(self):
-        # error vs the exact block evolution shrinks ~4x when steps double
-        from schrodingerize import assemble_schrodinger_hamiltonian
-
-        grid = make_grid(1.0, 16)
-        p_grid = make_grid(8.0, 32)
-        h = assemble_schrodinger_hamiltonian(lambda x: 2.0 + np.cos(np.pi * x), [grid])
-        pair = HermitianPair(
-            h=h,
-            h_bar=HermitianMatrix.from_entries(np.zeros((16, 16))),
-        )
-        d = assemble_eta_diagonal(p_grid)
-        u0 = StateVector(
-            (1.0 + 0.3 * np.cos(np.pi * grid.points)).astype(complex),
-            (AxisSpec("x1", 16, grid),),
-        )
-        s0 = dft_p(warp_extend(u0, p_grid, truncation_tol=1e-3))
-        exact = evolve_blocks(s0, pair, d, 0.4)
-        errs = []
-        for steps in (4, 8, 16):
-            split = evolve_splitstep_heat(s0, lambda x: 2.0 + np.cos(np.pi * x), [grid], 0.4, steps)
-            errs.append(np.linalg.norm(split.state.amplitudes - exact.state.amplitudes))
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.35)
-        assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.35)
-
-    def test_complex_potential_rejected(self):
-        fix = HeatFixture()
-        with pytest.raises(InvalidArgumentError):
-            evolve_splitstep_heat(fix.s0, np.full(32, 1j), [fix.grid], 0.1, 2)
 
 
 class TestRecoverIntegrate:
