@@ -40,8 +40,8 @@ for t in (0.1, 0.3, 0.5):
     print(f"  t = {t:3.1f}:  relative error = {rel:.2e}   "
           f"norm ratio |u(0)|/|u(t)| = {rec.cost.norm_ratio:.3f}")
 
-_, rec = schrodingerize_evolve(u0, a, None, 0.5, recovery="projection")
-print("\nprojection recovery bookkeeping at t = 0.5:")
+_, rec = schrodingerize_evolve(u0, a, None, 0.5)
+print("\nprojection bookkeeping of the lifted state at t = 0.5:")
 print(f"  success probability = {rec.success_probability:.3f}")
 print(f"  amplification cost factor = {rec.cost_factor:.3f} "
       f"(equals |u(0)|/|u(t)| by norm conservation)")

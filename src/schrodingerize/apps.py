@@ -37,14 +37,12 @@ from .operators import (
 )
 from .oracle import expm_apply, heat_analytic, transport_reference
 from .pipeline import (
+    RecoveryResult,
     _p_grid_from,
     _warn_truncation,
     decay_factors,
     default_p_grid,
     evolve_lifted,
-    project_positive,
-    recover_integrate,
-    run_cost,
 )
 
 __all__ = [
@@ -96,7 +94,7 @@ def run_heat(
     epsilon: float = 1e-3,
     workers: int | None = None,
 ) -> HeatRunResult:
-    """Heat pipeline: lift, transform, evolve every auxiliary mode, recover.
+    """Heat pipeline: ``evolve_lifted`` with Hbar = 0, against a reference.
 
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
     take the defaults L=12, N=256.
@@ -104,7 +102,7 @@ def run_heat(
     matrix exponential of the assembled Hamiltonian otherwise.  The norms
     dictionary records the conserved lifted norm at both ends together with
     the projection bookkeeping (success probability and amplification cost
-    factor).
+    factor); the cost is priced by |u(0)|/|u_recovered|.
     """
     if isinstance(grids, Grid1D):
         grids = [grids]
@@ -115,11 +113,7 @@ def run_heat(
     # count a dense zero matrix of the grid size squared
     pair = HermitianPair(h=h, h_bar=HermitianMatrix(np.broadcast_to(0j, h.blocks.shape), 0, 0.0))
     p_grid = _p_grid_from(p_config)
-    w_t, (spectral_initial, spectral_final) = evolve_lifted(
-        u0_state, pair, p_grid, t, workers=workers, norms=True
-    )
-    rec = recover_integrate(w_t, calibrate=True)
-    projection = project_positive(w_t)
+    _, rec = evolve_lifted(u0_state, pair, p_grid, t, epsilon=epsilon, workers=workers)
 
     v_is_zero = potential is None or (
         not callable(potential) and not np.any(np.asarray(potential))
@@ -136,19 +130,17 @@ def run_heat(
         "u_initial": u0_state.norm,
         "u_recovered": rec.u.norm,
         "u_reference": u_ref.norm,
-        "w_spectral_initial": spectral_initial,
-        "w_spectral_final": spectral_final,
-        "success_probability": projection.success_probability,
-        "cost_factor": projection.cost_factor,
+        "w_spectral_initial": rec.spectral_norms[0],
+        "w_spectral_final": rec.spectral_norms[1],
+        "success_probability": rec.success_probability,
+        "cost_factor": rec.cost_factor,
     }
-    # the projection measures |u(0)|/|u(t)| from the lifted state alone
-    cost = run_cost(pair, p_grid, t, epsilon, projection.cost_factor)
     return HeatRunResult(
         u_recovered=rec.u,
         u_reference=u_ref,
         l2_relative_error=err,
         norms=norms,
-        cost=cost,
+        cost=rec.cost,
     )
 
 
@@ -396,14 +388,13 @@ def _evolve_transport(
     w0_state: StateVector,
     p_config,
     t: float,
-    workers: int | None,
-):
-    """Spatial Fourier transform, lift in p, evolve every mode, recover, and
-    transform back.
+    epsilon: float = 1e-3,
+    workers: int | None = None,
+) -> tuple[StateVector, RecoveryResult]:
+    """Spatial Fourier transform, ``evolve_lifted``, inverse transform.
 
-    Returns the recovered state over (x, k), the lifted state at time t,
-    the pair and auxiliary grid it was evolved with, and the spectral norms
-    before and after the evolution.
+    Returns the recovered state over (x, k) and the recovery of
+    ``evolve_lifted`` over (xi, k), which carries its bookkeeping and cost.
     """
     layout = _transport_layout(model)
     arr0 = w0_state.as_array()
@@ -424,20 +415,18 @@ def _evolve_transport(
     ) + layout[d:]
     spec_state = StateVector(spec0.reshape(-1), layout_xi)
 
-    pair = model.hermitian_pair()
-
     def convection_half_width() -> float:
         lam_max = float(np.abs(np.linalg.eigvalsh(model.collision_matrix())).max())
         return max(TRANSPORT_P_HALF_WIDTH, t * lam_max + 4.0)
 
     p_grid = _p_grid_from(p_config, convection_half_width, TRANSPORT_P_COUNT)
-    w_t, spectral_norms = evolve_lifted(
-        spec_state, pair, p_grid, t, truncation_tol=1e-2, workers=workers, norms=True
+    _, rec = evolve_lifted(
+        spec_state, model.hermitian_pair(), p_grid, t,
+        epsilon=epsilon, truncation_tol=1e-2, workers=workers,
     )
-    rec = recover_integrate(w_t, calibrate=True)
     spec_rec = rec.u.amplitudes.reshape(spec0.shape)
     w_rec = np.fft.ifftn(spec_rec, axes=x_axes, norm="ortho")
-    return StateVector(w_rec.reshape(-1), layout), w_t, pair, p_grid, spectral_norms
+    return StateVector(w_rec.reshape(-1), layout), rec
 
 
 def _transport_state(model: TransportModel, w0) -> StateVector:
@@ -454,9 +443,9 @@ def run_transport(
     epsilon: float = 1e-3,
     workers: int | None = None,
 ) -> TransportRunResult:
-    """Transport pipeline over (x, k): spatial Fourier transform, lift in p,
-    per-mode unitary evolution decomposed block by block, inverse
-    transforms, recovery.
+    """Transport pipeline over (x, k): spatial Fourier transform,
+    ``evolve_lifted`` with its per-mode unitary evolution decomposed block by
+    block, inverse spatial transform.
 
     The per-mode generator is mu*(Sigma - sigma) + diag(xi . k): the
     scattering enters through the (positive semi-definite) loss-gain
@@ -465,7 +454,9 @@ def run_transport(
     frequency xi: ``model.hermitian_pair()`` builds H and Hbar as
     (J^d, K^d, K^d) block stacks, so neither the (J^d K^d)^2 generator nor
     any matrix of that size is ever formed.  The reference is the RK4
-    method-of-lines solution on the same (x, k) grid.
+    method-of-lines solution on the same (x, k) grid.  Recovery, the
+    projection bookkeeping and the cost come from ``evolve_lifted`` in
+    (xi, k) space, where the norms equal those over (x, k) to rounding.
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
     take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
     the largest scattering rate, so the convected profile stays inside
@@ -473,10 +464,7 @@ def run_transport(
     """
     layout = _transport_layout(model)
     w0_state = _transport_state(model, w0)
-    w_rec_state, w_t, pair, p_grid, (spectral_initial, spectral_final) = _evolve_transport(
-        model, w0_state, p_config, t, workers
-    )
-    projection = project_positive(w_t)
+    w_rec_state, rec = _evolve_transport(model, w0_state, p_config, t, epsilon, workers)
 
     w_ref = transport_reference(model, w0_state.as_array(), t)
     w_ref_state = StateVector(np.asarray(w_ref).reshape(-1), layout)
@@ -488,20 +476,18 @@ def run_transport(
     norms = {
         "w_initial": w0_state.norm,
         "w_recovered": w_rec_state.norm,
-        "w_spectral_initial": spectral_initial,
-        "w_spectral_final": spectral_final,
-        "success_probability": projection.success_probability,
-        "cost_factor": projection.cost_factor,
+        "w_spectral_initial": rec.spectral_norms[0],
+        "w_spectral_final": rec.spectral_norms[1],
+        "success_probability": rec.success_probability,
+        "cost_factor": rec.cost_factor,
     }
-    norm_ratio = w0_state.norm / w_rec_state.norm if w_rec_state.norm > 0 else float("inf")
-    cost = run_cost(pair, p_grid, t, epsilon, norm_ratio)
     return TransportRunResult(
         w_recovered=w_rec_state,
         w_reference=w_ref_state,
         l2_relative_error=err,
         moments=moments,
         norms=norms,
-        cost=cost,
+        cost=rec.cost,
     )
 
 
@@ -518,12 +504,12 @@ def find_stationary_transport(
     Runs the pipeline leg by leg (re-lifting the recovered state each time)
     rather than solving a nullspace problem, so the stationary state is
     produced by the same machinery as the transient runs; the legs skip the
-    reference solve and the diagnostics that only ``run_transport`` reports.
+    reference solve and the moments that only ``run_transport`` reports.
     Returns (W_stationary, legs_used, converged).
     """
     current = _transport_state(model, w0)
     for n in range(1, max_legs + 1):
-        nxt = _evolve_transport(model, current, None, leg, workers)[0]
+        nxt = _evolve_transport(model, current, None, leg, workers=workers)[0]
         delta = float(np.linalg.norm(nxt.amplitudes - current.amplitudes))
         current = nxt
         if delta < tol:

@@ -41,7 +41,7 @@ from .core import (
 from .operators import TransportModel, assemble_eta_diagonal
 from .oracle import expm_apply
 from .costs import hamsim_cost, transport_norm_parity
-from .pipeline import _p_grid_from, project_positive, schrodingerize_evolve
+from .pipeline import _p_grid_from, schrodingerize_evolve
 
 __all__ = ["ExperimentConfig", "load_config", "run", "sweep", "main", "validate_summary"]
 
@@ -169,15 +169,19 @@ def load_config(path) -> ExperimentConfig:
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"{path}: experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        resolution=dict(raw.get("resolution", {})),
-        physics=dict(raw.get("physics", {})),
-        output=dict(raw.get("output", {})),
-        tolerance=dict(raw.get("tolerance", {})),
-    )
+    sections = {}
+    for name in ("resolution", "physics", "output", "tolerance"):
+        sections[name] = raw.get(name, {})
+        if not isinstance(sections[name], dict):
+            raise ConfigError(f"{path}: {name} must be an object, got {sections[name]!r}")
+    cfg = ExperimentConfig(experiment=experiment, **sections)
     for key, value in cfg.resolution.items():
         _check_grid_size(key, value, path)
+    tol = cfg.tolerance.get("l2_relative_error", 0.0)
+    if type(tol) not in (int, float) or not 0.0 <= tol <= sys.float_info.max:
+        raise ConfigError(
+            f"{path}: tolerance.l2_relative_error must be a finite number >= 0, got {tol!r}"
+        )
     return cfg
 
 
@@ -242,10 +246,9 @@ def _run_general(cfg: ExperimentConfig):
     u0 = _u0(cfg, dim)
     t = float(cfg.physics.get("t", 0.5))
     state = StateVector(u0, (AxisSpec("x1", dim),))
-    w_t, rec = schrodingerize_evolve(
+    _, rec = schrodingerize_evolve(
         state, a, _p_config(cfg), t, epsilon=float(cfg.physics.get("epsilon", 1e-3))
     )
-    projection = project_positive(w_t)
     u_ref = expm_apply(a, u0, t)
     err = float(np.linalg.norm(rec.u.amplitudes - u_ref) / np.linalg.norm(u_ref))
     coords = [("index", np.arange(dim))]
@@ -254,8 +257,8 @@ def _run_general(cfg: ExperimentConfig):
         "norms": {
             "u_initial": float(np.linalg.norm(u0)),
             "u_recovered": rec.u.norm,
-            "success_probability": projection.success_probability,
-            "cost_factor": projection.cost_factor,
+            "success_probability": rec.success_probability,
+            "cost_factor": rec.cost_factor,
         },
         "cost": rec.cost.as_dict(),
     }
@@ -472,6 +475,12 @@ def run(config_path) -> int:
         return 2
 
 
+def _exact_label(value) -> str:
+    """``value`` in the short ``g`` form when that round-trips, else in full."""
+    short = format(float(value), "g")
+    return short if float(short) == float(value) else repr(float(value))
+
+
 def sweep(config_path, axis: str, values) -> int:
     """Re-run one experiment over a list of values of a numeric parameter."""
     try:
@@ -500,7 +509,7 @@ def sweep(config_path, axis: str, values) -> int:
                 sub.physics[axis] = numeric
             else:
                 raise ConfigError(f"unknown sweep axis {axis!r}")
-            out_dir = base_dir / f"{axis}={value:g}"
+            out_dir = base_dir / f"{axis}={_exact_label(value)}"
             code, summary = _execute(sub, out_dir)
             if code == 2:
                 return 2

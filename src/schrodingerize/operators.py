@@ -232,7 +232,7 @@ def _sample_potential(potential, grids: list[Grid1D]) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def assemble_schrodinger_hamiltonian(potential, grids, d: int | None = None) -> HermitianMatrix:
+def assemble_schrodinger_hamiltonian(potential, grids) -> HermitianMatrix:
     """Spectral discretisation of -laplacian + V on a periodic tensor grid.
 
     Returns P_1^2 + .. + P_d^2 + diag(V) where each P_l applies
@@ -242,10 +242,8 @@ def assemble_schrodinger_hamiltonian(potential, grids, d: int | None = None) -> 
     if isinstance(grids, Grid1D):
         grids = [grids]
     grids = list(grids)
-    if d is None:
-        d = len(grids)
-    if d < 1 or d != len(grids):
-        raise InvalidArgumentError(f"need one grid per dimension, got d={d}, {len(grids)} grids")
+    if not grids:
+        raise InvalidArgumentError("need at least one grid")
     v = _sample_potential(potential, grids).reshape(-1)
     h = np.diag(v.astype(complex))
     for l, g in enumerate(grids):

@@ -21,7 +21,9 @@ labelling differs.)
 
 Three recovery routes are provided: trapezoid quadrature over p >= 0, point
 evaluation exp(p*) w(., p*), and projection onto the p >= 0 block with its
-measurement probability and amplification cost factor.
+measurement probability and amplification cost factor.  ``evolve_lifted`` is
+the one run of the whole path: it recovers by quadrature, attaches the
+projection's two numbers and prices the run.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
     "project_positive",
     "decay_factors",
     "evolve_lifted",
-    "run_cost",
     "schrodingerize_evolve",
 ]
 
@@ -101,6 +102,9 @@ class RecoveryResult:
     routes; the projection route returns the normalized direction with the
     magnitude estimate in ``u_norm``, the measurement ``success_probability``
     and the amplification ``cost_factor`` |w| / (sqrt(N/(2L)) |u|).
+    ``evolve_lifted`` adds the projection's two numbers, the lifted
+    ``spectral_norms`` before and after the evolution and the ``cost``
+    report to its quadrature recovery.
     """
 
     u: StateVector
@@ -109,7 +113,8 @@ class RecoveryResult:
     p_star: float | None = None
     u_norm: float | None = None
     cost_factor: float | None = None
-    cost: object | None = None
+    spectral_norms: tuple[float, float] | None = None
+    cost: CostReport | None = None
 
 
 def default_p_grid(epsilon: float | None = None, t: float = 0.0, lambda_max: float = 0.0) -> Grid1D:
@@ -478,44 +483,45 @@ def evolve_lifted(
     pair: HermitianPair,
     p_grid: Grid1D,
     t: float,
+    epsilon: float = 1e-3,
     truncation_tol: float = 1e-4,
     workers: int | None = None,
-    norms: bool = False,
-) -> tuple[WarpedState, tuple[float, float] | None]:
-    """Lift u0, transform p, evolve every mode to time t, transform back.
+) -> tuple[WarpedState, RecoveryResult]:
+    """Lift u0, evolve every auxiliary mode to time t, recover, measure, price.
 
-    The one route from an initial state to the lifted state at time t.
-    With ``norms`` it also returns the norms of the spectral state before
-    and after the evolution, which agree to rounding because every block is
-    unitary; otherwise None, sparing two passes over the lifted array.
+    The one route from an initial state to a recovered run.  Returns the
+    lifted state at time t and the calibrated quadrature recovery, which
+    also carries the projection's ``success_probability`` and
+    ``cost_factor``, the ``spectral_norms`` before and after the evolution
+    (equal to rounding, every block being unitary), and the query/gate
+    ``cost`` of simulating H (x) D + Hbar (x) 1 to precision ``epsilon``,
+    priced by the recovered amplification |u(0)|/|u(t)|; the auxiliary
+    register adds log2(N) qubits to the system's.  Other recovery routes
+    (``recover_point``, ``project_positive``) read the returned lifted state.
     """
     s0 = dft_p(warp_extend(u0, p_grid, truncation_tol=truncation_tol))
     s_t = evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t, workers=workers)
-    spectral_norms = (s0.state.norm, s_t.state.norm) if norms else None
+    spectral_norms = (s0.state.norm, s_t.state.norm)
     del s0  # one lifted copy fewer while the inverse transform allocates
-    return idft_p(s_t), spectral_norms
-
-
-def run_cost(
-    pair: HermitianPair,
-    p_grid: Grid1D,
-    t: float,
-    epsilon: float,
-    norm_ratio: float,
-) -> CostReport:
-    """Query/gate cost of simulating H (x) D + Hbar (x) 1 for one run.
-
-    ``norm_ratio`` is the measured amplification |u(0)|/|u(t)|; the
-    auxiliary register adds log2(N) qubits to the system's.
-    """
-    return schrodingerisation_cost(
-        norm_ratio=norm_ratio,
+    w_t = idft_p(s_t)
+    rec = recover_integrate(w_t, calibrate=True)
+    projection = project_positive(w_t)
+    u_t_norm = rec.u.norm
+    cost = schrodingerisation_cost(
+        norm_ratio=u0.norm / u_t_norm if u_t_norm > 0 else float("inf"),
         s=max(pair.h.sparsity, pair.h_bar.sparsity, 1),
         t=max(t, np.finfo(float).tiny),
         max_norm=max(pair.h.max_norm, np.finfo(float).tiny),
         epsilon=epsilon,
         m_h=math.log2(pair.h.dimension * p_grid.count),
         max_norm_oscillatory=pair.h_bar.max_norm,
+    )
+    return w_t, replace(
+        rec,
+        success_probability=projection.success_probability,
+        cost_factor=projection.cost_factor,
+        spectral_norms=spectral_norms,
+        cost=cost,
     )
 
 
@@ -524,18 +530,17 @@ def schrodingerize_evolve(
     a_matrix: np.ndarray,
     p_grid: Grid1D | tuple | None,
     t: float,
-    recovery: str = "integration",
-    p_star: float | None = None,
     epsilon: float = 1e-3,
     workers: int | None = None,
 ) -> tuple[WarpedState, RecoveryResult]:
-    """End-to-end run for du/dt = -A u: decompose, lift, evolve, recover.
+    """End-to-end run for du/dt = -A u: decompose A = H + i*Hbar, then
+    ``evolve_lifted``.
 
     ``p_grid`` is None, a Grid1D or an (L, N) pair whose None entries take
-    the defaults L=12, N=256.  Returns the lifted state at time t together
-    with the recovery result; the recovery carries a query/gate cost report
-    for simulating the total Hamiltonian, using the measured norm ratio
-    |u(0)|/|u(t)|.
+    the defaults L=12, N=256.  Warns when t*lambda_max(H) reaches the p
+    boundary.  Returns the lifted state at time t and the recovery of
+    ``evolve_lifted``: the calibrated quadrature solution with its success
+    probability, cost factor, spectral norms and cost report.
     """
     a = np.asarray(a_matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -548,21 +553,6 @@ def schrodingerize_evolve(
     p_grid = _p_grid_from(p_grid)
     lam_max = float(np.abs(pair.h.spectrum[0]).max()) if pair.h.max_norm > 0 else 0.0
     _warn_convection(t, lam_max, p_grid)
-    w_t, _ = evolve_lifted(
-        u0, pair, p_grid, t, truncation_tol=max(1e-4, epsilon), workers=workers
+    return evolve_lifted(
+        u0, pair, p_grid, t, epsilon=epsilon, truncation_tol=max(1e-4, epsilon), workers=workers
     )
-    if recovery == "integration":
-        rec = recover_integrate(w_t, calibrate=True)
-        u_t_norm = rec.u.norm
-    elif recovery == "point":
-        if p_star is None:
-            p_star = p_grid.points[p_grid.count // 2 + max(1, p_grid.count // 8)]
-        rec = recover_point(w_t, p_star, convection_estimate=t * lam_max)
-        u_t_norm = rec.u.norm
-    elif recovery == "projection":
-        rec = project_positive(w_t)
-        u_t_norm = rec.u_norm
-    else:
-        raise InvalidArgumentError(f"unknown recovery method {recovery!r}")
-    norm_ratio = u0.norm / u_t_norm if u_t_norm > 0 else float("inf")
-    return w_t, replace(rec, cost=run_cost(pair, p_grid, t, epsilon, norm_ratio))

@@ -8,6 +8,7 @@ import pytest
 from schrodingerize import (
     AccuracyWarning,
     AxisSpec,
+    DegenerateStateError,
     Grid1D,
     InvalidArgumentError,
     StateVector,
@@ -21,6 +22,7 @@ from schrodingerize import (
     observable_overlap,
     prepare_gibbs,
     prepare_ground_state,
+    project_positive,
     run_heat,
     run_transport,
     schrodingerize_evolve,
@@ -124,8 +126,8 @@ class TestRunHeat:
         assert norms["cost_factor"] == pytest.approx(ratio, rel=0.02)
         assert 0.0 < norms["success_probability"] < 1.0
         assert result.cost.queries > 0
-        # the projection-measured amplification ratio feeds the cost model
-        assert result.cost.norm_ratio == norms["cost_factor"]
+        # the recovered amplification ratio feeds the cost model
+        assert result.cost.norm_ratio == norms["u_initial"] / norms["u_recovered"]
 
 
 class TestEstimateTFinal:
@@ -310,10 +312,8 @@ class TestExplicitLiftParity:
         report = prepare_gibbs(h, beta)
         big = np.kron(h - np.linalg.eigvalsh(h)[0] * np.eye(dim), np.eye(dim))
         pair = vector_state(np.eye(dim).reshape(-1) / math.sqrt(dim))
-        _, rec = schrodingerize_evolve(
-            pair, big, Grid1D(10.0, 2048), beta / 2.0, recovery="projection"
-        )
-        psi = rec.u.amplitudes.reshape(dim, dim)
+        w_t, _ = schrodingerize_evolve(pair, big, Grid1D(10.0, 2048), beta / 2.0)
+        psi = project_positive(w_t).u.amplitudes.reshape(dim, dim)
         rho = psi @ psi.conj().T
         assert np.abs(report.rho - rho / np.trace(rho).real).max() < 1e-12
 
@@ -537,3 +537,11 @@ class TestStationaryTransport:
         w = stationary.amplitudes.real.reshape(4, 8)
         avg = w.mean(axis=1, keepdims=True)
         assert np.abs(w - avg).max() < 1e-5
+
+    def test_zero_state_rejected_like_run_transport(self):
+        # every leg projects onto p >= 0, where a zero state has no mass
+        model = constant_sigma_model(j=4, k=4)
+        with pytest.raises(DegenerateStateError):
+            run_transport(model, np.zeros((4, 4)), t=0.5)
+        with pytest.raises(DegenerateStateError):
+            find_stationary_transport(model, np.zeros((4, 4)), leg=0.5)

@@ -83,6 +83,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="resolution.M must be even and >= 2"):
             load_config(path)
 
+    @pytest.mark.parametrize("section", ["resolution", "physics", "output", "tolerance"])
+    @pytest.mark.parametrize("value", [16, [1, 2], "tight", None])
+    def test_non_object_section_exits_2(self, tmp_path, capsys, section, value):
+        path = write_config(tmp_path, {"experiment": "heat", section: value})
+        assert run(path) == 2
+        assert f"{section} must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tol",
+        ["tight", None, True, [1e-3], -1e-3, float("nan"), float("inf"), 10**400],
+        ids=["text", "null", "bool", "list", "negative", "nan", "inf", "huge-int"],
+    )
+    def test_bad_tolerance_exits_2_before_the_run(self, tmp_path, capsys, tol):
+        path = heat_config(tmp_path, tolerance={"l2_relative_error": tol})
+        assert run(path) == 2
+        assert "l2_relative_error must be a finite number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tol", [0, 1, 0.5])
+    def test_numeric_tolerance_accepted(self, tmp_path, tol):
+        path = heat_config(tmp_path, tolerance={"l2_relative_error": tol})
+        assert load_config(path).tolerance["l2_relative_error"] == tol
+
 
 class TestRun:
     def test_heat_run_success(self, tmp_path):
@@ -223,6 +246,19 @@ class TestRun:
         assert summary["results"]["cost"]["queries"] == pytest.approx(5.210, abs=1e-3)
 
 
+class TestPricing:
+    @pytest.mark.parametrize(
+        "make_config, prefix", [(heat_config, "u"), (general_config, "u"), (transport_config, "w")]
+    )
+    def test_cost_priced_by_recovered_norm_ratio(self, tmp_path, make_config, prefix):
+        # one rule for every lifted run: |u(0)| / |u_recovered|
+        assert run(make_config(tmp_path)) == 0
+        results = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]
+        norms = results["norms"]
+        expected = norms[f"{prefix}_initial"] / norms[f"{prefix}_recovered"]
+        assert results["cost"]["norm_ratio"] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "make_config, pools_expected",
@@ -359,6 +395,18 @@ class TestSweep:
             summary = json.loads((tmp_path / "out" / f"N={n}" / "summary.json").read_text())
             # the cost model's register holds the dimension times the N modes
             assert summary["results"]["cost"]["qubit_count"] == pytest.approx(np.log2(2 * n))
+
+    def test_close_values_keep_their_own_directories(self, tmp_path):
+        # both values print as 12 in the short g form
+        values = [12.0000001, 12.0000002]
+        assert sweep(heat_config(tmp_path), "L", values) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "L=12.0000001", "L=12.0000002", "sweep.csv"
+        ]
+        for value in values:
+            summary = json.loads((out / f"L={value!r}" / "summary.json").read_text())
+            assert summary["config"]["resolution"]["L"] == value
 
     def test_empty_values_exit_2(self, tmp_path):
         assert sweep(heat_config(tmp_path), "N", []) == 2

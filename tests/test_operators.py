@@ -176,6 +176,10 @@ class TestSchrodingerHamiltonian:
         h = assemble_schrodinger_hamiltonian(lambda x: x**2, [g])
         assert np.abs(h.dense() - expected).max() < 1e-10
 
+    def test_empty_grid_list_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            assemble_schrodinger_hamiltonian(None, [])
+
     def test_complex_potential_rejected(self):
         g = make_grid(1.0, 4)
         with pytest.raises(InvalidArgumentError):

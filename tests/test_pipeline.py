@@ -514,12 +514,14 @@ class TestSchrodingerizeEvolve:
         rng = np.random.default_rng(33)
         a = random_dissipative(rng, 4, lam_max=1.0)
         u0 = vector_state(rng.standard_normal(4))
-        recs = {}
-        for method in ("integration", "point", "projection"):
-            _, rec = schrodingerize_evolve(u0, a, Grid1D(12.0, 1024), 0.4, recovery=method)
-            recs[method] = rec.u.amplitudes
-        assert cosine_similarity(recs["integration"], recs["point"]) > 1 - 1e-6
-        assert cosine_similarity(recs["integration"], recs["projection"]) > 1 - 1e-6
+        grid = Grid1D(12.0, 1024)
+        w_t, rec = schrodingerize_evolve(u0, a, grid, 0.4)
+        p_star = grid.points[grid.count // 2 + grid.count // 8]
+        # every eigenvalue of the dissipative part is below lam_max = 1
+        point = recover_point(w_t, p_star, convection_estimate=0.4 * 1.0).u.amplitudes
+        projection = project_positive(w_t).u.amplitudes
+        assert cosine_similarity(rec.u.amplitudes, point) > 1 - 1e-6
+        assert cosine_similarity(rec.u.amplitudes, projection) > 1 - 1e-6
 
     def test_cost_attached(self):
         u0 = vector_state([1.0, 0.0])
@@ -571,11 +573,12 @@ class TestDecayFactors:
         lam, vec = np.linalg.eigh(h)
         u0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         grid = Grid1D(half_width, n)
-        for recovery in ("integration", "projection"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", AccuracyWarning)
-                _, rec = schrodingerize_evolve(vector_state(u0), h, grid, t, recovery=recovery)
-                u_t = vec @ (decay_factors(lam, grid, t, recovery) * (vec.conj().T @ u0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            w_t, integration = schrodingerize_evolve(vector_state(u0), h, grid, t)
+            factors = {r: decay_factors(lam, grid, t, r) for r in ("integration", "projection")}
+        for recovery, rec in (("integration", integration), ("projection", project_positive(w_t))):
+            u_t = vec @ (factors[recovery] * (vec.conj().T @ u0))
             if recovery == "projection":
                 assert np.linalg.norm(u_t) == pytest.approx(rec.u_norm, rel=1e-12)
                 u_t = u_t / np.linalg.norm(u_t)
