@@ -31,8 +31,9 @@ from .core import (
 from .costs import CostReport, gibbs_cost, ground_state_cost, relaxation_time
 from .operators import (
     HermitianMatrix,
-    HermitianPair,
     TransportModel,
+    _laplacian_sparsity_and_max_norm,
+    _laplacian_symbol,
     assemble_schrodinger_hamiltonian,
 )
 from .oracle import expm_apply, heat_analytic, transport_reference
@@ -42,6 +43,7 @@ from .pipeline import (
     _warn_truncation,
     decay_factors,
     default_p_grid,
+    evolve_eigenbasis,
     evolve_lifted,
 )
 
@@ -94,30 +96,41 @@ def run_heat(
     epsilon: float = 1e-3,
     workers: int | None = None,
 ) -> HeatRunResult:
-    """Heat pipeline: ``evolve_lifted`` with Hbar = 0, against a reference.
+    """Heat pipeline: the Hbar = 0 lifted run of ``evolve_eigenbasis``,
+    against a reference.
 
-    ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
-    take the defaults L=12, N=256.
+    With V = 0 the spectral Laplacian is diagonal in the unitary DFT, so
+    its eigenvalues are sum_l mu_l^2 and nothing is assembled or
+    decomposed: the cost model's sparsity and max-norm come from the 1-D
+    factors.  Otherwise H = -laplacian + V is assembled and its cached
+    spectrum used.  ``p_config`` is None, a Grid1D or an (L, N) pair whose
+    None entries take the defaults L=12, N=256.  Warns when the part of u0
+    on eigencomponents that convect past L exceeds ``epsilon`` * |u0|.
     The reference is the exact Fourier solution when V = 0 and a dense
     matrix exponential of the assembled Hamiltonian otherwise.  The norms
     dictionary records the conserved lifted norm at both ends together with
     the projection bookkeeping (success probability and amplification cost
-    factor); the cost is priced by |u(0)|/|u_recovered|.
+    factor); the cost is priced by |u(0)|/|u_recovered|.  ``workers`` is
+    accepted for a signature shared with the other runs; no eigencomponent
+    needs a decomposition of its own, so there is nothing to spread.
     """
     if isinstance(grids, Grid1D):
         grids = [grids]
     grids = list(grids)
     u0_state = _as_state(u0, grids)
-    h = assemble_schrodinger_hamiltonian(potential, grids)
-    # Hbar = 0 as a read-only view: from_entries would check, symmetrise and
-    # count a dense zero matrix of the grid size squared
-    pair = HermitianPair(h=h, h_bar=HermitianMatrix(np.broadcast_to(0j, h.blocks.shape), 0, 0.0))
-    p_grid = _p_grid_from(p_config)
-    _, rec = evolve_lifted(u0_state, pair, p_grid, t, epsilon=epsilon, workers=workers)
-
     v_is_zero = potential is None or (
         not callable(potential) and not np.any(np.asarray(potential))
     )
+    if v_is_zero:
+        lam, vectors = _laplacian_symbol(grids), None
+        sparsity, max_norm = _laplacian_sparsity_and_max_norm(grids)
+    else:
+        h = assemble_schrodinger_hamiltonian(potential, grids)
+        (lam, vectors), sparsity, max_norm = h.spectrum, h.sparsity, h.max_norm
+    rec = evolve_eigenbasis(
+        u0_state, lam, vectors, _p_grid_from(p_config), t, sparsity, max_norm, epsilon=epsilon
+    )
+
     if v_is_zero:
         u_ref = heat_analytic(u0_state, grids, t)
     else:

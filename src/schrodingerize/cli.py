@@ -121,11 +121,22 @@ def _eval_node(node: ast.AST, env: dict):
     raise ConfigError(f"{type(node).__name__} is not allowed")
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, refused with a ConfigError naming ``what`` when an entry
+    is NaN or infinite: no run could make use of it."""
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{what} must be finite, got NaN or infinity")
+    return values
+
+
 def _eval_expression(expr: str, names: dict) -> np.ndarray:
+    """Value of ``expr``; a division by zero or an overflow gives inf or NaN
+    silently, for the caller to refuse with ``_finite``."""
     env = dict(_SAFE_FUNCS)
     env.update(names)
     try:
-        return np.asarray(_eval_node(ast.parse(expr, mode="eval"), env))
+        with np.errstate(all="ignore"):
+            return np.asarray(_eval_node(ast.parse(expr, mode="eval"), env))
     except Exception as exc:
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
 
@@ -134,11 +145,20 @@ def _complex_array(spec, what: str) -> np.ndarray:
     if isinstance(spec, dict):
         real = np.asarray(spec.get("real", 0.0), dtype=float)
         imag = np.asarray(spec.get("imag", 0.0), dtype=float)
-        return real + 1j * imag
+        return _finite(real + 1j * imag, what)
     try:
-        return np.asarray(spec, dtype=complex)
+        return _finite(np.asarray(spec, dtype=complex), what)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: expected numbers or a real/imag object") from exc
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a finite float."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    return float(_finite(number, what))
 
 
 @dataclass
@@ -186,14 +206,21 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _check_grid_size(key: str, value, source) -> None:
-    """Grid sizes M, N, K and J must be even integers >= 2."""
+    """Grid sizes M, N, K and J must be even integers >= 2, and the
+    half-width L finite."""
     if key in _GRID_SIZES and (not isinstance(value, int) or value < 2 or value % 2):
         raise ConfigError(f"{source}: resolution.{key} must be even and >= 2, got {value}")
+    if key == "L" and isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{source}: resolution.L must be finite, got {value}")
 
 
 def _p_config(cfg: ExperimentConfig) -> tuple:
     """(L, N) as the config sets them; None leaves the experiment's default."""
     return cfg.resolution.get("L"), cfg.resolution.get("N")
+
+
+def _physics(cfg: ExperimentConfig, key: str, default: float) -> float:
+    return _number(cfg.physics.get(key, default), f"physics.{key}")
 
 
 def _matrix(cfg: ExperimentConfig) -> np.ndarray:
@@ -220,17 +247,22 @@ def _run_heat(cfg: ExperimentConfig):
     grid = Grid1D(1.0, m)
     x = grid.points
     ic = cfg.physics.get("initial_condition", "1 + cos(pi*x)")
-    u0 = _eval_expression(ic, {"x": x}) if isinstance(ic, str) else _complex_array(ic, "u0")
+    what = "physics.initial_condition"
+    if isinstance(ic, str):
+        u0 = _finite(_eval_expression(ic, {"x": x}), what)
+    else:
+        u0 = _complex_array(ic, what)
     u0 = np.broadcast_to(np.asarray(u0, dtype=complex), (m,))
     pot = cfg.physics.get("potential")
     if isinstance(pot, str):
-        pot = _eval_expression(pot, {"x": x})
+        pot = _finite(_eval_expression(pot, {"x": x}), "physics.potential")
         if not np.any(pot):
             pot = None
-    t = float(cfg.physics.get("t", 0.1))
+    elif pot is not None:
+        pot = _finite(np.asarray(pot, dtype=float), "physics.potential")
+    t = _physics(cfg, "t", 0.1)
     result = apps.run_heat(
-        u0, pot, grid, p_config=_p_config(cfg), t=t,
-        epsilon=float(cfg.physics.get("epsilon", 1e-3)),
+        u0, pot, grid, p_config=_p_config(cfg), t=t, epsilon=_physics(cfg, "epsilon", 1e-3)
     )
     coords = [("x", x)]
     return coords, result.u_recovered.amplitudes, result.u_reference.amplitudes, {
@@ -244,10 +276,10 @@ def _run_general(cfg: ExperimentConfig):
     a = _matrix(cfg)
     dim = a.shape[0]
     u0 = _u0(cfg, dim)
-    t = float(cfg.physics.get("t", 0.5))
+    t = _physics(cfg, "t", 0.5)
     state = StateVector(u0, (AxisSpec("x1", dim),))
     _, rec = schrodingerize_evolve(
-        state, a, _p_config(cfg), t, epsilon=float(cfg.physics.get("epsilon", 1e-3))
+        state, a, _p_config(cfg), t, epsilon=_physics(cfg, "epsilon", 1e-3)
     )
     u_ref = expm_apply(a, u0, t)
     err = float(np.linalg.norm(rec.u.amplitudes - u_ref) / np.linalg.norm(u_ref))
@@ -267,7 +299,7 @@ def _run_general(cfg: ExperimentConfig):
 def _run_ground_state(cfg: ExperimentConfig):
     h = _matrix(cfg)
     dim = h.shape[0]
-    epsilon = float(cfg.physics.get("epsilon", 0.01))
+    epsilon = _physics(cfg, "epsilon", 0.01)
     report = apps.prepare_ground_state(h, _u0(cfg, dim), epsilon, p_grid=_p_config(cfg))
     ground = report.ground_state
     overlap = ground.conj() @ report.u_recovered.amplitudes
@@ -286,7 +318,7 @@ def _run_ground_state(cfg: ExperimentConfig):
 
 
 def _run_gibbs(cfg: ExperimentConfig):
-    beta = float(cfg.physics.get("beta", 1.0))
+    beta = _physics(cfg, "beta", 1.0)
     report = apps.prepare_gibbs(_matrix(cfg), beta, p_grid=_p_config(cfg))
     dim = report.rho.shape[0]
     rows, cols = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
@@ -307,9 +339,9 @@ def _sigma_matrix(cfg: ExperimentConfig, k_count: int) -> np.ndarray:
         kind = spec.get("kind", "constant")
         if kind != "constant":
             raise ConfigError(f"unknown sigma kind {kind!r}")
-        c = float(spec.get("value", 1.0))
+        c = _number(spec.get("value", 1.0), "physics.sigma.value")
         return np.full((k_count, k_count), c / k_count)
-    sigma = np.asarray(spec, dtype=float)
+    sigma = _finite(np.asarray(spec, dtype=float), "physics.sigma")
     if sigma.shape != (k_count, k_count):
         raise ConfigError(f"sigma must be {k_count}x{k_count}")
     return sigma
@@ -324,11 +356,11 @@ def _run_transport(cfg: ExperimentConfig):
     ic = cfg.physics.get("initial_condition", "1 + 0.5*cos(pi*x) + 0.25*cos(pi*k)")
     if isinstance(ic, str):
         xx, kk = np.meshgrid(x_grid.points, k_grid.points, indexing="ij")
-        w0 = _eval_expression(ic, {"x": xx, "k": kk})
+        w0 = _finite(_eval_expression(ic, {"x": xx, "k": kk}), "physics.initial_condition")
         w0 = np.broadcast_to(np.asarray(w0, dtype=float), (j, k))
     else:
-        w0 = _complex_array(ic, "initial_condition").reshape(j, k)
-    t = float(cfg.physics.get("t", 1.0))
+        w0 = _complex_array(ic, "physics.initial_condition").reshape(j, k)
+    t = _physics(cfg, "t", 1.0)
     result = apps.run_transport(model, w0, p_config=_p_config(cfg), t=t)
     xx, kk = np.meshgrid(x_grid.points, k_grid.points, indexing="ij")
     coords = [("x", xx.reshape(-1)), ("k", kk.reshape(-1))]
@@ -345,13 +377,12 @@ def _run_transport(cfg: ExperimentConfig):
 
 
 def _run_cost(cfg: ExperimentConfig):
-    phys = cfg.physics
     report = hamsim_cost(
-        s=float(phys.get("s", 2.0)),
-        t=float(phys.get("t", 1.0)),
-        max_norm=float(phys.get("max_norm", 1.0)),
-        epsilon=float(phys.get("epsilon", 0.01)),
-        m_h=float(phys.get("m_h", 4.0)),
+        s=_physics(cfg, "s", 2.0),
+        t=_physics(cfg, "t", 1.0),
+        max_norm=_physics(cfg, "max_norm", 1.0),
+        epsilon=_physics(cfg, "epsilon", 0.01),
+        m_h=_physics(cfg, "m_h", 4.0),
     )
     extras = {"l2_relative_error": 0.0, "cost": report.as_dict(), "norms": {}}
     if "J" in cfg.resolution and "K" in cfg.resolution:

@@ -204,13 +204,50 @@ def assemble_eta_diagonal(eta_grid: Grid1D) -> EtaDiagonal:
     return EtaDiagonal(modes=mv, diagonal=mv.sorted_modes)
 
 
+def _momentum_squared_row(grid: Grid1D) -> np.ndarray:
+    # F^dag diag(mu^2) F with the unitary DFT is circulant, entry (a, b) =
+    # row[(a - b) % n] with row = ifft(mu^2); real and even because mu^2 is
+    # invariant under mode negation (the unpaired mode maps to itself), and
+    # its even part is kept so that the matrix is exactly symmetric.
+    row = np.fft.ifft(fourier_modes(grid).modes ** 2).real
+    return 0.5 * (row + np.roll(row[::-1], 1))
+
+
 def _momentum_squared_1d(grid: Grid1D) -> np.ndarray:
-    # F^dag diag(mu^2) F with the unitary DFT; real symmetric because mu^2
-    # is invariant under mode negation (the unpaired mode maps to itself).
-    mu2 = fourier_modes(grid).modes ** 2
-    f = np.fft.fft(np.eye(grid.count), axis=0, norm="ortho")
-    p2 = f.conj().T @ (mu2[:, None] * f)
-    return 0.5 * (p2.real + p2.real.T)
+    n = grid.count
+    return _momentum_squared_row(grid)[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+
+
+def _laplacian_symbol(grids: list[Grid1D]) -> np.ndarray:
+    """Eigenvalues mu_1^2 + .. + mu_d^2 of the spectral Laplacian, shaped
+    like the tensor grid in the mode order of np.fft.fftn.
+
+    P_1^2 + .. + P_d^2 is diagonal in the unitary DFT over all axes, so its
+    eigenvectors are the columns of that DFT and need no decomposition.
+    """
+    lam = np.zeros(())
+    for g in grids:
+        lam = np.add.outer(lam, fourier_modes(g).modes ** 2)
+    return lam
+
+
+def _laplacian_sparsity_and_max_norm(grids: list[Grid1D]) -> tuple[int, float]:
+    """``sparsity`` and ``max_norm`` of assemble_schrodinger_hamiltonian(None,
+    grids), read off the rows of its 1-D factors without forming any matrix.
+
+    Every row of the circulant P_l^2 permutes the same entries, with
+    row[0] > 0 on the diagonal.  A row of the Kronecker sum holds one row of
+    every P_l^2, all sharing that diagonal entry, so it has
+    sum_l nnz_l - (d - 1) nonzeros, and its largest entry is the larger of
+    the summed diagonals and the largest off-diagonal entry of any factor.
+    """
+    nnz, diagonal, off_diagonal = 0, 0.0, 0.0
+    for g in grids:
+        row = _momentum_squared_row(g)
+        nnz += int(np.count_nonzero(row))
+        diagonal += float(row[0])
+        off_diagonal = max(off_diagonal, float(np.abs(row[1:]).max()))
+    return nnz - (len(grids) - 1), max(diagonal, off_diagonal)
 
 
 def _sample_potential(potential, grids: list[Grid1D]) -> np.ndarray:

@@ -23,7 +23,9 @@ Three recovery routes are provided: trapezoid quadrature over p >= 0, point
 evaluation exp(p*) w(., p*), and projection onto the p >= 0 block with its
 measurement probability and amplification cost factor.  ``evolve_lifted`` is
 the one run of the whole path: it recovers by quadrature, attaches the
-projection's two numbers and prices the run.
+projection's two numbers and prices the run.  ``evolve_eigenbasis`` gives
+the same result when Hbar = 0 from the spectrum of H, lifting one auxiliary
+row per distinct eigenvalue instead of the whole state.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +64,7 @@ __all__ = [
     "project_positive",
     "decay_factors",
     "evolve_lifted",
+    "evolve_eigenbasis",
     "schrodingerize_evolve",
 ]
 
@@ -478,6 +482,29 @@ def decay_factors(lam, p_grid: Grid1D, t: float, recovery: str) -> np.ndarray:
     return out
 
 
+def _price(
+    u0_norm: float,
+    u_t_norm: float,
+    t: float,
+    epsilon: float,
+    sparsity: int,
+    max_norm: float,
+    max_norm_oscillatory: float,
+    size: int,
+) -> CostReport:
+    """Query/gate cost of a lifted run of ``size`` = dim(H) * N amplitudes,
+    priced by the recovered amplification |u(0)| / |u(t)|."""
+    return schrodingerisation_cost(
+        norm_ratio=u0_norm / u_t_norm if u_t_norm > 0 else float("inf"),
+        s=max(sparsity, 1),
+        t=max(t, np.finfo(float).tiny),
+        max_norm=max(max_norm, np.finfo(float).tiny),
+        epsilon=epsilon,
+        m_h=math.log2(size),
+        max_norm_oscillatory=max_norm_oscillatory,
+    )
+
+
 def evolve_lifted(
     u0: StateVector,
     pair: HermitianPair,
@@ -506,15 +533,12 @@ def evolve_lifted(
     w_t = idft_p(s_t)
     rec = recover_integrate(w_t, calibrate=True)
     projection = project_positive(w_t)
-    u_t_norm = rec.u.norm
-    cost = schrodingerisation_cost(
-        norm_ratio=u0.norm / u_t_norm if u_t_norm > 0 else float("inf"),
-        s=max(pair.h.sparsity, pair.h_bar.sparsity, 1),
-        t=max(t, np.finfo(float).tiny),
-        max_norm=max(pair.h.max_norm, np.finfo(float).tiny),
-        epsilon=epsilon,
-        m_h=math.log2(pair.h.dimension * p_grid.count),
+    cost = _price(
+        u0.norm, rec.u.norm, t, epsilon,
+        sparsity=max(pair.h.sparsity, pair.h_bar.sparsity),
+        max_norm=pair.h.max_norm,
         max_norm_oscillatory=pair.h_bar.max_norm,
+        size=pair.h.dimension * p_grid.count,
     )
     return w_t, replace(
         rec,
@@ -522,6 +546,131 @@ def evolve_lifted(
         cost_factor=projection.cost_factor,
         spectral_norms=spectral_norms,
         cost=cost,
+    )
+
+
+class _Rows(NamedTuple):
+    """Read-outs of ``_lifted_rows``, one entry per eigenvalue."""
+
+    integration: np.ndarray  # calibrated quadrature factor g(lam)
+    fit: np.ndarray  # profile-fit factor of ``project_positive``
+    block_mass: np.ndarray  # weighted squared norm of the p >= 0 block
+    spectral_sq: np.ndarray  # squared norm of the evolved mode spectrum
+    initial_sq: float  # squared norm of the lifted mode spectrum at t = 0
+
+
+def _lifted_rows(lam: np.ndarray, p_grid: Grid1D, t: float, truncation_tol: float) -> _Rows:
+    """Lift the unit profile exp(-|p|), evolve it as the eigencomponent of
+    each eigenvalue in ``lam`` (Hbar = 0: every mode mu_j turns by
+    exp(-i t mu_j lam)), transform back and read out each length-N row."""
+    unit = StateVector(np.ones(1), (AxisSpec("lambda", 1),))
+    profile = dft_p(warp_extend(unit, p_grid, truncation_tol=truncation_tol)).state.amplitudes
+    # in place: when every eigenvalue of H is distinct the rows are as large
+    # as the lifted state, and idft_p adds its own copies
+    spec = np.multiply.outer(lam, assemble_eta_diagonal(p_grid).diagonal) * (-1j * t)
+    np.exp(spec, out=spec)
+    spec *= profile
+    spectral_sq = (np.abs(spec) ** 2).sum(axis=-1)
+    layout = (AxisSpec("lambda", lam.size), AxisSpec("eta", p_grid.count, p_grid))
+    s_t = SpectralState(StateVector(spec.reshape(-1), layout), p_grid)
+    del spec
+    w_t = idft_p(s_t)
+    pos, weights, decay, denom = _projection_weights(p_grid)
+    block = w_t.state.as_array()[:, pos]
+    return _Rows(
+        integration=recover_integrate(w_t, calibrate=True).u.amplitudes,
+        fit=block @ (weights * decay) / denom,
+        block_mass=np.abs(block) ** 2 @ weights,
+        spectral_sq=spectral_sq,
+        initial_sq=float(np.vdot(profile, profile).real),
+    )
+
+
+def evolve_eigenbasis(
+    u0: StateVector,
+    lam,
+    vectors: np.ndarray | None,
+    p_grid: Grid1D,
+    t: float,
+    sparsity: int,
+    max_norm: float,
+    epsilon: float = 1e-3,
+    truncation_tol: float = 1e-4,
+) -> RecoveryResult:
+    """``evolve_lifted`` for Hbar = 0, run on the spectrum of H instead of
+    the lifted state.
+
+    H = V diag(lam) V^dag, with ``vectors`` the columns of V, or None when
+    H is diagonal in the unitary DFT over the axes of u0 (``lam`` then in
+    the mode order of np.fft.fftn).  With Hbar = 0 each eigencomponent
+    convects through p on its own, so the run only needs the coefficients
+    c = V^dag u0 and one length-N row per distinct eigenvalue (exact
+    equality): ``warp_extend``, ``dft_p``, the phase exp(-i t mu_j lam),
+    ``idft_p``.  Each row gives the calibrated quadrature factor, the
+    profile-fit factor and the p >= 0 block mass of its eigenvalue and the
+    norm of its evolved mode spectrum; weighted by |c|^2 they make the
+    ``RecoveryResult`` of ``evolve_lifted``: the solution ``u``, the
+    projection's ``success_probability`` and ``cost_factor``, the
+    ``spectral_norms`` and the ``cost``, priced by the same rule from the
+    ``sparsity`` and ``max_norm`` of H.  The largest arrays hold one row
+    per distinct eigenvalue: 129 x N for a 256-point Laplacian, dim x N
+    when every eigenvalue is distinct.
+
+    Warns when the part of u0 on eigencomponents with t*|lam| >= L, which
+    convect past the p boundary, has norm above ``epsilon`` * |u0|.
+    """
+    if t < 0:
+        raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
+    lam = np.asarray(lam, dtype=float).reshape(-1)
+    if lam.size != u0.amplitudes.size:
+        raise InvalidArgumentError(
+            f"{lam.size} eigenvalues for a state of length {u0.amplitudes.size}"
+        )
+    if vectors is None:
+        coeffs = np.fft.fftn(u0.as_array(), norm="ortho").reshape(-1)
+    else:
+        coeffs = vectors.conj().T @ u0.amplitudes
+    weight = np.abs(coeffs) ** 2
+    wrapped = float(np.sqrt(weight[t * np.abs(lam) >= p_grid.half_width].sum()))
+    if wrapped > epsilon * u0.norm:
+        warnings.warn(
+            f"a part of norm {wrapped / u0.norm:.2e} |u0| sits on eigencomponents with "
+            f"t*lambda >= {p_grid.half_width:g}, which convect past the p boundary; "
+            "refine the auxiliary domain",
+            AccuracyWarning,
+            stacklevel=2,
+        )
+
+    values, inverse = np.unique(lam, return_inverse=True)
+    rows = _lifted_rows(values, p_grid, t, truncation_tol)
+    mass = np.bincount(inverse, weights=weight, minlength=values.size)
+    block_mass = float(mass @ rows.block_mass)
+    if block_mass == 0.0:
+        raise DegenerateStateError("state has no support on p >= 0")
+    fit_norm = float(np.linalg.norm(coeffs * rows.fit[inverse]))
+    if fit_norm == 0.0:
+        raise DegenerateStateError("positive block is orthogonal to the decay profile")
+    u_coeffs = coeffs * rows.integration[inverse]
+    if vectors is None:
+        u = np.fft.ifftn(u_coeffs.reshape(u0.shape), norm="ortho")
+    else:
+        u = vectors @ u_coeffs
+    u = u0.with_amplitudes(u)
+    w_norm = math.sqrt(float(mass @ rows.spectral_sq))
+    normalizer = math.sqrt(p_grid.count / (2.0 * p_grid.half_width))
+    return RecoveryResult(
+        u=u,
+        method="integration",
+        success_probability=block_mass / w_norm**2,
+        cost_factor=w_norm / (normalizer * fit_norm),
+        spectral_norms=(math.sqrt(float(mass.sum()) * rows.initial_sq), w_norm),
+        cost=_price(
+            u0.norm, u.norm, t, epsilon,
+            sparsity=sparsity,
+            max_norm=max_norm,
+            max_norm_oscillatory=0.0,
+            size=lam.size * p_grid.count,
+        ),
     )
 
 

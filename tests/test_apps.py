@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schrodingerize import (
     AccuracyWarning,
@@ -14,6 +16,7 @@ from schrodingerize import (
     StateVector,
     TransportModel,
     UnsupportedProblemError,
+    assemble_schrodinger_hamiltonian,
     compute_moments,
     default_p_grid,
     estimate_t_final,
@@ -29,6 +32,8 @@ from schrodingerize import (
     transport_reference,
 )
 from schrodingerize import apps, oracle
+from schrodingerize.operators import HermitianMatrix, HermitianPair
+from schrodingerize.pipeline import evolve_lifted
 
 
 class TestRunHeat:
@@ -80,8 +85,6 @@ class TestRunHeat:
         # initial data built from low modes of H: the auxiliary window only
         # covers t * (largest active decay rate), so spectrally full data
         # (e.g. a periodically non-smooth Gaussian) would leave a floor
-        from schrodingerize import assemble_schrodinger_hamiltonian
-
         grid = make_grid(1.0, 32)
         h = assemble_schrodinger_hamiltonian(lambda x: 1.0 + np.cos(np.pi * x), [grid])
         vectors = np.linalg.eigh(h.dense())[1]
@@ -99,9 +102,8 @@ class TestRunHeat:
         assert result.l2_relative_error < 1e-3
 
     def test_two_dimensional_peak_memory(self):
-        # n = 1536: H is a 36 MiB dense matrix, and Hbar = 0 must not add
-        # another checked and symmetrised n x n copy (the peak was 162 MiB
-        # with one, 111 MiB without)
+        # n = 1536 with V = 0: no n x n matrix is formed (the dense 36 MiB
+        # H and its lifted run peaked at 111 MiB; it is about 1 MiB without)
         gx, gy = make_grid(1.0, 32), make_grid(1.0, 48)
         xx, yy = np.meshgrid(gx.points, gy.points, indexing="ij")
         u0 = 1.0 + 0.5 * np.cos(np.pi * xx) * np.cos(np.pi * yy)
@@ -112,7 +114,53 @@ class TestRunHeat:
         finally:
             tracemalloc.stop()
         assert result.l2_relative_error < 1e-3
-        assert peak < 136 * 2**20
+        assert peak < 8 * 2**20
+
+    def test_two_dimensional_without_potential_decomposes_nothing(self, monkeypatch):
+        # V = 0: the Laplacian is diagonal in the unitary DFT, so the 4096 x
+        # 4096 matrix is never formed and never decomposed (the dense path
+        # peaked at 776 MiB here)
+        gx, gy = make_grid(1.0, 64), make_grid(1.0, 64)
+        xx, yy = np.meshgrid(gx.points, gy.points, indexing="ij")
+        u0 = 1.0 + 0.5 * np.cos(np.pi * xx) * np.cos(np.pi * yy)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        tracemalloc.start()
+        try:
+            result = run_heat(u0, None, [gx, gy], p_config=(12.0, 256), t=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.l2_relative_error < 1e-3
+        assert shapes == []
+        assert peak < 32 * 2**20
+
+    def test_warns_when_weighted_modes_convect_past_the_boundary(self):
+        # mode j = 6 convects by t * (6 pi)^2 = 35.5 > L = 12: the recovered
+        # state is off by 8.8e-2, so the run must say so
+        grid = Grid1D(1.0, 256)
+        u0 = 1.5 + 0.3 * np.cos(6 * np.pi * grid.points + 0.5)
+        with pytest.warns(AccuracyWarning, match="convect past the p boundary"):
+            result = run_heat(u0, None, grid, p_config=(12.0, 1024), t=0.1)
+        assert result.l2_relative_error > 1e-2
+        # a domain wide enough for that mode is quiet and accurate
+        result = run_heat(u0, None, grid, p_config=(44.0, 1024), t=0.1)
+        assert result.l2_relative_error < 1e-4
+
+    def test_benchmark_data_does_not_warn(self):
+        # modes j <= 2 convect by at most t * (2 pi)^2 = 3.95 < L = 12; every
+        # other eigencomponent carries only rounding (warnings are errors here)
+        grid = Grid1D(1.0, 256)
+        x = grid.points
+        u0 = 1.5 + 0.31 * np.cos(np.pi * x + 0.7) + 0.42 * np.cos(2 * np.pi * x + 2.1)
+        result = run_heat(u0, None, grid, p_config=(12.0, 4096), t=0.1)
+        assert result.l2_relative_error < 1e-3
 
     def test_norm_bookkeeping(self):
         grid = make_grid(1.0, 64)
@@ -128,6 +176,64 @@ class TestRunHeat:
         assert result.cost.queries > 0
         # the recovered amplification ratio feeds the cost model
         assert result.cost.norm_ratio == norms["u_initial"] / norms["u_recovered"]
+
+
+def _explicit_heat_lift(u0, potential, grids, p_grid, t):
+    """``evolve_lifted`` on the assembled dense pair (H, 0): the explicit lift."""
+    h = assemble_schrodinger_hamiltonian(potential, grids)
+    pair = HermitianPair(h=h, h_bar=HermitianMatrix.from_entries(np.zeros_like(h.blocks)))
+    layout = tuple(AxisSpec(f"x{i + 1}", g.count, g) for i, g in enumerate(grids))
+    state = StateVector(np.asarray(u0, dtype=complex).reshape(-1), layout)
+    return evolve_lifted(state, pair, p_grid, t)[1]
+
+
+class TestHeatAgainstExplicitLift:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.integers(1, 5).map(lambda k: 2 * k), min_size=1, max_size=2),
+        st.integers(min_value=4, max_value=64).map(lambda k: 2 * k),
+        st.floats(min_value=4.0, max_value=16.0),
+        st.floats(min_value=0.0, max_value=0.3),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_state_and_norms_match(self, counts, n, half_width, t, with_potential, seed):
+        # 1-D and 2-D, with and without V, against the explicit lift to 1e-10
+        rng = np.random.default_rng(seed)
+        grids = [Grid1D(float(rng.uniform(0.5, 2.0)), m) for m in counts]
+        shape = tuple(counts)
+        u0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        potential = rng.uniform(0.0, 3.0, shape) if with_potential else None
+        p_grid = Grid1D(half_width, n)
+        with warnings.catch_warnings():
+            # random data reaches every mode; both routes wrap alike
+            warnings.simplefilter("ignore", AccuracyWarning)
+            result = run_heat(u0, potential, grids, p_config=p_grid, t=t)
+            explicit = _explicit_heat_lift(u0, potential, grids, p_grid, t)
+        expected = explicit.u.amplitudes
+        got = result.u_recovered.amplitudes
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+        norms = result.norms
+        pairs = {
+            "u_recovered": explicit.u.norm,
+            "w_spectral_initial": explicit.spectral_norms[0],
+            "w_spectral_final": explicit.spectral_norms[1],
+            "success_probability": explicit.success_probability,
+            "cost_factor": explicit.cost_factor,
+        }
+        for key, value in pairs.items():
+            assert norms[key] == pytest.approx(value, rel=1e-10, abs=0.0), key
+        # both lifted runs are unitary: the norm is conserved to rounding
+        heat_norms = (norms["w_spectral_initial"], norms["w_spectral_final"])
+        for initial, final in (explicit.spectral_norms, heat_norms):
+            assert final == pytest.approx(initial, rel=1e-12, abs=0.0)
+        cost, explicit_cost = result.cost.as_dict(), explicit.cost.as_dict()
+        for key in ("tau", "queries", "gates", "qubit_count", "norm_ratio"):
+            assert cost[key] == pytest.approx(explicit_cost[key], rel=1e-10, abs=0.0), key
+        assert cost["inputs"]["s"] == explicit_cost["inputs"]["s"]
+        assert cost["inputs"]["max_norm"] == pytest.approx(
+            explicit_cost["inputs"]["max_norm"], rel=1e-14, abs=0.0
+        )
 
 
 class TestEstimateTFinal:

@@ -15,7 +15,12 @@ from schrodingerize import (
     hermitian_decompose,
     make_grid,
 )
-from schrodingerize.operators import HermitianMatrix, HermitianPair
+from schrodingerize.operators import (
+    HermitianMatrix,
+    HermitianPair,
+    _laplacian_sparsity_and_max_norm,
+    _laplacian_symbol,
+)
 
 
 def random_complex(rng, shape):
@@ -197,6 +202,38 @@ class TestSchrodingerHamiltonian:
         xx, yy = np.meshgrid(gx.points, gy.points, indexing="ij")
         wave = np.exp(1j * np.pi * (xx + 2 * yy)).reshape(-1)
         assert np.allclose(h.dense() @ wave, (np.pi**2 + 4 * np.pi**2) * wave, atol=1e-8)
+
+
+LAPLACIAN_GRIDS = {
+    "1d": [(1.0, 8)],
+    "1d-wide": [(3.0, 64)],
+    "2d": [(1.0, 16), (1.0, 16)],
+    "2d-unequal": [(1.0, 16), (2.5, 6)],
+    "3d-unequal": [(1.0, 4), (0.5, 10), (2.0, 8)],
+}
+
+
+class TestLaplacianWithoutAssembly:
+    @pytest.mark.parametrize("spec", LAPLACIAN_GRIDS.values(), ids=LAPLACIAN_GRIDS.keys())
+    def test_sparsity_and_max_norm_match_the_assembled_matrix(self, spec):
+        grids = [make_grid(*g) for g in spec]
+        h = assemble_schrodinger_hamiltonian(None, grids)
+        sparsity, max_norm = _laplacian_sparsity_and_max_norm(grids)
+        assert sparsity == h.sparsity
+        assert max_norm == pytest.approx(h.max_norm, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("spec", LAPLACIAN_GRIDS.values(), ids=LAPLACIAN_GRIDS.keys())
+    def test_symbol_diagonalises_the_assembled_matrix(self, spec):
+        # H u = ifftn(lam * fftn(u)) with the unitary DFT, lam in fftn order
+        grids = [make_grid(*g) for g in spec]
+        shape = tuple(g.count for g in grids)
+        u = random_complex(np.random.default_rng(5), shape)
+        h = assemble_schrodinger_hamiltonian(None, grids)
+        lam = _laplacian_symbol(grids)
+        assert lam.shape == shape
+        expected = h.dense() @ u.reshape(-1)
+        got = np.fft.ifftn(lam * np.fft.fftn(u, norm="ortho"), norm="ortho").reshape(-1)
+        assert np.abs(got - expected).max() < 1e-10 * h.max_norm
 
 
 class TestTotalHamiltonian:

@@ -32,7 +32,13 @@ from schrodingerize import (
     warp_extend,
 )
 from schrodingerize.operators import HermitianMatrix, HermitianPair
-from schrodingerize.pipeline import SpectralState, _mode_weights, decay_factors
+from schrodingerize.pipeline import (
+    SpectralState,
+    _lifted_rows,
+    _mode_weights,
+    decay_factors,
+    evolve_eigenbasis,
+)
 
 
 def vector_state(amps):
@@ -594,6 +600,63 @@ class TestDecayFactors:
             decay_factors(np.array([1.0]), Grid1D(12.0, 64), 1.0, "point")
         with pytest.raises(InvalidArgumentError):
             decay_factors(np.array([1.0]), Grid1D(12.0, 64), -1.0, "integration")
+
+
+class TestEvolveEigenbasis:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-1.0, max_value=60.0), min_size=1, max_size=12),
+        st.integers(min_value=4, max_value=256).map(lambda k: 2 * k),
+        st.floats(min_value=4.0, max_value=20.0),
+        st.floats(min_value=0.0, max_value=2.0),
+    )
+    def test_row_factors_equal_decay_factors(self, lam, n, half_width, t):
+        # the lifted rows against the closed-form weights, for both rules
+        lam = np.array(lam)
+        grid = Grid1D(half_width, n)
+        rows = _lifted_rows(lam, grid, t, truncation_tol=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            for recovery, got in (("integration", rows.integration), ("projection", rows.fit)):
+                expected = decay_factors(lam, grid, t, recovery)
+                assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+    def test_dft_basis_matches_explicit_eigenvectors(self):
+        # vectors=None (the unitary DFT) against the same basis as columns
+        grid = make_grid(1.0, 16)
+        modes = fourier_modes(grid).modes
+        u0 = StateVector(
+            1.0 + np.cos(np.pi * grid.points) + 0.2j * np.sin(2 * np.pi * grid.points),
+            (AxisSpec("x1", 16, grid),),
+        )
+        dft = np.fft.ifft(np.eye(16), axis=0, norm="ortho")  # columns: DFT eigenvectors
+        args = (make_grid(12.0, 128), 0.1, 16, 1.0)
+        fast = evolve_eigenbasis(u0, modes**2, None, *args)
+        dense = evolve_eigenbasis(u0, modes**2, dft, *args)
+        assert np.abs(fast.u.amplitudes - dense.u.amplitudes).max() < 1e-13
+        assert fast.success_probability == pytest.approx(dense.success_probability, rel=1e-13)
+        assert fast.cost_factor == pytest.approx(dense.cost_factor, rel=1e-13)
+
+    def test_time_zero_round_trip_and_conserved_norm(self):
+        rng = np.random.default_rng(3)
+        lam = rng.uniform(0.0, 2.0, 5)
+        vectors = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        u0 = vector_state(rng.standard_normal(5))
+        grid = make_grid(12.0, 256)
+        rec = evolve_eigenbasis(u0, lam, vectors, grid, 0.0, 5, 2.0)
+        assert np.abs(rec.u.amplitudes - u0.amplitudes).max() < 1e-12
+        rec = evolve_eigenbasis(u0, lam, vectors, grid, 1.5, 5, 2.0)
+        assert rec.spectral_norms[1] == pytest.approx(rec.spectral_norms[0], rel=1e-12)
+        assert 0.0 < rec.success_probability < 1.0
+
+    def test_zero_state_and_bad_arguments_rejected(self):
+        grid = make_grid(12.0, 64)
+        with pytest.raises(DegenerateStateError):
+            evolve_eigenbasis(vector_state(np.zeros(2)), [0.0, 1.0], np.eye(2), grid, 0.1, 2, 1.0)
+        with pytest.raises(InvalidArgumentError):
+            evolve_eigenbasis(vector_state([1.0, 0.0]), [0.0, 1.0], np.eye(2), grid, -0.1, 2, 1.0)
+        with pytest.raises(InvalidArgumentError):
+            evolve_eigenbasis(vector_state([1.0, 0.0]), [0.0], np.eye(2), grid, 0.1, 2, 1.0)
 
 
 class TestDefaultPGrid:
