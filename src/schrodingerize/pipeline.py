@@ -370,6 +370,20 @@ def recover_point(
     )
 
 
+def _projection_numbers(
+    block_mass: float, u_norm: float, w_norm: float, p_grid: Grid1D
+) -> tuple[float, float]:
+    """Success probability |P w|^2 / |w|^2 and cost factor
+    |w| / (sqrt(N/(2L)) |u|) of a projection onto p >= 0, from the weighted
+    block mass, the fitted |u| and |w|; refuses a degenerate projection."""
+    if block_mass == 0.0:
+        raise DegenerateStateError("state has no support on p >= 0")
+    if u_norm == 0.0:
+        raise DegenerateStateError("positive block is orthogonal to the decay profile")
+    normalizer = math.sqrt(p_grid.count / (2.0 * p_grid.half_width))
+    return block_mass / w_norm**2, w_norm / (normalizer * u_norm)
+
+
 def project_positive(w: WarpedState) -> RecoveryResult:
     """Project onto the p >= 0 block and collapse out the exp(-p) profile.
 
@@ -380,21 +394,13 @@ def project_positive(w: WarpedState) -> RecoveryResult:
     factor |w| / (sqrt(N/(2L)) |u|), which equals |u(0)| / |u(t)| because
     the lifted norm is conserved.
     """
-    grid = w.p_grid
     arr = w.state.as_array()
-    pos, weights, profile, denom = _projection_weights(grid)
+    pos, weights, profile, denom = _projection_weights(w.p_grid)
     block = arr[..., pos]
     block_mass = float(np.sum(weights * np.abs(block) ** 2))
-    if block_mass == 0.0:
-        raise DegenerateStateError("state has no support on p >= 0")
     u_est = (block * (weights * profile)).sum(axis=-1) / denom
     u_norm = float(np.linalg.norm(u_est))
-    if u_norm == 0.0:
-        raise DegenerateStateError("positive block is orthogonal to the decay profile")
-    w_norm = w.state.norm
-    success = block_mass / w_norm**2
-    normalizer = math.sqrt(grid.count / (2.0 * grid.half_width))
-    cost_factor = w_norm / (normalizer * u_norm)
+    success, cost_factor = _projection_numbers(block_mass, u_norm, w.state.norm, w.p_grid)
     layout = w.state.layout[:-1]
     return RecoveryResult(
         u=StateVector((u_est / u_norm).reshape(-1), layout),
@@ -559,12 +565,12 @@ class _Rows(NamedTuple):
     initial_sq: float  # squared norm of the lifted mode spectrum at t = 0
 
 
-def _lifted_rows(lam: np.ndarray, p_grid: Grid1D, t: float, truncation_tol: float) -> _Rows:
+def _lifted_rows(lam: np.ndarray, p_grid: Grid1D, t: float) -> _Rows:
     """Lift the unit profile exp(-|p|), evolve it as the eigencomponent of
     each eigenvalue in ``lam`` (Hbar = 0: every mode mu_j turns by
     exp(-i t mu_j lam)), transform back and read out each length-N row."""
     unit = StateVector(np.ones(1), (AxisSpec("lambda", 1),))
-    profile = dft_p(warp_extend(unit, p_grid, truncation_tol=truncation_tol)).state.amplitudes
+    profile = dft_p(warp_extend(unit, p_grid)).state.amplitudes
     # in place: when every eigenvalue of H is distinct the rows are as large
     # as the lifted state, and idft_p adds its own copies
     spec = np.multiply.outer(lam, assemble_eta_diagonal(p_grid).diagonal) * (-1j * t)
@@ -595,7 +601,6 @@ def evolve_eigenbasis(
     sparsity: int,
     max_norm: float,
     epsilon: float = 1e-3,
-    truncation_tol: float = 1e-4,
 ) -> RecoveryResult:
     """``evolve_lifted`` for Hbar = 0, run on the spectrum of H instead of
     the lifted state.
@@ -616,7 +621,8 @@ def evolve_eigenbasis(
     per distinct eigenvalue: 129 x N for a 256-point Laplacian, dim x N
     when every eigenvalue is distinct.
 
-    Warns when the part of u0 on eigencomponents with t*|lam| >= L, which
+    Warns when exp(-L) is not below 1e-4 (the default of ``warp_extend``),
+    and when the part of u0 on eigencomponents with t*|lam| >= L, which
     convect past the p boundary, has norm above ``epsilon`` * |u0|.
     """
     if t < 0:
@@ -642,27 +648,26 @@ def evolve_eigenbasis(
         )
 
     values, inverse = np.unique(lam, return_inverse=True)
-    rows = _lifted_rows(values, p_grid, t, truncation_tol)
+    rows = _lifted_rows(values, p_grid, t)
     mass = np.bincount(inverse, weights=weight, minlength=values.size)
-    block_mass = float(mass @ rows.block_mass)
-    if block_mass == 0.0:
-        raise DegenerateStateError("state has no support on p >= 0")
-    fit_norm = float(np.linalg.norm(coeffs * rows.fit[inverse]))
-    if fit_norm == 0.0:
-        raise DegenerateStateError("positive block is orthogonal to the decay profile")
+    w_norm = math.sqrt(float(mass @ rows.spectral_sq))
+    success, cost_factor = _projection_numbers(
+        float(mass @ rows.block_mass),
+        float(np.linalg.norm(coeffs * rows.fit[inverse])),
+        w_norm,
+        p_grid,
+    )
     u_coeffs = coeffs * rows.integration[inverse]
     if vectors is None:
         u = np.fft.ifftn(u_coeffs.reshape(u0.shape), norm="ortho")
     else:
         u = vectors @ u_coeffs
     u = u0.with_amplitudes(u)
-    w_norm = math.sqrt(float(mass @ rows.spectral_sq))
-    normalizer = math.sqrt(p_grid.count / (2.0 * p_grid.half_width))
     return RecoveryResult(
         u=u,
         method="integration",
-        success_probability=block_mass / w_norm**2,
-        cost_factor=w_norm / (normalizer * fit_norm),
+        success_probability=success,
+        cost_factor=cost_factor,
         spectral_norms=(math.sqrt(float(mass.sum()) * rows.initial_sq), w_norm),
         cost=_price(
             u0.norm, u.norm, t, epsilon,

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import subprocess
 import sys
@@ -7,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schrodingerize import AccuracyWarning, cli, oracle
+from schrodingerize import cli, oracle
 from schrodingerize.cli import load_config, main, run, sweep, validate_summary
 from schrodingerize.cli import ConfigError
 
@@ -385,43 +384,28 @@ class TestExpressions:
             cli._eval_expression("2**10**10", {})
 
     @pytest.mark.parametrize(
-        "physics, convects_past_l",
+        "physics",
         [
-            ({"t": 0.1, "initial_condition": "1 + cos(pi*x)"}, False),
-            ({"t": 0.1}, False),
-            (
-                {
-                    "t": 0.1,
-                    "initial_condition": "1.5 + 0.31*cos(1*pi*x + 0.7) + 0.42*cos(2*pi*x + 2.1)",
-                },
-                False,
-            ),
-            (
-                {
-                    "t": 0.1,
-                    "initial_condition": "exp(-x**2/0.5) + sqrt(abs(x)) - +2**-1 + e/3",
-                    "potential": "1 + 0.5*cos(pi*x) - sin(pi*x)**2 + tan(0.1*x)",
-                },
-                True,
-            ),
+            {"t": 0.1, "initial_condition": "1 + cos(pi*x)"},
+            {"t": 0.1},
+            {
+                "t": 0.1,
+                "initial_condition": "1.5 + 0.31*cos(1*pi*x + 0.7) + 0.42*cos(2*pi*x + 2.1)",
+            },
+            # t*lambda_max = 10.1 < L = 12: the kink of sqrt(abs(x)) puts 2.3%
+            # of |u0| on modes that convect past L by t = 0.1, which warns
+            {
+                "t": 0.001,
+                "initial_condition": "exp(-x**2/0.5) + sqrt(abs(x)) - +2**-1 + e/3",
+                "potential": "1 + 0.5*cos(pi*x) - sin(pi*x)**2 + tan(0.1*x)",
+            },
         ],
         ids=["readme", "default", "benchmark", "operators"],
     )
-    def test_heat_output_identical_to_python_eval(
-        self, tmp_path, monkeypatch, physics, convects_past_l
-    ):
-        # the kink of sqrt(abs(x)) puts 2.3% of |u0| on eigencomponents with
-        # t*lambda >= L = 12 (error 3.5e-2 against the reference), which warns
-        def expected_warning():
-            if convects_past_l:
-                return pytest.warns(AccuracyWarning, match="convect past the p boundary")
-            return contextlib.nullcontext()
-
-        with expected_warning():
-            run(heat_config(tmp_path, out="ast", physics=physics))
+    def test_heat_output_identical_to_python_eval(self, tmp_path, monkeypatch, physics):
+        run(heat_config(tmp_path, out="ast", physics=physics))
         monkeypatch.setattr(cli, "_eval_expression", _python_eval)
-        with expected_warning():
-            run(heat_config(tmp_path, out="eval", physics=physics))
+        run(heat_config(tmp_path, out="eval", physics=physics))
         assert (tmp_path / "ast" / "solution.csv").read_bytes() == (
             tmp_path / "eval" / "solution.csv"
         ).read_bytes()
