@@ -190,8 +190,14 @@ def prepare_ground_state(
     V diag(g) V^dag u0 in the eigenbasis of H, without a lifted array.
     ``p_grid`` is None, a Grid1D or an (L, N) pair whose None entries take
     the values of ``default_p_grid`` for eps, t_final and the spectral width.
+    A matrix of dimension 1, or with a degenerate ground level, has no
+    spectral gap and raises UnsupportedProblemError.
     """
     h_mat = h if isinstance(h, HermitianMatrix) else HermitianMatrix.from_entries(h)
+    if h_mat.dimension < 2:
+        raise UnsupportedProblemError(
+            f"dimension {h_mat.dimension} has a single level: no spectral gap"
+        )
     energies, vectors = h_mat.spectrum
     gap = float(energies[1] - energies[0])
     scale = max(1.0, float(np.abs(energies).max()))

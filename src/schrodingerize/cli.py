@@ -207,11 +207,13 @@ def load_config(path) -> ExperimentConfig:
 
 def _check_grid_size(key: str, value, source) -> None:
     """Grid sizes M, N, K and J must be even integers >= 2, and the
-    half-width L finite."""
+    half-width L a finite int or float > 0 (not a bool)."""
     if key in _GRID_SIZES and (not isinstance(value, int) or value < 2 or value % 2):
         raise ConfigError(f"{source}: resolution.{key} must be even and >= 2, got {value}")
-    if key == "L" and isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{source}: resolution.L must be finite, got {value}")
+    if key == "L" and (
+        type(value) not in (int, float) or not 0.0 < value <= sys.float_info.max
+    ):
+        raise ConfigError(f"{source}: resolution.L must be finite and > 0, got {value!r}")
 
 
 def _p_config(cfg: ExperimentConfig) -> tuple:

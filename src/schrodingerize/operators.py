@@ -16,7 +16,9 @@ Five families of operators are built here:
 Every Hermitian matrix is stored as the (B, b, b) stack of its diagonal
 blocks, B = 1 for a matrix without block structure.  The blocks are
 stated where a problem is built: the transport pair, Fourier transformed
-in x, has one K^d x K^d block per spatial frequency.
+in x, has one K^d x K^d block per spatial frequency.  A stack that is real
+symmetric up to HERMITICITY_ATOL is stored as float64, as the transport
+pair, heat's Hamiltonian and the paper's classical examples are.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ class HermitianMatrix:
     diagonal blocks, with its sparsity and max-norm.
 
     The matrix is block_diag(blocks[0], .., blocks[B-1]) of dimension B*b.
+    ``from_entries`` stores a real symmetric matrix as a float64 stack and
+    any other as complex128; every consumer takes either dtype.
     ``sparsity`` is the maximum number of nonzeros in any row and
     ``max_norm`` the largest entry magnitude; together with an evolution
     time they set the scale tau = s*t*max_norm of the query-cost model.
@@ -76,7 +80,11 @@ class HermitianMatrix:
         """From a square matrix (B = 1) or a (B, b, b) stack of diagonal blocks.
 
         Rejects entries farther from Hermitian than HERMITICITY_ATOL times
-        the largest magnitude (at least 1), then stores (A + A^dag)/2.
+        the largest magnitude (at least 1), then stores (A + A^dag)/2.  When
+        that symmetrised matrix has no imaginary entry above the same
+        tolerance, it is real symmetric up to rounding and its real part is
+        stored as float64, so every decomposition of it, or of a real
+        combination mu*H + Hbar, takes the real LAPACK driver.
         """
         blocks = np.asarray(entries, dtype=complex)
         if blocks.ndim == 2:
@@ -92,6 +100,8 @@ class HermitianMatrix:
                 f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}"
             )
         blocks = 0.5 * (blocks + _adjoint(blocks))
+        if float(np.abs(blocks.imag).max(initial=0.0)) <= HERMITICITY_ATOL * scale:
+            blocks = blocks.real.copy()
         blocks.setflags(write=False)
         return cls(
             blocks=blocks,

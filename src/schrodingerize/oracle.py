@@ -4,6 +4,12 @@ Nothing here reuses the operator-assembly code: the heat reference applies
 mode-wise decay factors directly, expm_apply works on the raw matrix, and
 the transport reference is a method-of-lines RK4 integrator in physical
 space.  These are the trusted ground truth for every end-to-end check.
+
+All of it runs in NumPy's linear algebra.  SciPy ships its own BLAS, with
+its own thread pool; calling it after a pipeline run that kept NumPy's
+BLAS threads busy made both pools contend for the same cores, so the
+non-normal branch of expm_apply uses expm_multiply, whose products are
+NumPy's, instead of scipy.linalg.expm.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     AccuracyWarning,
@@ -33,7 +38,9 @@ def expm_apply(a, u0, t: float) -> np.ndarray:
     """exp(-A*t) @ u0 by dense linear algebra.
 
     Hermitian and normal matrices go through an eigendecomposition; anything
-    else falls back to scaling-and-squaring Pade (scipy.linalg.expm).
+    else goes to the exact action of the exponential by truncated Taylor
+    series with scaling (Al-Mohy & Higham 2011, scipy's expm_multiply),
+    whose matrix products run in NumPy's BLAS like the rest of the package.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -53,7 +60,10 @@ def expm_apply(a, u0, t: float) -> np.ndarray:
     if gram_defect <= _NORMALITY_RTOL * scale * scale:
         lam, vec = np.linalg.eig(a)
         return vec @ (np.exp(-lam * t) * np.linalg.solve(vec, u0))
-    return scipy.linalg.expm(-a * t) @ u0
+    # imported here so that importing the package leaves scipy.sparse unloaded
+    from scipy.sparse.linalg import expm_multiply
+
+    return expm_multiply(-a * t, u0)
 
 
 def _grid_list(grids) -> list[Grid1D]:

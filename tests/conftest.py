@@ -1,0 +1,23 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="session")
+def general_dense_config():
+    """The benchmark's ``general-dense`` config at seed 1: a 64x64 A = H + iHbar
+    with real symmetric, non-commuting H and Hbar."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_config("general-dense", 1)
+
+
+@pytest.fixture(scope="session")
+def general_dense_matrix(general_dense_config):
+    spec = general_dense_config["physics"]["matrix"]
+    return np.asarray(spec["real"]) + 1j * np.asarray(spec["imag"])

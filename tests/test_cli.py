@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from schrodingerize import cli, oracle
 from schrodingerize.cli import load_config, main, run, sweep, validate_summary
@@ -232,6 +233,32 @@ class TestRun:
         summary = json.loads((tmp_path / "gs" / "summary.json").read_text())
         assert summary["results"]["fidelity"] >= 0.99
 
+    def test_one_level_ground_state_refused(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "ground_state",
+                "physics": {"matrix": [[1]]},
+                "output": {"directory": str(tmp_path / "gs")},
+            },
+        )
+        assert run(path) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((tmp_path / "gs" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert "no spectral gap" in summary["error"]
+
+    def test_general_run_without_scipy_expm(self, tmp_path, monkeypatch, general_dense_config):
+        # the oracle of a non-normal A must not call into SciPy's own BLAS
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.expm called during a run")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        path = write_config(
+            tmp_path, dict(general_dense_config, output={"directory": str(tmp_path / "gen")})
+        )
+        assert run(path) == 0
+
     def test_cost_run(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -302,6 +329,26 @@ class TestNonFiniteInput:
         assert main(args) == 2
         assert "resolution.L must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize(
+        "value",
+        ["12", True, False, None, [12.0], 0, 0.0, -1.0, 10**400],
+        ids=["text", "true", "false", "null", "list", "zero", "zero-float", "negative", "huge-int"],
+    )
+    def test_half_width_must_be_a_positive_number(self, tmp_path, capsys, monkeypatch, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started on a bad half-width")
+
+        monkeypatch.setattr(cli.apps, "run_heat", no_run)
+        assert run(heat_config(tmp_path, resolution={"M": 8, "N": 16, "L": value})) == 2
+        assert "resolution.L must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [12, 12.0, 0.5])
+    def test_half_width_accepts_int_and_float(self, tmp_path, value):
+        path = heat_config(tmp_path, resolution={"M": 8, "N": 16, "L": value})
+        assert load_config(path).resolution["L"] == value
 
 
 class TestPricing:

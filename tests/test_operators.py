@@ -6,21 +6,26 @@ from hypothesis import strategies as st
 
 from schrodingerize import (
     AccuracyWarning,
+    AxisSpec,
     InvalidArgumentError,
+    StateVector,
     TransportModel,
     assemble_eta_diagonal,
     assemble_schrodinger_hamiltonian,
     assemble_total_hamiltonian,
+    evolve_blocks,
     fourier_modes,
     hermitian_decompose,
     make_grid,
 )
 from schrodingerize.operators import (
+    HERMITICITY_ATOL,
     HermitianMatrix,
     HermitianPair,
     _laplacian_sparsity_and_max_norm,
     _laplacian_symbol,
 )
+from schrodingerize.pipeline import SpectralState
 
 
 def random_complex(rng, shape):
@@ -102,6 +107,99 @@ class TestBlockStack:
         dense = HermitianMatrix.from_entries(scipy.linalg.block_diag(*blocks))
         with pytest.raises(InvalidArgumentError, match="block shapes"):
             HermitianPair(h=stacked, h_bar=dense)
+
+
+def real_symmetric_stack(rng, nblocks, b):
+    a = rng.standard_normal((nblocks, b, b))
+    return a + a.swapaxes(-1, -2)
+
+
+def antisymmetric_noise(rng, shape, size):
+    """Real antisymmetric stack whose largest magnitude is exactly ``size``:
+    i times it is Hermitian, so it only moves the imaginary part."""
+    g = rng.standard_normal(shape)
+    g = g - g.swapaxes(-1, -2)
+    peak = np.abs(g).max(initial=0.0)
+    return g * (size / peak) if peak > 0 else g
+
+
+def forced_complex(m):
+    """``m`` with the same entries stored as complex128, bypassing from_entries."""
+    blocks = m.blocks.astype(complex)
+    blocks.setflags(write=False)
+    return HermitianMatrix(blocks=blocks, sparsity=m.sparsity, max_norm=m.max_norm)
+
+
+class TestRealStorage:
+    SHAPES = (
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(*SHAPES, st.floats(min_value=0.0, max_value=1.0))
+    def test_real_symmetric_up_to_tolerance_stored_real(self, nblocks, b, seed, fraction):
+        rng = np.random.default_rng(seed)
+        s = real_symmetric_stack(rng, nblocks, b)
+        bound = HERMITICITY_ATOL * max(1.0, float(np.abs(s).max()))
+        m = HermitianMatrix.from_entries(
+            s + 1j * antisymmetric_noise(rng, s.shape, fraction * bound)
+        )
+        assert m.blocks.dtype == np.float64
+        assert np.array_equal(m.blocks, s)
+        assert not m.blocks.flags.writeable
+
+    @settings(max_examples=40, deadline=None)
+    @given(*SHAPES, st.floats(min_value=2.0, max_value=1e6))
+    def test_imaginary_part_above_tolerance_stays_complex(self, nblocks, b, seed, factor):
+        if b == 1:
+            b = 2  # a 1x1 Hermitian block has no imaginary part
+        rng = np.random.default_rng(seed)
+        s = real_symmetric_stack(rng, nblocks, b)
+        noise = antisymmetric_noise(
+            rng, s.shape, factor * HERMITICITY_ATOL * max(1.0, float(np.abs(s).max()))
+        )
+        m = HermitianMatrix.from_entries(s + 1j * noise)
+        assert m.blocks.dtype == np.complex128
+        assert np.array_equal(m.blocks, s + 1j * noise)
+
+    @settings(max_examples=25, deadline=None)
+    @given(*SHAPES, st.floats(min_value=0.0, max_value=1.0))
+    def test_real_and_forced_complex_agree(self, nblocks, b, seed, t):
+        rng = np.random.default_rng(seed)
+        p_grid = make_grid(4.0, 8)
+        h = HermitianMatrix.from_entries(real_symmetric_stack(rng, nblocks, b))
+        hbar = HermitianMatrix.from_entries(real_symmetric_stack(rng, nblocks, b))
+        zero = HermitianMatrix.from_entries(np.zeros((nblocks, b, b)))
+        assert h.blocks.dtype == hbar.blocks.dtype == zero.blocks.dtype == np.float64
+        amps = rng.standard_normal((nblocks * b, 8)) + 1j * rng.standard_normal((nblocks * b, 8))
+        layout = (AxisSpec("x1", nblocks * b), AxisSpec("eta", 8, p_grid))
+        s0 = SpectralState(StateVector(amps.reshape(-1), layout), p_grid)
+        d = assemble_eta_diagonal(p_grid)
+        for bar in (hbar, zero):  # the per-mode path and the shared eigenbasis
+            real = evolve_blocks(s0, HermitianPair(h, bar), d, t).state.amplitudes
+            cplx = evolve_blocks(
+                s0, HermitianPair(forced_complex(h), forced_complex(bar)), d, t
+            ).state.amplitudes
+            assert np.abs(real - cplx).max() < 1e-12
+
+        (lam, vec), (lam_c, vec_c) = h.spectrum, forced_complex(h).spectrum
+        assert vec.dtype == np.float64 and vec_c.dtype == np.complex128
+        assert np.abs(lam - lam_c).max() < 1e-12
+        # eigenvectors differ by phases; the unitary they generate does not
+        u, u_c = (v @ np.diag(np.exp(-1j * lam)) @ v.conj().T for v in (vec, vec_c))
+        assert np.abs(u - u_c).max() < 1e-12
+
+    def test_transport_pair_stored_real(self):
+        x, k = make_grid(1.0, 4), make_grid(1.0, 4)
+        pair = TransportModel.create([x, x], [k, k], np.full((16, 16), 0.1)).hermitian_pair()
+        assert pair.h.blocks.dtype == pair.h_bar.blocks.dtype == np.float64
+
+    def test_general_dense_pair_stored_real(self, general_dense_matrix):
+        pair = hermitian_decompose(general_dense_matrix)
+        assert pair.h.blocks.dtype == pair.h_bar.blocks.dtype == np.float64
+        assert np.abs(pair.reconstruct() - general_dense_matrix).max() < 1e-12
 
 
 class TestHermitianDecompose:

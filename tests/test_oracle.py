@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from schrodingerize import (
@@ -65,6 +66,34 @@ class TestExpmApply:
         expected = vec @ (np.exp(-1j * lam * 0.6) * (vec.T @ u0))
         assert np.linalg.norm(got - expected) < 1e-10
         assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(u0), rel=1e-12)
+
+    @staticmethod
+    def assert_matches_dense_expm(a, u0, t):
+        expected = scipy.linalg.expm(-a * t) @ u0
+        got = expm_apply(a, u0, t)
+        assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 5, 16, 64])
+    def test_non_normal_matches_dense_expm(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        u0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for t in (0.1, 0.8, 2.0):
+            self.assert_matches_dense_expm(a, u0, t)
+
+    def test_strongly_non_normal_upper_triangular(self):
+        # eigenvector condition number ~1e15, and |exp(-A t)| is 3.3 at t = 0.5
+        # and 10.7 at t = 1 although no eigenvalue is negative
+        dim = 12
+        a = 5.0 * np.triu(np.ones((dim, dim)), k=1) + np.diag(np.linspace(0.0, 1.0, dim))
+        u0 = np.random.default_rng(3).standard_normal(dim)
+        for t in (0.5, 1.0):
+            self.assert_matches_dense_expm(a, u0, t)
+
+    def test_general_dense_matches_dense_expm(self, general_dense_config, general_dense_matrix):
+        u0 = general_dense_config["physics"]["u0"]
+        u0 = np.asarray(u0["real"]) + 1j * np.asarray(u0["imag"])
+        self.assert_matches_dense_expm(general_dense_matrix, u0, general_dense_config["physics"]["t"])
 
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError):
