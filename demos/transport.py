@@ -2,8 +2,11 @@
 
 The phase-space density W(t, x, k) advects at velocity k and relaxes
 toward its velocity average through the scattering matrix.  The lifted
-run is compared to a method-of-lines integrator, and the moment
-observables (mass, momentum, energy) are read off the recovered density.
+run is compared to the exact solution (with x Fourier transformed, one
+matrix exponential per spatial frequency), and the moment observables
+(mass, momentum, energy) are read off the recovered density.  The long-time
+search at the end chains lifted legs, each auxiliary mode decomposed once
+for all of them.
 """
 
 import numpy as np

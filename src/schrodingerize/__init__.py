@@ -46,7 +46,7 @@ from .pipeline import (
     schrodingerize_evolve,
     warp_extend,
 )
-from .oracle import expm_apply, heat_analytic, transport_reference
+from .oracle import expm_apply, heat_analytic, transport_exact, transport_reference
 from .costs import (
     CostReport,
     gibbs_cost,

@@ -7,7 +7,10 @@
 * prepare_gibbs: thermal state exp(-beta*H)/Z via the purified evolution of
   a maximally entangled register pair for time beta/2,
 * run_transport: kinetic transport with isotropic scattering, checked
-  against a method-of-lines integrator, plus moment observables.
+  against the exact solution (one matrix exponential per spatial
+  frequency, ``transport_exact``), plus moment observables;
+  find_stationary_transport chains its legs with each auxiliary mode
+  decomposed once for the whole search.
 
 Each run reports its hypothetical quantum resource cost.
 """
@@ -15,6 +18,7 @@ Each run reports its hypothetical quantum resource cost.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -34,12 +38,17 @@ from .operators import (
     TransportModel,
     _laplacian_sparsity_and_max_norm,
     _laplacian_symbol,
+    assemble_eta_diagonal,
     assemble_schrodinger_hamiltonian,
 )
-from .oracle import expm_apply, heat_analytic, transport_reference
+from .oracle import expm_apply, heat_analytic, transport_exact
 from .pipeline import (
-    RecoveryResult,
+    _evolve_modes,
+    _lift,
+    _map_modes,
+    _mode_spectrum,
     _p_grid_from,
+    _read_out,
     _warn_truncation,
     decay_factors,
     default_p_grid,
@@ -67,6 +76,8 @@ GIBBS_P_HALF_WIDTH = 10.0
 GIBBS_P_COUNT = 2048
 TRANSPORT_P_HALF_WIDTH = 8.0
 TRANSPORT_P_COUNT = 64
+# exp(-L) at or above which a transport lift warns (run_transport and the search)
+_TRANSPORT_TRUNCATION_TOL = 1e-2
 
 
 def _as_state(u0, grids: list[Grid1D], prefix: str = "x") -> StateVector:
@@ -402,23 +413,23 @@ def _transport_layout(model: TransportModel) -> tuple[AxisSpec, ...]:
     return axes
 
 
-def _evolve_transport(
-    model: TransportModel,
-    w0_state: StateVector,
-    p_config,
-    t: float,
-    epsilon: float = 1e-3,
-    workers: int | None = None,
-) -> tuple[StateVector, RecoveryResult]:
-    """Spatial Fourier transform, ``evolve_lifted``, inverse transform.
+def _transport_p_grid(model: TransportModel, p_config, t: float) -> Grid1D:
+    """Auxiliary grid of a transport run: ``p_config`` over the defaults
+    N = 64 and L = max(8, t*lambda_max + 4), lambda_max the largest
+    scattering rate."""
 
-    Returns the recovered state over (x, k) and the recovery of
-    ``evolve_lifted`` over (xi, k), which carries its bookkeeping and cost.
-    """
-    layout = _transport_layout(model)
-    arr0 = w0_state.as_array()
-    if np.iscomplexobj(arr0) and (
-        float(np.abs(arr0.imag).max()) > 1e-12 or float(arr0.real.min()) < -1e-12
+    def convection_half_width() -> float:
+        lam_max = float(np.abs(np.linalg.eigvalsh(model.collision_matrix())).max())
+        return max(TRANSPORT_P_HALF_WIDTH, t * lam_max + 4.0)
+
+    return _p_grid_from(p_config, convection_half_width, TRANSPORT_P_COUNT)
+
+
+def _to_frequencies(model: TransportModel, w_state: StateVector) -> StateVector:
+    """Unitary Fourier transform of the x axes: the state over (xi, k)."""
+    arr = w_state.as_array()
+    if np.iscomplexobj(arr) and (
+        float(np.abs(arr.imag).max()) > 1e-12 or float(arr.real.min()) < -1e-12
     ):
         warnings.warn(
             "transport initial data should be real and nonnegative",
@@ -426,26 +437,17 @@ def _evolve_transport(
             stacklevel=3,
         )
     d = model.dimension
-    x_axes = tuple(range(d))
-
-    spec0 = np.fft.fftn(arr0, axes=x_axes, norm="ortho")
+    spec = np.fft.fftn(arr, axes=tuple(range(d)), norm="ortho")
     layout_xi = tuple(
         AxisSpec(f"xi{i + 1}", g.count, g) for i, g in enumerate(model.x_grids)
-    ) + layout[d:]
-    spec_state = StateVector(spec0.reshape(-1), layout_xi)
+    ) + _transport_layout(model)[d:]
+    return StateVector(spec.reshape(-1), layout_xi)
 
-    def convection_half_width() -> float:
-        lam_max = float(np.abs(np.linalg.eigvalsh(model.collision_matrix())).max())
-        return max(TRANSPORT_P_HALF_WIDTH, t * lam_max + 4.0)
 
-    p_grid = _p_grid_from(p_config, convection_half_width, TRANSPORT_P_COUNT)
-    _, rec = evolve_lifted(
-        spec_state, model.hermitian_pair(), p_grid, t,
-        epsilon=epsilon, truncation_tol=1e-2, workers=workers,
-    )
-    spec_rec = rec.u.amplitudes.reshape(spec0.shape)
-    w_rec = np.fft.ifftn(spec_rec, axes=x_axes, norm="ortho")
-    return StateVector(w_rec.reshape(-1), layout), rec
+def _from_frequencies(model: TransportModel, spec_state: StateVector) -> StateVector:
+    """Inverse of ``_to_frequencies``: the state over (x, k)."""
+    w = np.fft.ifftn(spec_state.as_array(), axes=tuple(range(model.dimension)), norm="ortho")
+    return StateVector(w.reshape(-1), _transport_layout(model))
 
 
 def _transport_state(model: TransportModel, w0) -> StateVector:
@@ -472,8 +474,10 @@ def run_transport(
     transformed it is block diagonal, one K^d x K^d block per spatial
     frequency xi: ``model.hermitian_pair()`` builds H and Hbar as
     (J^d, K^d, K^d) block stacks, so neither the (J^d K^d)^2 generator nor
-    any matrix of that size is ever formed.  The reference is the RK4
-    method-of-lines solution on the same (x, k) grid.  Recovery, the
+    any matrix of that size is ever formed.  The reference is
+    ``transport_exact`` on the same (x, k) grid: the exact exponential of
+    each spatial frequency's K^d x K^d generator, built from the
+    scattering data rather than from the pair.  Recovery, the
     projection bookkeeping and the cost come from ``evolve_lifted`` in
     (xi, k) space, where the norms equal those over (x, k) to rounding.
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
@@ -481,12 +485,15 @@ def run_transport(
     the largest scattering rate, so the convected profile stays inside
     the auxiliary domain.
     """
-    layout = _transport_layout(model)
     w0_state = _transport_state(model, w0)
-    w_rec_state, rec = _evolve_transport(model, w0_state, p_config, t, epsilon, workers)
-
-    w_ref = transport_reference(model, w0_state.as_array(), t)
-    w_ref_state = StateVector(np.asarray(w_ref).reshape(-1), layout)
+    _, rec = evolve_lifted(
+        _to_frequencies(model, w0_state), model.hermitian_pair(),
+        _transport_p_grid(model, p_config, t), t,
+        epsilon=epsilon, truncation_tol=_TRANSPORT_TRUNCATION_TOL, workers=workers,
+    )
+    w_rec_state = _from_frequencies(model, rec.u)
+    w_ref = transport_exact(model, w0_state.as_array(), t)
+    w_ref_state = StateVector(w_ref.reshape(-1), _transport_layout(model))
     err = float(
         np.linalg.norm(w_rec_state.amplitudes - w_ref_state.amplitudes)
         / np.linalg.norm(w_ref_state.amplitudes)
@@ -510,6 +517,13 @@ def run_transport(
     )
 
 
+def _positive_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        math.isfinite(value) and value > 0
+    ):
+        raise InvalidArgumentError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def find_stationary_transport(
     model: TransportModel,
     w0,
@@ -522,13 +536,34 @@ def find_stationary_transport(
 
     Runs the pipeline leg by leg (re-lifting the recovered state each time)
     rather than solving a nullspace problem, so the stationary state is
-    produced by the same machinery as the transient runs; the legs skip the
-    reference solve and the moments that only ``run_transport`` reports.
-    Returns (W_stationary, legs_used, converged).
+    produced by the same machinery as the transient runs, and equals that
+    many chained ``run_transport`` legs bit for bit.  Every leg applies the
+    same linear map (same pair, auxiliary grid and leg time), so each
+    auxiliary mode's generator stack mu_j*H + Hbar is decomposed once, up
+    front; each leg then lifts, applies those spectra and reads out.  The
+    search holds them all: N*B*b*(b + 1)*8 bytes for N auxiliary modes and
+    B blocks of size b (N = 64 and B = b = 16 at J = K = 16: 2.1 MiB).  The
+    legs skip the reference solve and the moments that only
+    ``run_transport`` reports.  ``leg`` and ``tol`` must be finite and > 0
+    and ``max_legs`` an int >= 1, else InvalidArgumentError before any
+    evolution.  Returns (W_stationary, legs_used, converged).
     """
+    _positive_finite("leg", leg)
+    _positive_finite("tol", tol)
+    if isinstance(max_legs, bool) or not isinstance(max_legs, numbers.Integral) or max_legs < 1:
+        raise InvalidArgumentError(f"max_legs must be an int >= 1, got {max_legs!r}")
     current = _transport_state(model, w0)
+    pair = model.hermitian_pair()
+    p_grid = _transport_p_grid(model, None, leg)
+    mus = assemble_eta_diagonal(p_grid).diagonal
+    spectra = _map_modes(lambda j: _mode_spectrum(pair, mus[j]), mus.size, workers)
     for n in range(1, max_legs + 1):
-        nxt = _evolve_transport(model, current, None, leg, workers=workers)[0]
+        spec = _to_frequencies(model, current)
+        s0 = _lift(spec, p_grid, _TRANSPORT_TRUNCATION_TOL)
+        s_t = _evolve_modes(s0, model.k_count, spectra.__getitem__, leg, workers)
+        initial_norm = s0.state.norm
+        del s0
+        nxt = _from_frequencies(model, _read_out(spec, s_t, initial_norm, pair, leg, 1e-3)[1].u)
         delta = float(np.linalg.norm(nxt.amplitudes - current.amplitudes))
         current = nxt
         if delta < tol:

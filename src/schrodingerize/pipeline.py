@@ -235,6 +235,38 @@ def _resolve_workers(workers: int | None) -> int:
         return 1
 
 
+def _map_modes(func, n: int, workers: int | None) -> list:
+    """[func(j) for j in range(n)], on ``workers`` threads when more than one."""
+    nworkers = _resolve_workers(workers)
+    if nworkers == 1:
+        return [func(j) for j in range(n)]
+    with ThreadPoolExecutor(max_workers=nworkers) as pool:
+        return list(pool.map(func, range(n)))
+
+
+def _mode_spectrum(pair: HermitianPair, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the (B, b, b) block stack mu*H + Hbar."""
+    return np.linalg.eigh(mu * pair.h.blocks + pair.h_bar.blocks)
+
+
+def _evolve_modes(s0: SpectralState, block: int, spectrum, t: float, workers) -> SpectralState:
+    """Evolve mode slice j of s0 by exp(-i*t*(mu_j*H + Hbar)), block by
+    block of size ``block``, from ``spectrum(j)``, the (eigenvalues,
+    eigenvectors) of its generator stack.  Results go to preallocated
+    slots, so the output is identical for any worker count."""
+    n = s0.eta_grid.count
+    blocks_in = s0.state.amplitudes.reshape(-1, block, n)
+    blocks_out = np.empty_like(blocks_in)
+
+    def run_block(j: int) -> None:
+        lam, vec = spectrum(j)
+        coeff = vec.conj().transpose(0, 2, 1) @ blocks_in[:, :, j, None]
+        blocks_out[:, :, j] = (vec @ (np.exp(-1j * t * lam)[:, :, None] * coeff))[:, :, 0]
+
+    _map_modes(run_block, n, workers)
+    return SpectralState(s0.state.with_amplitudes(blocks_out.reshape(-1)), s0.eta_grid)
+
+
 def evolve_blocks(
     s0: SpectralState,
     pair: HermitianPair,
@@ -249,11 +281,11 @@ def evolve_blocks(
     Otherwise every mode is decomposed block by block: H and Hbar carry the
     same (B, b, b) stack shape (B = 1 for a matrix without block
     structure), and each mode takes one batched eigendecomposition of
-    mu_j*H.blocks + Hbar.blocks.  For transport, whose x axis is Fourier
-    transformed, that is one K^d x K^d block per spatial frequency.  Modes
-    are independent, so they may be processed by ``workers`` threads;
-    results are written into preallocated slots, making the output
-    identical for any worker count.
+    mu_j*H.blocks + Hbar.blocks, applied and discarded before the next.
+    For transport, whose x axis is Fourier transformed, that is one
+    K^d x K^d block per spatial frequency.  Modes are independent, so they
+    may be processed by ``workers`` threads; results are written into
+    preallocated slots, making the output identical for any worker count.
     """
     if t < 0:
         raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
@@ -272,25 +304,9 @@ def evolve_blocks(
         coeff = coeff * np.exp(-1j * t * np.outer(lam, mus))
         out = vec @ coeff
         return SpectralState(s0.state.with_amplitudes(out.reshape(-1)), s0.eta_grid)
-
-    h_blocks = pair.h.blocks
-    hbar_blocks = pair.h_bar.blocks
-    blocks_in = arr.reshape(-1, h_blocks.shape[-1], n)
-    blocks_out = np.empty_like(blocks_in)
-
-    def run_block(j: int) -> None:
-        lam, vec = np.linalg.eigh(mus[j] * h_blocks + hbar_blocks)
-        coeff = vec.conj().transpose(0, 2, 1) @ blocks_in[:, :, j, None]
-        blocks_out[:, :, j] = (vec @ (np.exp(-1j * t * lam)[:, :, None] * coeff))[:, :, 0]
-
-    nworkers = _resolve_workers(workers)
-    if nworkers == 1:
-        for j in range(n):
-            run_block(j)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(run_block, range(n)))
-    return SpectralState(s0.state.with_amplitudes(blocks_out.reshape(-1)), s0.eta_grid)
+    return _evolve_modes(
+        s0, pair.h.blocks.shape[-1], lambda j: _mode_spectrum(pair, mus[j]), t, workers
+    )
 
 
 def _positive_indices(p_grid: Grid1D) -> np.ndarray:
@@ -532,10 +548,31 @@ def evolve_lifted(
     register adds log2(N) qubits to the system's.  Other recovery routes
     (``recover_point``, ``project_positive``) read the returned lifted state.
     """
-    s0 = dft_p(warp_extend(u0, p_grid, truncation_tol=truncation_tol))
+    s0 = _lift(u0, p_grid, truncation_tol)
     s_t = evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t, workers=workers)
-    spectral_norms = (s0.state.norm, s_t.state.norm)
+    initial_norm = s0.state.norm
     del s0  # one lifted copy fewer while the inverse transform allocates
+    return _read_out(u0, s_t, initial_norm, pair, t, epsilon)
+
+
+def _lift(u0: StateVector, p_grid: Grid1D, truncation_tol: float) -> SpectralState:
+    """First half of ``evolve_lifted``: the lifted state's mode spectrum."""
+    return dft_p(warp_extend(u0, p_grid, truncation_tol=truncation_tol))
+
+
+def _read_out(
+    u0: StateVector,
+    s_t: SpectralState,
+    initial_norm: float,
+    pair: HermitianPair,
+    t: float,
+    epsilon: float,
+) -> tuple[WarpedState, RecoveryResult]:
+    """Second half of ``evolve_lifted``: inverse transform of the evolved
+    spectrum ``s_t``, recovery, the projection's two numbers and the cost;
+    ``initial_norm`` is the norm of the lifted spectrum at t = 0."""
+    p_grid = s_t.eta_grid
+    spectral_norms = (initial_norm, s_t.state.norm)
     w_t = idft_p(s_t)
     rec = recover_integrate(w_t, calibrate=True)
     projection = project_positive(w_t)

@@ -8,12 +8,18 @@ _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="session")
-def general_dense_config():
+def workloads():
+    """The benchmark's seeded workload generators (``perfbench/workloads.py``)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def general_dense_config(workloads):
     """The benchmark's ``general-dense`` config at seed 1: a 64x64 A = H + iHbar
     with real symmetric, non-commuting H and Hbar."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     return workloads.make_config("general-dense", 1)
 
 
@@ -21,3 +27,10 @@ def general_dense_config():
 def general_dense_matrix(general_dense_config):
     spec = general_dense_config["physics"]["matrix"]
     return np.asarray(spec["real"]) + 1j * np.asarray(spec["imag"])
+
+
+@pytest.fixture(scope="session")
+def transport_config(workloads):
+    """The benchmark's ``transport`` config at seed 1: J = K = 16, constant
+    scattering, t = 1."""
+    return workloads.make_config("transport", 1)

@@ -587,6 +587,24 @@ class TestRunTransport:
         assert pairs[0].h_bar.blocks.shape == (36, kd, kd)
         assert peak < 32 * 2**20
 
+    def test_two_dimensional_peak_memory_with_the_exact_reference(self):
+        # 2-D J = K = 8: 64 frequencies of 64 x 64 generators; the reference's
+        # exponentials, taken all at once, would double the run's 20 MiB peak.
+        # One mode worker: each further worker holds another mode's stacks.
+        kd = 64
+        grid = make_grid(1.0, 8)
+        model = TransportModel.create([grid] * 2, [grid] * 2, np.full((kd, kd), 1.0 / kd))
+        x1, x2, k1, _ = np.meshgrid(*[grid.points] * 4, indexing="ij")
+        w0 = 1.0 + 0.5 * np.cos(np.pi * x1) * np.cos(np.pi * x2) + 0.25 * np.cos(np.pi * k1)
+        tracemalloc.start()
+        try:
+            result = run_transport(model, w0, t=0.5, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.l2_relative_error < 1e-3
+        assert peak < 22 * 2**20
+
     def test_generator_decomposed_block_by_block(self, monkeypatch):
         # one (J, K, K) stack per auxiliary mode, never the (J*K)^2 generator
         j = k = 8
@@ -619,12 +637,16 @@ class TestStationaryTransport:
 
         calls = []
 
-        def counting_reference(*args, **kwargs):
-            calls.append(args)
-            return transport_reference(*args, **kwargs)
+        def counting(reference):
+            def wrapper(*args, **kwargs):
+                calls.append(reference.__name__)
+                return reference(*args, **kwargs)
 
-        monkeypatch.setattr(apps, "transport_reference", counting_reference)
-        monkeypatch.setattr(oracle, "transport_reference", counting_reference)
+            return wrapper
+
+        for module, name in ((apps, "transport_exact"), (oracle, "transport_exact"),
+                             (oracle, "transport_reference")):
+            monkeypatch.setattr(module, name, counting(getattr(oracle, name)))
         stationary, legs, converged = find_stationary_transport(
             model, w0, leg=1.0, tol=1e-6, max_legs=40
         )
@@ -651,3 +673,53 @@ class TestStationaryTransport:
             run_transport(model, np.zeros((4, 4)), t=0.5)
         with pytest.raises(DegenerateStateError):
             find_stationary_transport(model, np.zeros((4, 4)), leg=0.5)
+
+    def test_one_decomposition_per_mode_over_the_whole_search(self, monkeypatch):
+        # J = K = 16: 64 auxiliary modes, each a (16, 16, 16) stack decomposed once
+        model = constant_sigma_model()
+        xx, kk = np.meshgrid(model.x_grids[0].points, model.k_grids[0].points, indexing="ij")
+        w0 = 1.0 + 0.5 * np.cos(np.pi * xx) + 0.25 * np.cos(np.pi * kk)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        stationary, legs, converged = find_stationary_transport(model, w0, leg=0.5, tol=1e-3)
+        assert converged and legs > 1
+        assert shapes == [(16, 16, 16)] * 64
+        monkeypatch.undo()
+
+        expected = StateVector(w0.astype(complex).reshape(-1), apps._transport_layout(model))
+        for _ in range(legs):
+            expected = run_transport(model, expected, t=0.5).w_recovered
+        assert np.array_equal(stationary.amplitudes, expected.amplitudes)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"leg": 0.0},
+            {"leg": -0.5},
+            {"leg": math.nan},
+            {"leg": math.inf},
+            {"leg": "0.5"},
+            {"tol": 0.0},
+            {"tol": -1e-8},
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"max_legs": 0},
+            {"max_legs": -3},
+            {"max_legs": 2.5},
+            {"max_legs": True},
+        ],
+    )
+    def test_bad_leg_tol_or_max_legs_rejected_before_any_evolution(self, monkeypatch, kwargs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposed a mode before the arguments were checked")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        model = constant_sigma_model(j=4, k=4)
+        with pytest.raises(InvalidArgumentError):
+            find_stationary_transport(model, np.ones((4, 4)), **kwargs)

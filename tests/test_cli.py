@@ -259,6 +259,17 @@ class TestRun:
         )
         assert run(path) == 0
 
+    def test_transport_run_without_scipy_expm(self, tmp_path, monkeypatch, transport_config):
+        # the exact transport reference is NumPy's own Pade, not SciPy's expm
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.expm called during a run")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        path = write_config(
+            tmp_path, dict(transport_config, output={"directory": str(tmp_path / "tr")})
+        )
+        assert run(path) == 0
+
     def test_cost_run(self, tmp_path):
         path = write_config(
             tmp_path,

@@ -3,18 +3,26 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from schrodingerize import (
+    AxisSpec,
     InvalidArgumentError,
     ResourceLimitError,
     StabilityError,
+    StateVector,
     TransportModel,
     expm_apply,
     heat_analytic,
     make_grid,
+    transport_exact,
     transport_reference,
 )
+from schrodingerize import oracle
+from schrodingerize.cli import _eval_expression
+from schrodingerize.oracle import _expm_stack
 
 
 class TestExpmApply:
@@ -193,3 +201,113 @@ class TestTransportReference:
                 transport_reference(model, w0, 5.0, steps=2)
             except StabilityError:
                 pass
+
+
+def random_sigma(rng, kd, scale=1.0):
+    """Random symmetric nonnegative cross-section matrix over kd velocities."""
+    s = rng.uniform(0.0, scale / kd, (kd, kd))
+    return s + s.T
+
+
+def workload_instance(config):
+    """Model and initial density of a ``transport`` benchmark config."""
+    res, physics = config["resolution"], config["physics"]
+    kd = res["K"]
+    model = TransportModel.create(
+        [make_grid(1.0, res["J"])], [make_grid(1.0, kd)],
+        np.full((kd, kd), physics["sigma"]["value"] / kd),
+    )
+    xx, kk = np.meshgrid(model.x_grids[0].points, model.k_grids[0].points, indexing="ij")
+    return model, _eval_expression(physics["initial_condition"], {"x": xx, "k": kk}), physics["t"]
+
+
+def random_instance(seed, dimension, j, k):
+    rng = np.random.default_rng(seed)
+    grid_x, grid_k = make_grid(1.0, j), make_grid(1.0, k)
+    model = TransportModel.create(
+        [grid_x] * dimension, [grid_k] * dimension, random_sigma(rng, k**dimension, 2.0)
+    )
+    w0 = rng.uniform(0.5, 1.5, (j,) * dimension + (k,) * dimension)
+    return model, w0
+
+
+def relative(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestExpmStack:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=16),
+        st.floats(min_value=0.0, max_value=50.0),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_scipy_expm_per_block(self, nblocks, kd, advection, scattering, seed):
+        # transport generators sigma - diag(Sigma) - i diag(xi . k), |xi . k| <= advection
+        rng = np.random.default_rng(seed)
+        sigma = random_sigma(rng, kd, scattering)
+        gen = np.repeat((sigma - np.diag(sigma.sum(axis=0)))[None].astype(complex), nblocks, 0)
+        diag = np.arange(kd)
+        gen[:, diag, diag] -= 1j * rng.uniform(-advection, advection, (nblocks, kd))
+        got = _expm_stack(gen)
+        for block, exp in zip(gen, got):
+            assert relative(exp, scipy.linalg.expm(block)) < 1e-12
+
+    def test_zero_is_identity_to_rounding(self):
+        got = _expm_stack(np.zeros((3, 4, 4), dtype=complex))
+        assert np.abs(got - np.eye(4)).max() < 1e-15
+
+
+class TestTransportExact:
+    def test_workload_matches_converged_rk4(self, transport_config):
+        model, w0, t = workload_instance(transport_config)
+        exact = transport_exact(model, w0, t)
+        assert relative(exact, transport_reference(model, w0, t, steps=1000)) < 1e-9
+
+    @pytest.mark.parametrize("dimension, j, k", [(1, 16, 8), (1, 8, 16), (2, 4, 4)])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_random_scattering_matches_converged_rk4(self, seed, dimension, j, k):
+        model, w0 = random_instance(seed, dimension, j, k)
+        for t in (0.3, 1.0):
+            exact = transport_exact(model, w0, t)
+            assert relative(exact, transport_reference(model, w0, t, steps=1000)) < 1e-9
+
+    def test_free_streaming_translates_every_resolved_mode(self):
+        # sigma = 0: each velocity slice advects by k*t; RK4 manages 1e-7 here
+        j = k = 8
+        model = TransportModel.create(
+            [make_grid(1.0, j)], [make_grid(1.0, k)], np.zeros((k, k))
+        )
+        xx, kk = np.meshgrid(model.x_grids[0].points, model.k_grids[0].points, indexing="ij")
+        for mode in (1, 2, 3):
+            w0 = 1.0 + 0.5 * np.cos(mode * np.pi * xx) + 0.25 * np.sin(mode * np.pi * xx)
+            t = 0.3
+            got = transport_exact(model, w0, t)
+            shifted = xx - kk * t
+            expected = (
+                1.0 + 0.5 * np.cos(mode * np.pi * shifted) + 0.25 * np.sin(mode * np.pi * shifted)
+            )
+            assert np.abs(got - expected).max() < 1e-12
+
+    def test_time_zero_and_state_in_state_out(self):
+        model, w0 = random_instance(5, 1, 8, 8)
+        assert np.abs(transport_exact(model, w0, 0.0) - w0).max() < 1e-14
+        layout = (AxisSpec("x1", 8, model.x_grids[0]), AxisSpec("k1", 8, model.k_grids[0]))
+        state = StateVector(w0.astype(complex).reshape(-1), layout)
+        got = transport_exact(model, state, 0.4)
+        assert isinstance(got, StateVector) and got.layout == layout
+        assert np.array_equal(got.amplitudes, transport_exact(model, w0, 0.4).reshape(-1))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        model, w0 = random_instance(7, 1, 4, 4)
+        with pytest.raises(InvalidArgumentError):
+            transport_exact(model, w0, t)
+
+    def test_chunks_do_not_change_the_result(self, monkeypatch):
+        model, w0 = random_instance(6, 2, 4, 4)
+        whole = transport_exact(model, w0, 0.7)
+        monkeypatch.setattr(oracle, "_EXPM_CHUNK", 16 * 16 * 3)  # chunks of 3 frequencies
+        assert relative(transport_exact(model, w0, 0.7), whole) < 1e-14
