@@ -43,12 +43,14 @@ from .operators import (
 )
 from .oracle import expm_apply, heat_analytic, transport_exact
 from .pipeline import (
+    _check_array_bytes,
     _evolve_modes,
     _lift,
     _map_modes,
     _mode_spectrum,
     _p_grid_from,
     _read_out,
+    _relaxation_error,
     _warn_truncation,
     decay_factors,
     default_p_grid,
@@ -183,6 +185,8 @@ class GroundStateReport:
     cost: CostReport
     u_recovered: StateVector | None = None
     ground_state: np.ndarray | None = None
+    p_grid: Grid1D | None = None
+    predicted_error: float | None = None
 
 
 def prepare_ground_state(
@@ -200,9 +204,15 @@ def prepare_ground_state(
     its own factor (``decay_factors``, quadrature recovery), so the state is
     V diag(g) V^dag u0 in the eigenbasis of H, without a lifted array.
     ``p_grid`` is None, a Grid1D or an (L, N) pair whose None entries take
-    the values of ``default_p_grid`` for eps, t_final and the spectral width.
-    A matrix of dimension 1, or with a degenerate ground level, has no
-    spectral gap and raises UnsupportedProblemError.
+    the values of ``default_p_grid`` for eps, t_final and the spectral width:
+    L from the wrap bound, N from the fitted error model of the factor, so
+    N stays in the thousands where the former dp <= eps rule grew as 1/eps.
+    The report carries the grid used and ``predicted_error``, the
+    infidelity bound of that model on this grid for eps, t_final, the gap
+    and the spectral width.  A grid whose O(N) arrays would pass
+    ``pipeline.ARRAY_BYTES_LIMIT`` raises ResourceLimitError before any is
+    allocated.  A matrix of dimension 1, or with a degenerate ground level,
+    has no spectral gap and raises UnsupportedProblemError.
     """
     h_mat = h if isinstance(h, HermitianMatrix) else HermitianMatrix.from_entries(h)
     if h_mat.dimension < 2:
@@ -227,8 +237,10 @@ def prepare_ground_state(
     t_final = estimate_t_final(gap, alpha0_sq, epsilon)
 
     shifted = energies - energies[0]
-    default = default_p_grid(epsilon=epsilon, t=t_final, lambda_max=float(shifted[-1]))
+    width = float(shifted[-1])
+    default = default_p_grid(epsilon=epsilon, t=t_final, lambda_max=width)
     p_grid = _p_grid_from(p_grid, default.half_width, default.count)
+    _check_array_bytes(h_mat.dimension, p_grid.count, copies=0)
     _warn_truncation(p_grid, max(1e-4, epsilon))
     factors = decay_factors(shifted, p_grid, t_final, "integration")
     u_t = vectors @ (factors * (vectors.conj().T @ u0))
@@ -251,6 +263,8 @@ def prepare_ground_state(
         cost=cost,
         u_recovered=StateVector(u_rec, (AxisSpec("x1", u_rec.size),)),
         ground_state=ground,
+        p_grid=p_grid,
+        predicted_error=_relaxation_error(p_grid, epsilon, t_final, width, gap),
     )
 
 
@@ -287,7 +301,9 @@ def prepare_gibbs(
     Grid1D or an (L, N) pair whose None entries take the defaults N=2048
     and L = max(10, (beta/2)*(E_max - E_0) + 4), so the profile convected
     for time beta/2 by the widest shifted energy stays inside the
-    auxiliary domain.
+    auxiliary domain.  A grid whose O(N) arrays would pass
+    ``pipeline.ARRAY_BYTES_LIMIT`` raises ResourceLimitError before any is
+    allocated.
     """
     if not beta > 0:
         raise InvalidArgumentError(f"beta must be positive, got {beta}")
@@ -299,6 +315,7 @@ def prepare_gibbs(
 
     half_width = max(GIBBS_P_HALF_WIDTH, beta / 2.0 * float(energies[-1] - energies[0]) + 4.0)
     p_grid = _p_grid_from(p_grid, half_width, GIBBS_P_COUNT)
+    _check_array_bytes(dim, p_grid.count, copies=0)
     _warn_truncation(p_grid, epsilon)
     # projection recovery: only the direction of the purification matters
     # for rho, and the profile fit damps the periodic wrap of the lifted

@@ -314,6 +314,9 @@ def _run_ground_state(cfg: ExperimentConfig):
         "fidelity": report.fidelity,
         "gap": report.gap,
         "alpha0_sq": report.alpha0_sq,
+        "p_half_width": report.p_grid.half_width,
+        "p_count": report.p_grid.count,
+        "predicted_error": report.predicted_error,
         "cost": report.cost.as_dict(),
         "norms": {},
     }

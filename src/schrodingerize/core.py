@@ -167,6 +167,14 @@ class AxisSpec:
             raise InvalidArgumentError(f"axis {self.name!r}: count must be positive")
 
 
+def _checked_layout(size: int, layout) -> tuple[AxisSpec, ...]:
+    layout = tuple(layout)
+    expected = int(np.prod([ax.count for ax in layout], dtype=np.int64))
+    if size != expected:
+        raise InvalidArgumentError(f"amplitude length {size} != product of axis counts {expected}")
+    return layout
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Flat complex amplitude vector over an ordered list of axes.
@@ -180,14 +188,21 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        layout = tuple(self.layout)
-        expected = int(np.prod([ax.count for ax in layout], dtype=np.int64))
-        if amps.size != expected:
-            raise InvalidArgumentError(
-                f"amplitude length {amps.size} != product of axis counts {expected}"
-            )
+        layout = _checked_layout(amps.size, self.layout)
         object.__setattr__(self, "amplitudes", _readonly(amps))
         object.__setattr__(self, "layout", layout)
+
+    @classmethod
+    def _adopt(cls, amplitudes: np.ndarray, layout) -> "StateVector":
+        """A StateVector over ``amplitudes`` without the copy that
+        construction makes, for a fresh array that the caller hands over
+        and never writes again; the stored view is read-only."""
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amps)
+        object.__setattr__(state, "layout", _checked_layout(amps.size, layout))
+        return state
 
     @property
     def shape(self) -> tuple[int, ...]:

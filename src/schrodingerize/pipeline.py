@@ -45,6 +45,7 @@ from .core import (
     DegenerateStateError,
     Grid1D,
     InvalidArgumentError,
+    ResourceLimitError,
     StateVector,
 )
 from .costs import CostReport, schrodingerisation_cost
@@ -70,6 +71,24 @@ __all__ = [
 
 DEFAULT_P_HALF_WIDTH = 12.0
 DEFAULT_P_COUNT = 256
+
+# Bytes of arrays a run may hold, checked before it allocates any of them.
+ARRAY_BYTES_LIMIT = 1 << 31
+# Bytes per auxiliary mode of the O(N) arrays of a run: mode wavenumbers,
+# the closed-form weights of decay_factors and their temporaries (a Gibbs
+# run peaks at about 105).
+_MODE_BYTES = 128
+# dim x N complex copies evolve_lifted holds at once: two whole copies (the
+# lifted state and its mode spectrum, or the evolved spectrum and its
+# inverse transform) plus the p >= 0 blocks the recoveries read; 2.8 measured.
+_LIFTED_COPIES = 3
+
+# Fitted error model of the Hbar = 0 factor, quadrature recovery (see
+# default_p_grid): constant, order in dp, and the share of the half-width's
+# wrap error that the discretisation may add.
+_FACTOR_ERROR_CONSTANT = 0.05
+_FACTOR_ERROR_ORDER = 4
+_FACTOR_ERROR_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -121,25 +140,106 @@ class RecoveryResult:
     cost: CostReport | None = None
 
 
+def _discretisation_error(dp: float, shift: float, margin: float) -> float:
+    """Fitted bound C dp^4 (1/s^2 + 1/(L - s)^2) of the factor error that
+    the spacing dp adds at a shift s with L - s = ``margin``, each distance
+    floored at dp."""
+    return _FACTOR_ERROR_CONSTANT * dp**_FACTOR_ERROR_ORDER * (
+        max(shift, dp) ** -2 + max(margin, dp) ** -2
+    )
+
+
 def default_p_grid(epsilon: float | None = None, t: float = 0.0, lambda_max: float = 0.0) -> Grid1D:
-    """Auxiliary grid defaults.
+    """Auxiliary grid defaults; with a target, the grid of an Hbar = 0
+    relaxation to infidelity eps over time t of a spectrum in [0, lambda_max].
 
     Without a precision target this is the package default (L=12, N=256).
-    With a target eps the half-width covers truncation exp(-L) < eps plus
-    the convection distance t*lambda_max, and the spacing honours
-    dp <= min(0.05, eps); the kink of exp(-|p|) at p = 0 limits the
-    spectral accuracy in p to second order, so precision is bought with N
-    rather than with smoothing.
+
+    With a target eps the half-width is L = max(12, ln(1/eps) + t*lambda_max
+    + 2): the profile convected by t*lambda_max keeps a margin of
+    ln(1/eps) + 2 to the p boundary.  L sets the accuracy floor.  Lift,
+    evolution and calibrated quadrature scale an eigencomponent shifted by
+    s = t*lambda by the factor g(s) with g(0) = 1.  In the continuum, on
+    the periodic domain, g(s) - exp(-s) = 4 exp(-L) sinh(s/2)^2 /
+    (1 - exp(-L)) <= exp(-(L - s)), the wrap error, at most eps*exp(-2)
+    here.  On N points the spacing dp = 2L/N adds, at 0 < s < L,
+
+        |g_N(s) - g(s)| <= C dp^4 (1/s^2 + 1/(L - s)^2),  C = 0.05,
+
+    with s and L - s floored at dp: the kink of exp(-|p|), convected to
+    p = -s, sits a distance s from one end of the quadrature interval
+    [0, L] and L - s from the other.  Fitted against dp = 2 .. 0.05 at
+    L = 6 .. 160 for both parities of N/2 (fourth order; the largest
+    ratio to the bound was 0.049, at s = L/2 with N/2 odd).  Near s = 0
+    the error is second order instead, about 0.036 dp^2, but a relaxation
+    to eps runs t >= ln(1/eps)/gap, so every excited component has
+    s >= ln(1/eps).  N is the smallest even count whose spacing keeps the
+    model at s = ln(1/eps) and L - s = L - t*lambda_max within 0.1% of the
+    wrap error there, so the spacing leaves the accuracy to L.  N then
+    depends on eps, t and lambda_max only: 1,626 for eps = 1e-3,
+    t = 17.03, lambda_max = 4 (L = 77.0), where the former rule
+    dp <= min(0.05, eps) took 154,092, and 42,834 at eps = 1e-8 (L = 181)
+    instead of 3.6e10.  ``_relaxation_error`` turns the same model into
+    the run's predicted infidelity, eps exp(t*gap) A^2 with A the bound on
+    every excited factor: 5.6e-7 for the grid above at gap 0.5, where the
+    exact relaxation reaches 1.8e-8 to 3.3e-8.
     """
     if epsilon is None:
         return Grid1D(DEFAULT_P_HALF_WIDTH, DEFAULT_P_COUNT)
     if not 0.0 < epsilon < 1.0:
         raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
-    half_width = max(DEFAULT_P_HALF_WIDTH, math.log(1.0 / epsilon) + t * lambda_max + 2.0)
-    dp = min(0.05, epsilon)
-    count = int(math.ceil(2.0 * half_width / dp))
-    count += count % 2
-    return Grid1D(half_width, max(count, 2))
+    shift = math.log(1.0 / epsilon)
+    reach = t * lambda_max
+    half_width = max(DEFAULT_P_HALF_WIDTH, shift + reach + 2.0)
+    margin = half_width - reach
+    target = _FACTOR_ERROR_SHARE * math.exp(-margin)
+    # the first spacing meets the model with unfloored distances, the
+    # second with both floored at dp; either keeps the model within target
+    dp = max(
+        (target / (_FACTOR_ERROR_CONSTANT * (shift**-2 + margin**-2))) ** 0.25,
+        math.sqrt(target / (2.0 * _FACTOR_ERROR_CONSTANT)),
+    )
+    return Grid1D(half_width, 2 * max(1, math.ceil(half_width / dp)))
+
+
+def _relaxation_error(
+    p_grid: Grid1D, epsilon: float, t: float, lambda_max: float, gap: float
+) -> float:
+    """Predicted infidelity of an Hbar = 0 relaxation on ``p_grid``: the
+    ground component of a spectrum shifted to [0, lambda_max] with gap
+    ``gap``, relaxed for t = ln(1/(eps alpha0^2))/gap.
+
+    The excited components sit at shifts s in [t*gap, t*lambda_max], and
+    each factor g(s) is at most exp(-s) + exp(-(L - s)) plus the fitted
+    discretisation bound of ``default_p_grid``; so every |g(s)| is at most
+    A = exp(-t*gap) + exp(-(L - t*lambda_max)) + C dp^4 (1/(t*gap)^2 +
+    1/(L - t*lambda_max)^2).  The infidelity is then at most
+    A^2 (1 - alpha0^2)/alpha0^2 <= eps exp(t*gap) A^2, since
+    1/alpha0^2 = eps exp(t*gap).  Capped at 1, and 1 when the convected
+    profile reaches the p boundary.
+    """
+    reach = t * lambda_max
+    margin = p_grid.half_width - reach
+    if margin <= 0.0:
+        return 1.0
+    bound = (
+        math.exp(-t * gap)
+        + math.exp(-margin)
+        + _discretisation_error(p_grid.spacing, t * gap, margin)
+    )
+    return min(1.0, math.exp(math.log(epsilon) + t * gap + 2.0 * math.log(bound)))
+
+
+def _check_array_bytes(dim: int, count: int, copies: int) -> None:
+    """Refuse a run whose O(N) mode arrays and ``copies`` dim x N complex
+    lifted arrays would pass ARRAY_BYTES_LIMIT, before any is allocated."""
+    estimate = count * (_MODE_BYTES + copies * dim * 16)
+    if estimate > ARRAY_BYTES_LIMIT:
+        raise ResourceLimitError(
+            f"{count} auxiliary modes for a state of dimension {dim} need about "
+            f"{estimate / 2**20:.0f} MiB of arrays, over the "
+            f"{ARRAY_BYTES_LIMIT / 2**20:.0f} MiB cap"
+        )
 
 
 def _p_grid_from(
@@ -193,12 +293,36 @@ def warp_extend(u0: StateVector, p_grid: Grid1D, truncation_tol: float = 1e-4) -
     profile = np.exp(-np.abs(p_grid.points))
     amplitudes = np.multiply.outer(u0.amplitudes, profile)
     layout = u0.layout + (AxisSpec("p", p_grid.count, p_grid),)
-    return WarpedState(StateVector(amplitudes.reshape(-1), layout), p_grid)
+    return WarpedState(StateVector._adopt(amplitudes, layout), p_grid)
 
 
 def _phase(n: int) -> np.ndarray:
     # exp(+i*mu_k*p_0) for p_0 = -half_width: real alternating signs.
     return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+
+
+# np.fft takes out= from NumPy 2.0 on; before, the transform allocates its result
+_FFT_HAS_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+
+# entries per chunk of _swap_halves: bounds its temporaries at 1 MiB
+_SWAP_CHUNK = 1 << 16
+
+
+def _swap_halves(a: np.ndarray) -> None:
+    """fftshift of the trailing axis in place: for an even length it equals
+    ifftshift, the swap of the two halves.  Runs over chunks of rows, since
+    NumPy copies the source of an assignment between two views of one
+    buffer whole."""
+    n = a.shape[-1]
+    half = n // 2
+    rows = a.reshape(-1, n)
+    step = max(1, _SWAP_CHUNK // n)
+    for start in range(0, rows.shape[0], step):
+        chunk = rows[start : start + step]
+        low = chunk[:, :half].copy()
+        chunk[:, :half] = chunk[:, half:]
+        chunk[:, half:] = low
 
 
 def dft_p(w: WarpedState) -> SpectralState:
@@ -207,22 +331,32 @@ def dft_p(w: WarpedState) -> SpectralState:
     Bin j holds the coefficient of exp(-i*mu_j*p); a pure tone
     exp(-i*mu*p) therefore lands on the single mode +mu.
     """
-    arr = w.state.as_array()
     n = w.p_grid.count
-    spec = np.fft.ifft(arr, axis=-1, norm="ortho") * _phase(n)
-    spec = np.fft.fftshift(spec, axes=-1)
+    spec = np.fft.ifft(w.state.as_array(), axis=-1, norm="ortho")
+    spec *= _phase(n)
+    _swap_halves(spec)
     layout = w.state.layout[:-1] + (AxisSpec("eta", n, w.p_grid),)
-    return SpectralState(StateVector(spec.reshape(-1), layout), w.p_grid)
+    return SpectralState(StateVector._adopt(spec, layout), w.p_grid)
 
 
 def idft_p(s: SpectralState) -> WarpedState:
-    """Inverse of dft_p; the round trip is exact to unitary rounding."""
+    """Inverse of dft_p; the round trip is exact to unitary rounding.
+
+    Shift, phase and transform run in one buffer beside the input.
+    """
     arr = s.state.as_array()
     n = s.eta_grid.count
-    spec = np.fft.ifftshift(arr, axes=-1) * _phase(n)
-    phys = np.fft.fft(spec, axis=-1, norm="ortho")
+    half = n // 2
+    phys = np.empty_like(arr)
+    phys[..., :half] = arr[..., half:]
+    phys[..., half:] = arr[..., :half]
+    phys *= _phase(n)
+    if _FFT_HAS_OUT:
+        np.fft.fft(phys, axis=-1, norm="ortho", out=phys)
+    else:
+        phys = np.fft.fft(phys, axis=-1, norm="ortho")
     layout = s.state.layout[:-1] + (AxisSpec("p", n, s.eta_grid),)
-    return WarpedState(StateVector(phys.reshape(-1), layout), s.eta_grid)
+    return WarpedState(StateVector._adopt(phys, layout), s.eta_grid)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -264,7 +398,7 @@ def _evolve_modes(s0: SpectralState, block: int, spectrum, t: float, workers) ->
         blocks_out[:, :, j] = (vec @ (np.exp(-1j * t * lam)[:, :, None] * coeff))[:, :, 0]
 
     _map_modes(run_block, n, workers)
-    return SpectralState(s0.state.with_amplitudes(blocks_out.reshape(-1)), s0.eta_grid)
+    return SpectralState(StateVector._adopt(blocks_out, s0.state.layout), s0.eta_grid)
 
 
 def evolve_blocks(
@@ -303,7 +437,7 @@ def evolve_blocks(
         coeff = vec.conj().T @ arr
         coeff = coeff * np.exp(-1j * t * np.outer(lam, mus))
         out = vec @ coeff
-        return SpectralState(s0.state.with_amplitudes(out.reshape(-1)), s0.eta_grid)
+        return SpectralState(StateVector._adopt(out, s0.state.layout), s0.eta_grid)
     return _evolve_modes(
         s0, pair.h.blocks.shape[-1], lambda j: _mode_spectrum(pair, mus[j]), t, workers
     )
@@ -400,6 +534,16 @@ def _projection_numbers(
     return block_mass / w_norm**2, w_norm / (normalizer * u_norm)
 
 
+def _positive_readout(w: WarpedState) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of w: the least-squares fit of the profile exp(-p) to the
+    p >= 0 block, and the block's weighted squared norm."""
+    pos, weights, profile, denom = _projection_weights(w.p_grid)
+    block = w.state.as_array()[..., pos]
+    mass = np.abs(block)
+    mass *= mass
+    return block @ (weights * profile) / denom, mass @ weights
+
+
 def project_positive(w: WarpedState) -> RecoveryResult:
     """Project onto the p >= 0 block and collapse out the exp(-p) profile.
 
@@ -410,13 +554,11 @@ def project_positive(w: WarpedState) -> RecoveryResult:
     factor |w| / (sqrt(N/(2L)) |u|), which equals |u(0)| / |u(t)| because
     the lifted norm is conserved.
     """
-    arr = w.state.as_array()
-    pos, weights, profile, denom = _projection_weights(w.p_grid)
-    block = arr[..., pos]
-    block_mass = float(np.sum(weights * np.abs(block) ** 2))
-    u_est = (block * (weights * profile)).sum(axis=-1) / denom
+    u_est, block_mass = _positive_readout(w)
     u_norm = float(np.linalg.norm(u_est))
-    success, cost_factor = _projection_numbers(block_mass, u_norm, w.state.norm, w.p_grid)
+    success, cost_factor = _projection_numbers(
+        float(block_mass.sum()), u_norm, w.state.norm, w.p_grid
+    )
     layout = w.state.layout[:-1]
     return RecoveryResult(
         u=StateVector((u_est / u_norm).reshape(-1), layout),
@@ -547,7 +689,10 @@ def evolve_lifted(
     priced by the recovered amplification |u(0)|/|u(t)|; the auxiliary
     register adds log2(N) qubits to the system's.  Other recovery routes
     (``recover_point``, ``project_positive``) read the returned lifted state.
+    A grid whose lifted copies would pass ``ARRAY_BYTES_LIMIT`` raises
+    ResourceLimitError before any is allocated.
     """
+    _check_array_bytes(u0.amplitudes.size, p_grid.count, _LIFTED_COPIES)
     s0 = _lift(u0, p_grid, truncation_tol)
     s_t = evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t, workers=workers)
     initial_norm = s0.state.norm
@@ -609,21 +754,21 @@ def _lifted_rows(lam: np.ndarray, p_grid: Grid1D, t: float) -> _Rows:
     unit = StateVector(np.ones(1), (AxisSpec("lambda", 1),))
     profile = dft_p(warp_extend(unit, p_grid)).state.amplitudes
     # in place: when every eigenvalue of H is distinct the rows are as large
-    # as the lifted state, and idft_p adds its own copies
+    # as the lifted state, and idft_p adds a copy
     spec = np.multiply.outer(lam, assemble_eta_diagonal(p_grid).diagonal) * (-1j * t)
     np.exp(spec, out=spec)
     spec *= profile
     spectral_sq = (np.abs(spec) ** 2).sum(axis=-1)
     layout = (AxisSpec("lambda", lam.size), AxisSpec("eta", p_grid.count, p_grid))
-    s_t = SpectralState(StateVector(spec.reshape(-1), layout), p_grid)
+    s_t = SpectralState(StateVector._adopt(spec, layout), p_grid)
     del spec
     w_t = idft_p(s_t)
-    pos, weights, decay, denom = _projection_weights(p_grid)
-    block = w_t.state.as_array()[:, pos]
+    del s_t
+    fit, block_mass = _positive_readout(w_t)
     return _Rows(
         integration=recover_integrate(w_t, calibrate=True).u.amplitudes,
-        fit=block @ (weights * decay) / denom,
-        block_mass=np.abs(block) ** 2 @ weights,
+        fit=fit,
+        block_mass=block_mass,
         spectral_sq=spectral_sq,
         initial_sq=float(np.vdot(profile, profile).real),
     )
@@ -660,7 +805,9 @@ def evolve_eigenbasis(
 
     Warns when exp(-L) is not below 1e-4 (the default of ``warp_extend``),
     and when the part of u0 on eigencomponents with t*|lam| >= L, which
-    convect past the p boundary, has norm above ``epsilon`` * |u0|.
+    convect past the p boundary, has norm above ``epsilon`` * |u0|.  Rows
+    that would pass ``ARRAY_BYTES_LIMIT`` raise ResourceLimitError before
+    any is allocated.
     """
     if t < 0:
         raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
@@ -685,6 +832,7 @@ def evolve_eigenbasis(
         )
 
     values, inverse = np.unique(lam, return_inverse=True)
+    _check_array_bytes(values.size, p_grid.count, _LIFTED_COPIES)
     rows = _lifted_rows(values, p_grid, t)
     mass = np.bincount(inverse, weights=weight, minlength=values.size)
     w_norm = math.sqrt(float(mass @ rows.spectral_sq))

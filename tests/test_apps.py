@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -93,6 +94,23 @@ class TestRunHeat:
             u0, lambda x: 1.0 + np.cos(np.pi * x), grid, p_config=(12.0, 512), t=0.05
         )
         assert result.l2_relative_error < 1e-3
+
+    def test_potential_run_holds_about_two_row_copies(self):
+        # V != 0 at M = 512: 512 distinct eigenvalues, so each row array is
+        # 512 x 4096 complex (32 MiB); the inverse transform shifts, phases
+        # and transforms in one buffer beside its input (118 MiB before)
+        grid = make_grid(1.0, 512)
+        x = grid.points
+        u0 = 1 + np.cos(np.pi * x)
+        potential = 0.5 * (1 + np.sin(np.pi * x))
+        run_heat(u0, potential, grid, p_config=(12.0, 64), t=0.1)  # caches and imports
+        tracemalloc.start()
+        try:
+            run_heat(u0, potential, grid, p_config=(12.0, 4096), t=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * 2**20
 
     def test_two_dimensional_heat(self):
         gx, gy = make_grid(1.0, 16), make_grid(1.0, 16)
@@ -255,6 +273,19 @@ class TestEstimateTFinal:
             estimate_t_final(0.0, 0.5, 0.01)
 
 
+def benchmark_ground_state(dim):
+    """Spectrum {0} and 0.5 + linspace(0, 3.5, dim - 1) (gap 0.5, width 4)
+    under a seeded real eigenbasis q, and a start state of ground overlap
+    0.2: (H, u0, q, energies)."""
+    rng = np.random.default_rng(7)
+    energies = np.concatenate([[0.0], 0.5 + np.linspace(0.0, 3.5, dim - 1)])
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    h = (q * energies) @ q.T
+    rest = q[:, 1:] @ rng.standard_normal(dim - 1)
+    u0 = math.sqrt(0.2) * q[:, 0] + math.sqrt(0.8) * rest / np.linalg.norm(rest)
+    return h, u0, q, energies
+
+
 class TestPrepareGroundState:
     def test_two_level_reference(self):
         report = prepare_ground_state(
@@ -294,15 +325,11 @@ class TestPrepareGroundState:
             prepare_ground_state(np.eye(3), np.array([1.0, 0.0, 0.0]), 0.01)
 
     def test_benchmark_size_stays_small_and_decomposes_once(self, monkeypatch):
-        # dim 32 at eps = 1e-3: the default auxiliary grid has 154,092 modes,
-        # so one lifted copy of the state would be 32 x 154,092 complex (75 MiB)
+        # dim 32 at eps = 1e-3: the default auxiliary grid has 1,626 modes
+        # (154,092 under the former rule dp <= eps), and no lifted copy of
+        # the state is built either way
         dim = 32
-        rng = np.random.default_rng(7)
-        energies = np.concatenate([[0.0], 0.5 + np.linspace(0.0, 3.5, dim - 1)])
-        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-        h = (q * energies) @ q.T
-        rest = q[:, 1:] @ rng.standard_normal(dim - 1)
-        u0 = math.sqrt(0.2) * q[:, 0] + math.sqrt(0.8) * rest / np.linalg.norm(rest)
+        h, u0, _, _ = benchmark_ground_state(dim)
         shapes = []
         eigh = np.linalg.eigh
 
@@ -317,10 +344,56 @@ class TestPrepareGroundState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert default_p_grid(1e-3, report.t_final, 4.0).count == 154_092
+        assert report.p_grid.count == default_p_grid(1e-3, report.t_final, 4.0).count == 1626
         assert report.fidelity >= 1 - 1e-3
         assert shapes == [(dim, dim)]
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-8])
+    def test_default_grid_at_small_epsilon_is_fast_and_exact(self, epsilon):
+        # the former rule asked for 2.8e8 modes at 1e-6 (the process was
+        # killed) and 3.6e10 at 1e-8; 1 - fidelity sits at rounding there, so
+        # the infidelity is read as the excited weight of the recovered state
+        h, u0, q, energies = benchmark_ground_state(32)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            report = prepare_ground_state(h, u0, epsilon)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.1
+        excited = float((np.abs(q.T @ report.u_recovered.amplitudes)[1:] ** 2).sum())
+        relaxed = (q.T @ u0) * np.exp(-report.t_final * energies)
+        exact = float((relaxed[1:] ** 2).sum() / (relaxed**2).sum())
+        # the wrap error the half-width allows adds about 8% here
+        assert exact <= excited <= 1.2 * exact
+        assert excited <= report.predicted_error <= epsilon
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.floats(min_value=0.2, max_value=2.0),
+        st.floats(min_value=0.0, max_value=18.0),
+        st.floats(min_value=0.1, max_value=0.9),
+        st.sampled_from([1e-3, 1e-4, 1e-6, 1e-8]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_default_grid_meets_its_predicted_error(self, dim, gap, spread, overlap, epsilon, seed):
+        # random spectra {0, gap, ..} in [0, gap + spread] under a random complex
+        # eigenbasis, ground overlap |<v0, u0>|^2 = overlap: the infidelity,
+        # read as the excited weight of the recovered state, stays within
+        # the rule's prediction, which stays within eps; 1 - fidelity too,
+        # up to its rounding
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q = np.linalg.qr(g)[0]
+        energies = np.concatenate([[0.0, gap], np.sort(rng.uniform(gap, gap + spread, dim - 2))])
+        h = (q * energies) @ q.conj().T
+        rest = q[:, 1:] @ (rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1))
+        u0 = math.sqrt(overlap) * q[:, 0] + math.sqrt(1 - overlap) * rest / np.linalg.norm(rest)
+        report = prepare_ground_state(h, u0, epsilon)
+        excited = float((np.abs(q.conj().T @ report.u_recovered.amplitudes)[1:] ** 2).sum())
+        assert excited <= report.predicted_error <= epsilon
+        assert 1.0 - report.fidelity <= report.predicted_error + 8 * np.finfo(float).eps
 
 
 class TestPrepareGibbs:

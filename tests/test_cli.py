@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,41 @@ class TestRun:
         assert validate_summary(summary) == []
         assert not (tmp_path / "out" / "solution.csv").exists()
 
+    @pytest.mark.parametrize(
+        "experiment, physics",
+        [
+            ("ground_state", {"matrix": [[0.0, 0.3], [0.3, 1.0]], "epsilon": 0.01}),
+            ("gibbs", {"matrix": [[0.0, 0.3], [0.3, 1.0]]}),
+            ("general", {"matrix": [[1.0, 0.3], [0.3, 0.8]], "t": 0.5}),
+            ("heat", {"t": 0.1}),
+        ],
+    )
+    def test_oversize_grid_exits_3_before_allocating(self, tmp_path, experiment, physics):
+        # 2**34 auxiliary modes would need terabytes; the estimate refuses
+        # them before any O(N) array exists
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": experiment,
+                "resolution": {"N": 2**34},
+                "physics": physics,
+                "output": {"directory": str(tmp_path / "out")},
+            },
+        )
+        tracemalloc.start()
+        try:
+            code = run(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 2**20
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert "17179869184 auxiliary modes" in summary["error"]
+        assert "MiB cap" in summary["error"]
+        assert not (tmp_path / "out" / "solution.csv").exists()
+
     def test_gibbs_run(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -231,7 +267,12 @@ class TestRun:
         )
         assert run(path) == 0
         summary = json.loads((tmp_path / "gs" / "summary.json").read_text())
-        assert summary["results"]["fidelity"] >= 0.99
+        results = summary["results"]
+        assert results["fidelity"] >= 0.99
+        # the grid the rule chose and its predicted infidelity
+        assert results["p_half_width"] == pytest.approx(12.0)
+        assert isinstance(results["p_count"], int) and results["p_count"] % 2 == 0
+        assert 1.0 - results["fidelity"] <= results["predicted_error"] <= 0.01
 
     def test_one_level_ground_state_refused(self, tmp_path, capsys):
         path = write_config(

@@ -98,6 +98,16 @@ class TestStateVector:
         with pytest.raises(ValueError):
             sv.amplitudes[0] = 1.0
 
+    def test_adopted_array_is_shared_read_only_and_checked(self):
+        # the pipeline hands its fresh lifted arrays over instead of copying
+        arr = np.zeros((2, 4), dtype=complex)
+        sv = StateVector._adopt(arr, (AxisSpec("x1", 2), AxisSpec("x2", 4)))
+        assert np.shares_memory(sv.amplitudes, arr)
+        with pytest.raises(ValueError):
+            sv.amplitudes[0] = 1.0
+        with pytest.raises(InvalidArgumentError):
+            StateVector._adopt(np.zeros(5, dtype=complex), (AxisSpec("x1", 4),))
+
     def test_axis_grid_count_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             AxisSpec("p", 8, make_grid(1.0, 4))

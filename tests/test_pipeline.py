@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schrodingerize import (
@@ -32,8 +32,10 @@ from schrodingerize import (
     warp_extend,
 )
 from schrodingerize.operators import HermitianMatrix, HermitianPair
+from schrodingerize import pipeline
 from schrodingerize.pipeline import (
     SpectralState,
+    _discretisation_error,
     _lifted_rows,
     _mode_weights,
     decay_factors,
@@ -120,6 +122,23 @@ class TestAuxiliaryTransforms:
         idx = int(np.argmax(np.abs(spec)))
         assert d.diagonal[idx] == pytest.approx(mu_m, rel=1e-12)
         assert np.delete(np.abs(spec), idx).max() < 1e-12
+
+    @pytest.mark.parametrize("fft_has_out", [True, False])
+    def test_inverse_in_one_buffer_matches_numpy_shift_and_transform(self, monkeypatch, fft_has_out):
+        # both branches of idft_p (np.fft with out= from NumPy 2.0, and the
+        # allocating transform before it) give the unbuffered result bit for bit
+        if fft_has_out and not pipeline._FFT_HAS_OUT:
+            pytest.skip("np.fft has no out= before NumPy 2.0")
+        monkeypatch.setattr(pipeline, "_FFT_HAS_OUT", fft_has_out)
+        rng = np.random.default_rng(8)
+        grid = make_grid(6.0, 32)
+        layout = (AxisSpec("x1", 3), AxisSpec("eta", 32, grid))
+        arr = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
+        w = idft_p(SpectralState(StateVector(arr.reshape(-1), layout), grid))
+        spec = np.fft.ifftshift(arr, axes=-1) * np.where(np.arange(32) % 2 == 0, 1.0, -1.0)
+        expected = np.fft.fft(spec, axis=-1, norm="ortho")
+        assert np.array_equal(w.state.as_array(), expected)
+        assert not w.state.amplitudes.flags.writeable
 
     def test_roundtrip_and_norm(self):
         rng = np.random.default_rng(22)
@@ -571,25 +590,37 @@ class TestDecayFactors:
         st.floats(min_value=0.0, max_value=2.0),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
+    # failed the unscaled 1e-12 bound: t*lambda = 15.9 at L = 16, the fitted
+    # |u| about 1e-4, agreement 2.4e-12
+    @example(dim=1, n=84, half_width=16.0, t=2.0, seed=38064269)
     def test_matches_explicit_lift(self, dim, n, half_width, t, seed):
-        # V (g * V^dag u0) against schrodingerize_evolve on a PSD H (Hbar = 0)
+        # V (g * V^dag u0) against schrodingerize_evolve on a PSD H (Hbar = 0).
+        # While t*lambda_max stays 2 inside L the two routes agree to 1e-12.
+        # Closer to the boundary (or past it) the profile has convected out
+        # of p >= 0: the projection's fitted |u| falls towards 1e-4 |u0| and
+        # below, and normalising by it scales the rounding of the lifted run,
+        # about 1e-16 |u0| per entry, by |u0| / |u|.
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h = x @ x.conj().T / dim
         lam, vec = np.linalg.eigh(h)
         u0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         grid = Grid1D(half_width, n)
+        inside = t * lam[-1] <= half_width - 2.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyWarning)
             w_t, integration = schrodingerize_evolve(vector_state(u0), h, grid, t)
             factors = {r: decay_factors(lam, grid, t, r) for r in ("integration", "projection")}
         for recovery, rec in (("integration", integration), ("projection", project_positive(w_t))):
             u_t = vec @ (factors[recovery] * (vec.conj().T @ u0))
+            tol = 1e-12
             if recovery == "projection":
                 assert np.linalg.norm(u_t) == pytest.approx(rec.u_norm, rel=1e-12)
                 u_t = u_t / np.linalg.norm(u_t)
+                if not inside:
+                    tol = 1e-12 * max(1.0, np.linalg.norm(u0) / rec.u_norm)
             expected = rec.u.amplitudes
-            assert np.linalg.norm(u_t - expected) <= 1e-12 * np.linalg.norm(expected), recovery
+            assert np.linalg.norm(u_t - expected) <= tol * np.linalg.norm(expected), recovery
 
     def test_warns_when_convection_reaches_the_boundary(self):
         with pytest.warns(AccuracyWarning, match="convection"):
@@ -666,9 +697,50 @@ class TestDefaultPGrid:
         assert g.count == 256
 
     def test_precision_driven(self):
+        # N is the smallest even count whose spacing keeps the fitted
+        # discretisation error, at the smallest shift ln(1/eps) and at the
+        # margin L - t*lambda_max, within 0.1% of the wrap error exp(-margin)
         g = default_p_grid(epsilon=0.01, t=5.3, lambda_max=1.0)
         assert g.half_width >= 12.0
-        assert g.spacing <= 0.01
+        margin = g.half_width - 5.3
+        target = 1e-3 * math.exp(-margin)
+        assert _discretisation_error(g.spacing, math.log(100.0), margin) <= target
+        coarser = Grid1D(g.half_width, g.count - 2).spacing
+        assert _discretisation_error(coarser, math.log(100.0), margin) > target
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-6, 1e-8])
+    def test_count_does_not_grow_as_one_over_epsilon(self, epsilon):
+        # the former rule dp <= eps asked for 2L/eps modes: 3.6e10 at 1e-8
+        t = math.log(1.0 / (epsilon * 0.2)) / 0.5
+        g = default_p_grid(epsilon, t, 4.0)
+        assert g.half_width == pytest.approx(math.log(1.0 / epsilon) + 4.0 * t + 2.0)
+        assert g.count < 50_000
+
+    def test_error_model_bounds_the_factor_at_fourth_order(self):
+        # g_N(s) against its continuum g(s) = exp(-s) + 4 exp(-L) sinh(s/2)^2
+        # / (1 - exp(-L)) on the periodic domain, over 1 <= s <= L - 1, with
+        # the order fitted across halvings of dp as AC-2 fits its order, for
+        # both parities of N/2
+        half_width = 24.0
+        s = np.arange(1.0, half_width - 1.0, 0.01)
+        continuum = np.exp(-s) + 4.0 * math.exp(-half_width) * np.sinh(s / 2) ** 2 / (
+            -math.expm1(-half_width)
+        )
+        for counts in ((96, 192, 384), (98, 194, 386)):
+            errs = []
+            for n in counts:
+                grid = Grid1D(half_width, n)
+                g = decay_factors(s, grid, 1.0, "integration")
+                g = g / decay_factors([0.0], grid, 1.0, "integration")[0]
+                err = np.abs(g - continuum)
+                bound = np.array(
+                    [_discretisation_error(grid.spacing, x, half_width - x) for x in s]
+                )
+                assert np.all(err <= bound), (n, (err / bound).max())
+                errs.append(err.max())
+            order = math.log2(errs[0] / errs[2]) / 2.0
+            assert errs[0] > errs[1] > errs[2]
+            assert order >= 3.5, (counts, order)
 
     def test_bad_epsilon(self):
         with pytest.raises(InvalidArgumentError):
