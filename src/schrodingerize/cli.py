@@ -304,12 +304,12 @@ def _run_ground_state(cfg: ExperimentConfig):
     epsilon = _physics(cfg, "epsilon", 0.01)
     report = apps.prepare_ground_state(h, _u0(cfg, dim), epsilon, p_grid=_p_config(cfg))
     ground = report.ground_state
-    overlap = ground.conj() @ report.u_recovered.amplitudes
-    aligned = ground * np.exp(1j * np.angle(overlap))
-    err = 1.0 - report.fidelity
+    u_rec = report.u_recovered.amplitudes
+    overlap = ground.conj() @ u_rec
+    excited = u_rec - overlap * ground  # its weight is 1 - fidelity, never below 0
     coords = [("index", np.arange(dim))]
-    return coords, report.u_recovered.amplitudes, aligned, {
-        "l2_relative_error": err,
+    return coords, u_rec, ground * np.exp(1j * np.angle(overlap)), {
+        "l2_relative_error": float(np.vdot(excited, excited).real),
         "t_final": report.t_final,
         "fidelity": report.fidelity,
         "gap": report.gap,

@@ -75,8 +75,8 @@ DEFAULT_P_COUNT = 256
 # Bytes of arrays a run may hold, checked before it allocates any of them.
 ARRAY_BYTES_LIMIT = 1 << 31
 # Bytes per auxiliary mode of the O(N) arrays of a run: mode wavenumbers,
-# the closed-form weights of decay_factors and their temporaries (a Gibbs
-# run peaks at about 105).
+# the weights of decay_factors and the (2, N) transform that makes them (a
+# Gibbs run peaks at about 108, a ground state at 96).
 _MODE_BYTES = 128
 # dim x N complex copies evolve_lifted holds at once: two whole copies (the
 # lifted state and its mode spectrum, or the evolved spectrum and its
@@ -283,6 +283,11 @@ def _warn_convection(t: float, lam_max: float, p_grid: Grid1D) -> None:
         )
 
 
+def _profile(p_grid: Grid1D) -> np.ndarray:
+    """exp(-|p|) on ``p_grid``: the lifted profile, evaluated nowhere else."""
+    return np.exp(-np.abs(p_grid.points))
+
+
 def warp_extend(u0: StateVector, p_grid: Grid1D, truncation_tol: float = 1e-4) -> WarpedState:
     """Lift u0 into w(0, x, p) = exp(-|p|) u0(x) on the extended p grid.
 
@@ -290,8 +295,7 @@ def warp_extend(u0: StateVector, p_grid: Grid1D, truncation_tol: float = 1e-4) -
     periodic wrap then feeds visible mass back into the domain.
     """
     _warn_truncation(p_grid, truncation_tol)
-    profile = np.exp(-np.abs(p_grid.points))
-    amplitudes = np.multiply.outer(u0.amplitudes, profile)
+    amplitudes = np.multiply.outer(u0.amplitudes, _profile(p_grid))
     layout = u0.layout + (AxisSpec("p", p_grid.count, p_grid),)
     return WarpedState(StateVector._adopt(amplitudes, layout), p_grid)
 
@@ -325,17 +329,22 @@ def _swap_halves(a: np.ndarray) -> None:
         chunk[:, half:] = low
 
 
+def _to_modes(arr: np.ndarray) -> np.ndarray:
+    """The array core of ``dft_p``: ascending mode coefficients of each row."""
+    spec = np.fft.ifft(arr, axis=-1, norm="ortho")
+    spec *= _phase(arr.shape[-1])
+    _swap_halves(spec)
+    return spec
+
+
 def dft_p(w: WarpedState) -> SpectralState:
     """Unitary forward transform of the trailing p axis, modes ascending.
 
     Bin j holds the coefficient of exp(-i*mu_j*p); a pure tone
     exp(-i*mu*p) therefore lands on the single mode +mu.
     """
-    n = w.p_grid.count
-    spec = np.fft.ifft(w.state.as_array(), axis=-1, norm="ortho")
-    spec *= _phase(n)
-    _swap_halves(spec)
-    layout = w.state.layout[:-1] + (AxisSpec("eta", n, w.p_grid),)
+    spec = _to_modes(w.state.as_array())
+    layout = w.state.layout[:-1] + (AxisSpec("eta", w.p_grid.count, w.p_grid),)
     return SpectralState(StateVector._adopt(spec, layout), w.p_grid)
 
 
@@ -450,7 +459,7 @@ def _positive_indices(p_grid: Grid1D) -> np.ndarray:
 def _integration_calibration(grid: Grid1D) -> float:
     """The trapezoid rule of ``recover_integrate`` applied to exp(-|p|)."""
     pos = _positive_indices(grid)
-    profile = np.exp(-np.abs(grid.points))
+    profile = _profile(grid)
     return grid.spacing * (0.5 * profile[pos[0]] + 0.5 * profile[0] + profile[pos[1:]].sum())
 
 
@@ -460,7 +469,7 @@ def _projection_weights(grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarra
     pos = _positive_indices(grid)
     weights = np.ones(pos.size)
     weights[0] = 0.5
-    profile = np.exp(-grid.points[pos])
+    profile = _profile(grid)[pos]
     return pos, weights, profile, float(np.sum(weights * profile**2))
 
 
@@ -476,7 +485,6 @@ def recover_integrate(w: WarpedState, calibrate: bool = False) -> RecoveryResult
     """
     grid = w.p_grid
     arr = w.state.as_array()
-    n = grid.count
     pos = _positive_indices(grid)
     dp = grid.spacing
     acc = 0.5 * arr[..., pos[0]] + 0.5 * arr[..., 0]  # half weights at p=0 and p=L
@@ -493,7 +501,7 @@ def recover_point(
     p_star: float,
     convection_estimate: float | None = None,
 ) -> RecoveryResult:
-    """u(x) = exp(p*) w(x, p*) at a positive grid point p*.
+    """u(x) = w(x, p*) / exp(-p*) at a positive grid point p*.
 
     No interpolation: p* must lie on the grid.  The value at p* is only
     meaningful while the convected profile has not wrapped past it, i.e.
@@ -513,7 +521,7 @@ def recover_point(
             AccuracyWarning,
             stacklevel=2,
         )
-    u = math.exp(p_star) * w.state.as_array()[..., idx]
+    u = w.state.as_array()[..., idx] / _profile(grid)[idx]
     layout = w.state.layout[:-1]
     return RecoveryResult(
         u=StateVector(u.reshape(-1), layout), method="point", p_star=float(p_star)
@@ -570,43 +578,33 @@ def project_positive(w: WarpedState) -> RecoveryResult:
 
 
 def _mode_weights(p_grid: Grid1D, recovery: str) -> tuple[np.ndarray, np.ndarray]:
-    """Weights c_j = a_j b_j / cal of ``decay_factors`` over the ascending
-    modes, and the indices of the modes it sums.
+    """Weights c_j of ``decay_factors`` over the ascending modes, and the
+    indices of the modes it sums.
 
-    a_j is the mode-j coefficient of the lifted profile exp(-|p|) under
-    ``dft_p``, a Poisson kernel (two geometric sums); b_j is the recovery
-    pulled back through ``idft_p`` and cal its calibration.  The
-    "integration" rule covers whole periods of every even mode j != 0, so
-    those weights are exactly 0 and their indices are left out.
+    A recovery reads a real weight vector r off the p row, so through
+    ``idft_p`` it weights mode j by conj(dft_p(r)_j): c = a * conj(b) for
+    [a; b] = dft_p([profile; r]).  r is the calibrated trapezoid rule of
+    ``recover_integrate`` ("integration"), whose weights vanish to rounding
+    on every even mode j != 0 (whole periods) and are left out, or the
+    profile fit of ``project_positive`` ("projection").
     """
     n = p_grid.count
-    m = np.arange(-(n // 2), n // 2)  # mu_j = pi * m_j / half_width
-    odd = m % 2 == 1
+    stack = np.zeros((2, n))
+    stack[0] = _profile(p_grid)
     if recovery == "integration":
-        summed = np.flatnonzero(odd | (m == 0))
+        m = np.arange(n) - n // 2  # mu_j = pi * m_j / half_width
+        summed = np.flatnonzero((m % 2 == 1) | (m == 0))
+        node = p_grid.spacing / _integration_calibration(p_grid)
+        stack[1, n // 2 :] = node
+        stack[1, [0, n // 2]] = 0.5 * node  # half weights at p = L (read at -L) and p = 0
     elif recovery == "projection":
         summed = np.arange(n)
+        pos, weights, profile, denom = _projection_weights(p_grid)
+        stack[1, pos] = weights * profile / denom
     else:
         raise InvalidArgumentError(f"unknown recovery method {recovery!r}")
-    dp = p_grid.spacing
-    r = math.exp(-dp)
-    one_minus_r = -math.expm1(-dp)
-    half_theta = np.pi * m / n  # half the phase step mu_j * dp
-    sin_sq = np.sin(half_theta) ** 2
-    q = math.exp(-p_grid.half_width) * np.where(odd, -1.0, 1.0)  # r^(N/2) (-1)^m
-    a = (1.0 - q) * -math.expm1(-2.0 * dp) / (one_minus_r**2 + 4.0 * r * sin_sq)
-    if recovery == "integration":
-        # trapezoid over p = 0 .. half_width: L at m = 0, -i dp cot(pi m / N) at odd m
-        b = np.zeros(n, dtype=complex)
-        b[n // 2] = p_grid.half_width
-        b[odd] = -1j * dp * np.cos(half_theta[odd]) / np.sin(half_theta[odd])
-        cal = _integration_calibration(p_grid)
-    else:
-        # sum over p_k = k*dp >= 0 of (r exp(-i*mu_j*dp))^k, the k = 0 term halved
-        one_minus_z = (one_minus_r + 2.0 * r * sin_sq) + 1j * r * np.sin(2.0 * half_theta)
-        b = (1.0 - q) / one_minus_z - 0.5
-        cal = _projection_weights(p_grid)[3]
-    return summed, a * b / (n * cal)  # n: the two 1/sqrt(N) of the unitary transforms
+    a, b = _to_modes(stack)
+    return summed, a * b.conj()
 
 
 # eigenvalues times modes per chunk of decay_factors: bounds its
@@ -621,7 +619,8 @@ def decay_factors(lam, p_grid: Grid1D, t: float, recovery: str) -> np.ndarray:
     Every eigencomponent then relaxes on its own and each stage is linear,
     so ``evolve_lifted`` followed by the recovery equals
     V diag(g(lam)) V^dag u0 with g(lam) = sum_j c_j exp(-i t mu_j lam) over
-    the ascending modes mu_j of ``dft_p``, the weights c_j in closed form.
+    the ascending modes mu_j of ``dft_p``, the weights c_j those of the
+    profile and the recovery, transformed by the pipeline's own ``dft_p``.
     ``recovery`` is "integration", the calibrated trapezoid rule of
     ``recover_integrate`` (its weights vanish at every even mode j != 0,
     which is skipped), or "projection", the profile fit u_est of

@@ -32,7 +32,7 @@ from schrodingerize import (
     schrodingerize_evolve,
     transport_reference,
 )
-from schrodingerize import apps, oracle
+from schrodingerize import apps, oracle, pipeline
 from schrodingerize.operators import HermitianMatrix, HermitianPair
 from schrodingerize.pipeline import evolve_lifted
 
@@ -450,6 +450,31 @@ class TestPrepareGibbs:
     def test_invalid_beta(self):
         with pytest.raises(InvalidArgumentError):
             prepare_gibbs(np.diag([0.0, 1.0]), beta=0.0)
+
+
+class TestPreflightEstimate:
+    @pytest.mark.parametrize(
+        "prepare",
+        [
+            lambda h, count: prepare_ground_state(h, np.ones(4), 1e-3, p_grid=(None, count)),
+            lambda h, count: prepare_gibbs(h, 2.0, p_grid=(None, count)),
+        ],
+        ids=["ground_state", "gibbs"],
+    )
+    def test_mode_bytes_bound_the_peak(self, prepare):
+        # the pre-flight check charges _MODE_BYTES per auxiliary mode to the
+        # O(N) arrays of these runs; their measured peak must stay under it
+        # (96 B per mode for the ground state, 108 for Gibbs)
+        count = 1 << 18
+        h = np.diag([0.0, 0.5, 1.0, 2.0])
+        prepare(h, 64)  # caches and imports
+        tracemalloc.start()
+        try:
+            prepare(h, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= pipeline._MODE_BYTES * count + 2**20
 
 
 def vector_state(amps):

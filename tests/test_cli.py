@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schrodingerize import cli, oracle
 from schrodingerize.cli import load_config, main, run, sweep, validate_summary
@@ -273,6 +276,60 @@ class TestRun:
         assert results["p_half_width"] == pytest.approx(12.0)
         assert isinstance(results["p_count"], int) and results["p_count"] % 2 == 0
         assert 1.0 - results["fidelity"] <= results["predicted_error"] <= 0.01
+
+    def test_ground_state_error_is_the_excited_weight(self, tmp_path):
+        # 1 - fidelity of this run is -4.4e-16, rounding noise; the excited
+        # weight |u - <g, u> g|^2 of the same recovered state is 3.1e-16
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "ground_state",
+                "physics": {
+                    "matrix": [[0.62, -0.025, 0.25], [-0.025, 0.64, -0.005], [0.25, -0.005, 0.11]],
+                    "u0": [0.63, 0.86, 0.23],
+                    "epsilon": 1e-8,
+                },
+                "output": {"directory": str(tmp_path / "gs")},
+            },
+        )
+        assert run(path) == 0
+        results = json.loads((tmp_path / "gs" / "summary.json").read_text())["results"]
+        assert results["l2_relative_error"] >= 0.0
+        assert results["l2_relative_error"] == pytest.approx(
+            1.0 - results["fidelity"], abs=4 * 3 * np.finfo(float).eps
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.sampled_from([1e-3, 1e-6, 1e-8]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_ground_state_error_is_nonnegative_and_the_infidelity(self, dim, epsilon, seed):
+        # the excited weight and 1 - fidelity differ by the rounding of the
+        # norms of u and of the ground state, (|u|^2 - 1) + F (|g|^2 - 1):
+        # up to 9.3 eps at dim 5 in a 1,500-case scan, so 4 dim eps bounds it
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((dim, dim))
+        u0 = rng.uniform(0.1, 1.0, dim)
+        config = {
+            "experiment": "ground_state",
+            "physics": {"matrix": ((x + x.T) / 2).tolist(), "u0": u0.tolist(), "epsilon": epsilon},
+        }
+        with tempfile.TemporaryDirectory() as scratch:
+            config["output"] = {"directory": str(Path(scratch) / "gs")}
+            path = write_config(Path(scratch), config)
+            code = run(path)
+            summary = json.loads((Path(scratch) / "gs" / "summary.json").read_text())
+        if code == 3:  # degenerate ground level or no overlap: refused
+            assert summary["status"] == "error"
+            return
+        assert code == 0
+        results = summary["results"]
+        assert results["l2_relative_error"] >= 0.0
+        assert results["l2_relative_error"] == pytest.approx(
+            1.0 - results["fidelity"], abs=4 * dim * np.finfo(float).eps
+        )
 
     def test_one_level_ground_state_refused(self, tmp_path, capsys):
         path = write_config(
