@@ -262,10 +262,11 @@ def _p_grid_from(
 
 
 def _warn_truncation(p_grid: Grid1D, truncation_tol: float) -> None:
-    """Warn the caller's caller when exp(-half_width) is not below the tolerance."""
-    if math.exp(-p_grid.half_width) >= truncation_tol:
+    """Warn the caller's caller when the profile at p = -L is not below the tolerance."""
+    tail = float(_profile(p_grid)[0])
+    if tail >= truncation_tol:
         warnings.warn(
-            f"exp(-{p_grid.half_width:g}) = {math.exp(-p_grid.half_width):.2e} "
+            f"exp(-{p_grid.half_width:g}) = {tail:.2e} "
             f"exceeds the requested truncation tolerance {truncation_tol:g}",
             AccuracyWarning,
             stacklevel=3,
@@ -522,9 +523,8 @@ def recover_point(
             stacklevel=2,
         )
     u = w.state.as_array()[..., idx] / _profile(grid)[idx]
-    layout = w.state.layout[:-1]
     return RecoveryResult(
-        u=StateVector(u.reshape(-1), layout), method="point", p_star=float(p_star)
+        u=StateVector(u.reshape(-1), w.state.layout[:-1]), method="point", p_star=float(p_star)
     )
 
 

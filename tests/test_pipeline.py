@@ -668,7 +668,8 @@ class TestDecayFactors:
         # falls as the profile convects out of p >= 0, about exp(-t*lambda)
         # |u0| inside the window and further past it, and normalising by it
         # scales the rounding of the lifted run, about 1e-16 |u0| per entry,
-        # by |u0| / |u|; so its bound is 1e-12 max(1, |u0| / |u|).
+        # by |u0| / |u|; so its bound is max(1e-12, 1e-15 |u0| / |u|).  In
+        # 3,000 draws the largest ratio of agreement to bound was 0.15.
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h = x @ x.conj().T / dim
@@ -683,7 +684,7 @@ class TestDecayFactors:
             u_t = vec @ (factors[recovery] * (vec.conj().T @ u0))
             tol = 1e-12
             if recovery == "projection":
-                tol = 1e-12 * max(1.0, np.linalg.norm(u0) / rec.u_norm)
+                tol = max(1e-12, 1e-15 * np.linalg.norm(u0) / rec.u_norm)
                 assert np.linalg.norm(u_t) == pytest.approx(rec.u_norm, rel=tol)
                 u_t = u_t / np.linalg.norm(u_t)
             expected = rec.u.amplitudes
