@@ -41,12 +41,11 @@ from .operators import (
     assemble_eta_diagonal,
     assemble_schrodinger_hamiltonian,
 )
-from .oracle import expm_apply, heat_analytic, transport_exact
+from .oracle import _check_dense_dimension, expm_apply, heat_analytic, transport_exact
 from .pipeline import (
     _check_array_bytes,
     _evolve_modes,
     _lift,
-    _map_modes,
     _mode_spectrum,
     _p_grid_from,
     _read_out,
@@ -120,12 +119,12 @@ def run_heat(
     None entries take the defaults L=12, N=256.  Warns when the part of u0
     on eigencomponents that convect past L exceeds ``epsilon`` * |u0|.
     The reference is the exact Fourier solution when V = 0 and a dense
-    matrix exponential of the assembled Hamiltonian otherwise.  The norms
-    dictionary records the conserved lifted norm at both ends together with
-    the projection bookkeeping (success probability and amplification cost
-    factor); the cost is priced by |u(0)|/|u_recovered|.  ``workers`` is
-    accepted for a signature shared with the other runs; no eigencomponent
-    needs a decomposition of its own, so there is nothing to spread.
+    matrix exponential of the assembled Hamiltonian otherwise, so with V != 0
+    a grid past ``oracle.EXPM_DENSE_LIMIT`` points raises ResourceLimitError
+    before H is assembled.  The norms dictionary records the conserved
+    lifted norm at both ends together with the projection bookkeeping
+    (success probability and amplification cost factor); the cost is
+    priced by |u(0)|/|u_recovered|.  ``workers`` is accepted and ignored.
     """
     if isinstance(grids, Grid1D):
         grids = [grids]
@@ -138,6 +137,7 @@ def run_heat(
         lam, vectors = _laplacian_symbol(grids), None
         sparsity, max_norm = _laplacian_sparsity_and_max_norm(grids)
     else:
+        _check_dense_dimension(u0_state.amplitudes.size)
         h = assemble_schrodinger_hamiltonian(potential, grids)
         (lam, vectors), sparsity, max_norm = h.spectrum, h.sparsity, h.max_norm
     rec = evolve_eigenbasis(
@@ -479,7 +479,6 @@ def run_transport(
     p_config=None,
     t: float = 0.0,
     epsilon: float = 1e-3,
-    workers: int | None = None,
 ) -> TransportRunResult:
     """Transport pipeline over (x, k): spatial Fourier transform,
     ``evolve_lifted`` with its per-mode unitary evolution decomposed block by
@@ -506,7 +505,7 @@ def run_transport(
     _, rec = evolve_lifted(
         _to_frequencies(model, w0_state), model.hermitian_pair(),
         _transport_p_grid(model, p_config, t), t,
-        epsilon=epsilon, truncation_tol=_TRANSPORT_TRUNCATION_TOL, workers=workers,
+        epsilon=epsilon, truncation_tol=_TRANSPORT_TRUNCATION_TOL,
     )
     w_rec_state = _from_frequencies(model, rec.u)
     w_ref = transport_exact(model, w0_state.as_array(), t)
@@ -547,7 +546,6 @@ def find_stationary_transport(
     leg: float = 0.5,
     tol: float = 1e-8,
     max_legs: int = 200,
-    workers: int | None = None,
 ):
     """Long-time transport evolution until ||W(t+leg) - W(t)|| < tol.
 
@@ -573,11 +571,11 @@ def find_stationary_transport(
     pair = model.hermitian_pair()
     p_grid = _transport_p_grid(model, None, leg)
     mus = assemble_eta_diagonal(p_grid).diagonal
-    spectra = _map_modes(lambda j: _mode_spectrum(pair, mus[j]), mus.size, workers)
+    spectra = [_mode_spectrum(pair, mu) for mu in mus]
     for n in range(1, max_legs + 1):
         spec = _to_frequencies(model, current)
         s0 = _lift(spec, p_grid, _TRANSPORT_TRUNCATION_TOL)
-        s_t = _evolve_modes(s0, model.k_count, spectra.__getitem__, leg, workers)
+        s_t = _evolve_modes(s0, model.k_count, spectra, leg)
         initial_norm = s0.state.norm
         del s0
         nxt = _from_frequencies(model, _read_out(spec, s_t, initial_norm, pair, leg, 1e-3)[1].u)

@@ -7,11 +7,9 @@ it over one numeric parameter and aggregates ``sweep.csv``.
 
 Exit codes: 0 success, 2 config/validation failure, 3 numerical failure
 (reference disagreement beyond the configured tolerance, a solver error,
-or a resource cap such as the dense matrix-exponential limit).  The env
-var SCHRO_THREADS caps worker parallelism.  Floats in CSV output carry 17
-significant digits so values round-trip exactly, and the per-mode
-evolution writes into preallocated slots, so repeated runs of the same
-config produce byte-identical files for any thread count.
+or a resource cap such as the dense matrix-exponential limit).  Floats in
+CSV output carry 17 significant digits so values round-trip exactly, and
+repeated runs of one config write byte-identical files.
 """
 
 from __future__ import annotations

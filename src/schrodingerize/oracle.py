@@ -56,6 +56,14 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
+def _check_dense_dimension(n: int) -> None:
+    """Refuse a dense exponential of dimension n above EXPM_DENSE_LIMIT."""
+    if n > EXPM_DENSE_LIMIT:
+        raise ResourceLimitError(
+            f"dense matrix exponential capped at dimension {EXPM_DENSE_LIMIT}, got {n}"
+        )
+
+
 def expm_apply(a, u0, t: float) -> np.ndarray:
     """exp(-A*t) @ u0 by dense linear algebra.
 
@@ -67,10 +75,7 @@ def expm_apply(a, u0, t: float) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] > EXPM_DENSE_LIMIT:
-        raise ResourceLimitError(
-            f"dense matrix exponential capped at dimension {EXPM_DENSE_LIMIT}, got {a.shape[0]}"
-        )
+    _check_dense_dimension(a.shape[0])
     u0 = np.asarray(u0, dtype=complex).reshape(-1)
     if u0.size != a.shape[0]:
         raise InvalidArgumentError(f"vector length {u0.size} != dimension {a.shape[0]}")

@@ -31,9 +31,7 @@ row per distinct eigenvalue instead of the whole state.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -369,54 +367,25 @@ def idft_p(s: SpectralState) -> WarpedState:
     return WarpedState(StateVector._adopt(phys, layout), s.eta_grid)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("SCHRO_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def _map_modes(func, n: int, workers: int | None) -> list:
-    """[func(j) for j in range(n)], on ``workers`` threads when more than one."""
-    nworkers = _resolve_workers(workers)
-    if nworkers == 1:
-        return [func(j) for j in range(n)]
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(func, range(n)))
-
-
 def _mode_spectrum(pair: HermitianPair, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the (B, b, b) block stack mu*H + Hbar."""
     return np.linalg.eigh(mu * pair.h.blocks + pair.h_bar.blocks)
 
 
-def _evolve_modes(s0: SpectralState, block: int, spectrum, t: float, workers) -> SpectralState:
+def _evolve_modes(s0: SpectralState, block: int, spectra, t: float) -> SpectralState:
     """Evolve mode slice j of s0 by exp(-i*t*(mu_j*H + Hbar)), block by
-    block of size ``block``, from ``spectrum(j)``, the (eigenvalues,
-    eigenvectors) of its generator stack.  Results go to preallocated
-    slots, so the output is identical for any worker count."""
-    n = s0.eta_grid.count
-    blocks_in = s0.state.amplitudes.reshape(-1, block, n)
+    block of size ``block``, from the j-th entry of ``spectra``, the
+    (eigenvalues, eigenvectors) of its generator stack."""
+    blocks_in = s0.state.amplitudes.reshape(-1, block, s0.eta_grid.count)
     blocks_out = np.empty_like(blocks_in)
-
-    def run_block(j: int) -> None:
-        lam, vec = spectrum(j)
+    for j, (lam, vec) in enumerate(spectra):
         coeff = vec.conj().transpose(0, 2, 1) @ blocks_in[:, :, j, None]
         blocks_out[:, :, j] = (vec @ (np.exp(-1j * t * lam)[:, :, None] * coeff))[:, :, 0]
-
-    _map_modes(run_block, n, workers)
     return SpectralState(StateVector._adopt(blocks_out, s0.state.layout), s0.eta_grid)
 
 
 def evolve_blocks(
-    s0: SpectralState,
-    pair: HermitianPair,
-    d_matrix: EtaDiagonal,
-    t: float,
-    workers: int | None = None,
+    s0: SpectralState, pair: HermitianPair, d_matrix: EtaDiagonal, t: float
 ) -> SpectralState:
     """Evolve each mode slice by exp(-i*t*(mu_j*H + Hbar)), exact in time.
 
@@ -427,9 +396,7 @@ def evolve_blocks(
     structure), and each mode takes one batched eigendecomposition of
     mu_j*H.blocks + Hbar.blocks, applied and discarded before the next.
     For transport, whose x axis is Fourier transformed, that is one
-    K^d x K^d block per spatial frequency.  Modes are independent, so they
-    may be processed by ``workers`` threads; results are written into
-    preallocated slots, making the output identical for any worker count.
+    K^d x K^d block per spatial frequency.
     """
     if t < 0:
         raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
@@ -448,9 +415,7 @@ def evolve_blocks(
         coeff = coeff * np.exp(-1j * t * np.outer(lam, mus))
         out = vec @ coeff
         return SpectralState(StateVector._adopt(out, s0.state.layout), s0.eta_grid)
-    return _evolve_modes(
-        s0, pair.h.blocks.shape[-1], lambda j: _mode_spectrum(pair, mus[j]), t, workers
-    )
+    return _evolve_modes(s0, pair.h.blocks.shape[-1], (_mode_spectrum(pair, mu) for mu in mus), t)
 
 
 def _positive_indices(p_grid: Grid1D) -> np.ndarray:
@@ -675,7 +640,6 @@ def evolve_lifted(
     t: float,
     epsilon: float = 1e-3,
     truncation_tol: float = 1e-4,
-    workers: int | None = None,
 ) -> tuple[WarpedState, RecoveryResult]:
     """Lift u0, evolve every auxiliary mode to time t, recover, measure, price.
 
@@ -693,7 +657,7 @@ def evolve_lifted(
     """
     _check_array_bytes(u0.amplitudes.size, p_grid.count, _LIFTED_COPIES)
     s0 = _lift(u0, p_grid, truncation_tol)
-    s_t = evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t, workers=workers)
+    s_t = evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t)
     initial_norm = s0.state.norm
     del s0  # one lifted copy fewer while the inverse transform allocates
     return _read_out(u0, s_t, initial_norm, pair, t, epsilon)
@@ -869,7 +833,6 @@ def schrodingerize_evolve(
     p_grid: Grid1D | tuple | None,
     t: float,
     epsilon: float = 1e-3,
-    workers: int | None = None,
 ) -> tuple[WarpedState, RecoveryResult]:
     """End-to-end run for du/dt = -A u: decompose A = H + i*Hbar, then
     ``evolve_lifted``.
@@ -891,6 +854,4 @@ def schrodingerize_evolve(
     p_grid = _p_grid_from(p_grid)
     lam_max = float(np.abs(pair.h.spectrum[0]).max()) if pair.h.max_norm > 0 else 0.0
     _warn_convection(t, lam_max, p_grid)
-    return evolve_lifted(
-        u0, pair, p_grid, t, epsilon=epsilon, truncation_tol=max(1e-4, epsilon), workers=workers
-    )
+    return evolve_lifted(u0, pair, p_grid, t, epsilon=epsilon, truncation_tol=max(1e-4, epsilon))

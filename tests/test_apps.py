@@ -14,6 +14,7 @@ from schrodingerize import (
     DegenerateStateError,
     Grid1D,
     InvalidArgumentError,
+    ResourceLimitError,
     StateVector,
     TransportModel,
     UnsupportedProblemError,
@@ -111,6 +112,25 @@ class TestRunHeat:
         finally:
             tracemalloc.stop()
         assert peak < 72 * 2**20
+
+    def test_potential_past_the_dense_cap_is_refused_before_assembly(self, monkeypatch):
+        # the reference's dense exponential caps the dimension; with the cap
+        # at 512, n = 512 runs and n = 514 stops before H is assembled
+        monkeypatch.setattr(oracle, "EXPM_DENSE_LIMIT", 512)
+        potential = lambda x: 1.0 + x * x  # noqa: E731
+        grid = make_grid(1.0, 512)
+        result = run_heat(1 + np.cos(np.pi * grid.points), potential, grid, (12.0, 64), t=0.1)
+        assert result.l2_relative_error < 1e-2
+        grid = make_grid(1.0, 514)
+        u0 = 1 + np.cos(np.pi * grid.points)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="capped at dimension 512, got 514"):
+                run_heat(u0, potential, grid, (12.0, 64), t=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_two_dimensional_heat(self):
         gx, gy = make_grid(1.0, 16), make_grid(1.0, 16)
@@ -687,8 +707,7 @@ class TestRunTransport:
 
     def test_two_dimensional_peak_memory_with_the_exact_reference(self):
         # 2-D J = K = 8: 64 frequencies of 64 x 64 generators; the reference's
-        # exponentials, taken all at once, would double the run's 20 MiB peak.
-        # One mode worker: each further worker holds another mode's stacks.
+        # exponentials, taken all at once, would double the run's 20 MiB peak
         kd = 64
         grid = make_grid(1.0, 8)
         model = TransportModel.create([grid] * 2, [grid] * 2, np.full((kd, kd), 1.0 / kd))
@@ -696,7 +715,7 @@ class TestRunTransport:
         w0 = 1.0 + 0.5 * np.cos(np.pi * x1) * np.cos(np.pi * x2) + 0.25 * np.cos(np.pi * k1)
         tracemalloc.start()
         try:
-            result = run_transport(model, w0, t=0.5, workers=1)
+            result = run_transport(model, w0, t=0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schrodingerize import cli, oracle
+from schrodingerize import TransportModel, cli, find_stationary_transport, make_grid, oracle
 from schrodingerize.cli import load_config, main, run, sweep, validate_summary
 from schrodingerize.cli import ConfigError
 
@@ -156,6 +158,21 @@ class TestRun:
         assert "capped at dimension 8" in summary["error"]
         assert validate_summary(summary) == []
         assert not (tmp_path / "out" / "solution.csv").exists()
+
+    def test_heat_with_potential_past_the_dense_cap_exits_3_before_assembling(self, tmp_path):
+        # M = 4098 > EXPM_DENSE_LIMIT: the reference could never run, so the
+        # dense H, its eigh and the lifted run are skipped (12.8 s, 956 MiB)
+        path = heat_config(
+            tmp_path, resolution={"M": 4098, "N": 64, "L": 12.0},
+            physics={"t": 0.1, "potential": "1 + x*x"},
+        )
+        start = time.perf_counter()
+        assert run(path) == 3
+        assert time.perf_counter() - start < 2.0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert "capped at dimension 4096, got 4098" in summary["error"]
+        assert validate_summary(summary) == []
 
     @pytest.mark.parametrize(
         "experiment, physics",
@@ -475,40 +492,30 @@ class TestPricing:
 
 class TestDeterminism:
     @pytest.mark.parametrize(
-        "make_config, pools_expected",
-        [(heat_config, []), (general_config, [8]), (transport_config, [8])],
+        "make_config", [heat_config, general_config, transport_config],
         ids=["heat", "general", "transport"],
     )
-    def test_byte_identical_across_thread_counts(
-        self, tmp_path, monkeypatch, make_config, pools_expected
-    ):
-        # heat has Hbar = 0 and shares one eigenbasis, so no pool starts;
-        # general and transport must reach the pool with SCHRO_THREADS workers
-        from schrodingerize import pipeline
+    def test_byte_identical_on_repeat(self, tmp_path, make_config):
+        assert run(make_config(tmp_path, out="a")) == 0
+        assert run(make_config(tmp_path, out="b")) == 0
+        for name in ("solution.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-        pools = []
-        pool_class = pipeline.ThreadPoolExecutor
+    def test_package_starts_no_threads(self, tmp_path, monkeypatch):
+        # every auxiliary mode is evolved on the calling thread, whatever the
+        # environment says; BLAS's native threads are not Python threads
+        def no_thread(self):
+            raise AssertionError(f"thread {self.name} started")
 
-        def recording_pool(max_workers=None, **kwargs):
-            pools.append(max_workers)
-            return pool_class(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", recording_pool)
-        outputs = {}
-        for threads in ("1", "8"):
-            monkeypatch.setenv("SCHRO_THREADS", threads)
-            out = f"out{threads}"
-            assert run(make_config(tmp_path, out=out)) == 0
-            outputs[threads] = (tmp_path / out / "solution.csv").read_bytes()
-        assert outputs["1"] == outputs["8"]
-        assert pools == pools_expected
-
-    def test_byte_identical_on_repeat(self, tmp_path):
-        assert run(heat_config(tmp_path, out="a")) == 0
-        assert run(heat_config(tmp_path, out="b")) == 0
-        assert (tmp_path / "a" / "solution.csv").read_bytes() == (
-            tmp_path / "b" / "solution.csv"
-        ).read_bytes()
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setenv("SCHRO_THREADS", "8")
+        for make_config in (general_config, transport_config):
+            assert run(make_config(tmp_path, out=make_config.__name__)) == 0
+        grid = make_grid(1.0, 4)
+        model = TransportModel.create([grid], [grid], np.full((4, 4), 0.25))
+        w0 = 1.0 + 0.5 * np.cos(np.pi * grid.points)[None, :] * np.ones((4, 1))
+        _, legs, converged = find_stationary_transport(model, w0, leg=1.0, tol=1e-6)
+        assert converged and legs > 1
 
 
 def _python_eval(expr, names):

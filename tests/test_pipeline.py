@@ -214,8 +214,8 @@ class HeatFixture:
         self.w0 = warp_extend(self.u0, self.p_grid)
         self.s0 = dft_p(self.w0)
 
-    def evolved(self, t=None, workers=None):
-        return evolve_blocks(self.s0, self.pair, self.d, self.t if t is None else t, workers)
+    def evolved(self, t=None):
+        return evolve_blocks(self.s0, self.pair, self.d, self.t if t is None else t)
 
 
 class TestEvolveBlocks:
@@ -267,24 +267,6 @@ class TestEvolveBlocks:
         for t in (0.05, 0.3, 2.0):
             s = fix.evolved(t=t)
             assert s.state.norm == pytest.approx(fix.s0.state.norm, rel=1e-10)
-
-    def test_worker_count_does_not_change_bits(self):
-        rng = np.random.default_rng(24)
-        dim, n = 3, 16
-        a = random_dissipative(rng, dim)
-        pair = hermitian_decompose(a, check_psd=False)
-        p_grid = make_grid(6.0, n)
-        d = assemble_eta_diagonal(p_grid)
-        amps = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
-        s0 = dft_p(
-            WarpedState(
-                StateVector(amps.reshape(-1), (AxisSpec("x1", dim), AxisSpec("p", n, p_grid))),
-                p_grid,
-            )
-        )
-        serial = evolve_blocks(s0, pair, d, 0.9, workers=1)
-        threaded = evolve_blocks(s0, pair, d, 0.9, workers=8)
-        assert np.array_equal(serial.state.amplitudes, threaded.state.amplitudes)
 
     def test_negative_time_rejected(self):
         fix = HeatFixture()
