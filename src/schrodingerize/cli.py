@@ -467,7 +467,7 @@ def _execute(cfg: ExperimentConfig, out_dir: Path) -> tuple[int, dict]:
         "experiment": cfg.experiment,
         "config": {
             "resolution": cfg.resolution,
-            "physics": _jsonable(cfg.physics),
+            "physics": cfg.physics,
             "tolerance": cfg.tolerance,
         },
         "results": _jsonable(results),

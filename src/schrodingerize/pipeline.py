@@ -19,13 +19,15 @@ exp(-i*(H (x) D + Hbar (x) 1)*t) with D the ascending mode diagonal.  (With
 the opposite kernel the generator would be -mu_j*H + Hbar; only the mode
 labelling differs.)
 
-Three recovery routes are provided: trapezoid quadrature over p >= 0, point
-evaluation exp(p*) w(., p*), and projection onto the p >= 0 block with its
-measurement probability and amplification cost factor.  ``evolve_lifted`` is
-the one run of the whole path: it recovers by quadrature, attaches the
-projection's two numbers and prices the run.  ``evolve_eigenbasis`` gives
-the same result when Hbar = 0 from the spectrum of H, lifting one auxiliary
-row per distinct eigenvalue instead of the whole state.
+Three recovery routes are provided: calibrated trapezoid quadrature over
+p >= 0, point evaluation exp(p*) w(., p*), and projection onto the p >= 0
+block with its measurement probability and amplification cost factor; the
+first and last read a real weight vector off the p row (``_recovery_weights``).
+``evolve_lifted`` is the one run of the whole path: it recovers by
+quadrature, attaches the projection's two numbers and prices the run.
+``evolve_eigenbasis`` gives the same result when Hbar = 0 from the spectrum
+of H, one auxiliary row per distinct eigenvalue instead of the whole state,
+its modes turned by exp(-i t lam mu_j) (``_mode_phases``).
 """
 
 from __future__ import annotations
@@ -372,6 +374,17 @@ def _mode_spectrum(pair: HermitianPair, mu: float) -> tuple[np.ndarray, np.ndarr
     return np.linalg.eigh(mu * pair.h.blocks + pair.h_bar.blocks)
 
 
+def _mode_phases(lam: np.ndarray, mus: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t lam mu_j), the turn of auxiliary mode mu_j of the eigencomponent
+    lam when Hbar = 0, built and exponentiated in one complex buffer."""
+    phases = np.zeros(lam.shape + mus.shape, dtype=complex)
+    np.multiply.outer(lam, mus, out=phases.real)
+    # bit for bit -1j*t*outer; scaling a .imag view instead gives the same
+    # bits, but after a zgemm the exp then ran 10-20x slower on AVX-512
+    phases *= -1j * t
+    return np.exp(phases, out=phases)
+
+
 def _evolve_modes(s0: SpectralState, block: int, spectra, t: float) -> SpectralState:
     """Evolve mode slice j of s0 by exp(-i*t*(mu_j*H + Hbar)), block by
     block of size ``block``, from the j-th entry of ``spectra``, the
@@ -412,52 +425,41 @@ def evolve_blocks(
     if pair.h_bar.max_norm == 0.0:
         lam, vec = pair.h.spectrum
         coeff = vec.conj().T @ arr
-        coeff = coeff * np.exp(-1j * t * np.outer(lam, mus))
-        out = vec @ coeff
-        return SpectralState(StateVector._adopt(out, s0.state.layout), s0.eta_grid)
+        coeff *= _mode_phases(lam, mus, t)
+        return SpectralState(StateVector._adopt(vec @ coeff, s0.state.layout), s0.eta_grid)
     return _evolve_modes(s0, pair.h.blocks.shape[-1], (_mode_spectrum(pair, mu) for mu in mus), t)
 
 
-def _positive_indices(p_grid: Grid1D) -> np.ndarray:
-    return np.arange(p_grid.count // 2, p_grid.count)
+def _recovery_weights(p_grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The recoveries as real weight vectors over the p row: the calibrated
+    trapezoid rule of ``recover_integrate``, the profile fit of
+    ``project_positive`` and the p >= 0 block it fits, p = 0 counted half.
+    The quadrature adds the half-weighted endpoint p = L, read at its image
+    p = -L, and is divided by its own value on the profile (dp cancels)."""
+    half = p_grid.count // 2
+    profile = _profile(p_grid)
+    block = np.zeros(p_grid.count)
+    block[half:] = 1.0
+    block[half] = 0.5
+    quadrature = block.copy()
+    quadrature[0] = 0.5
+    quadrature /= quadrature @ profile
+    fit = block * profile
+    fit /= fit @ profile
+    return quadrature, fit, block
 
 
-def _integration_calibration(grid: Grid1D) -> float:
-    """The trapezoid rule of ``recover_integrate`` applied to exp(-|p|)."""
-    pos = _positive_indices(grid)
-    profile = _profile(grid)
-    return grid.spacing * (0.5 * profile[pos[0]] + 0.5 * profile[0] + profile[pos[1:]].sum())
-
-
-def _projection_weights(grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Indices of the p >= 0 block, their weights (p = 0 counted half), the
-    profile exp(-p) there and its weighted squared norm."""
-    pos = _positive_indices(grid)
-    weights = np.ones(pos.size)
-    weights[0] = 0.5
-    profile = _profile(grid)[pos]
-    return pos, weights, profile, float(np.sum(weights * profile**2))
-
-
-def recover_integrate(w: WarpedState, calibrate: bool = False) -> RecoveryResult:
-    """u(x) = integral of w(x, p) over p >= 0 by the trapezoid rule.
+def recover_integrate(w: WarpedState) -> RecoveryResult:
+    """u(x) = integral of w(x, p) over p >= 0 by the calibrated trapezoid rule.
 
     Nodes run from p = 0 to p = half_width, the endpoint taken from the
-    periodic image p = -half_width, with half weights at both ends.  With
-    ``calibrate`` the result is divided by the same quadrature applied to
-    the initial profile exp(-|p|) (exactly 1 in the continuum), which
-    removes the O(dp^2) quadrature bias shared by all modes and makes the
-    t = 0 round trip exact.
+    periodic image p = -half_width, with half weights at both ends.  The
+    result is divided by the same quadrature applied to the initial profile
+    exp(-|p|) (exactly 1 in the continuum), which removes the O(dp^2)
+    quadrature bias shared by all modes and makes the t = 0 round trip
+    exact.
     """
-    grid = w.p_grid
-    arr = w.state.as_array()
-    pos = _positive_indices(grid)
-    dp = grid.spacing
-    acc = 0.5 * arr[..., pos[0]] + 0.5 * arr[..., 0]  # half weights at p=0 and p=L
-    acc = acc + arr[..., pos[1:]].sum(axis=-1)
-    u = dp * acc
-    if calibrate:
-        u = u / _integration_calibration(grid)
+    u = w.state.as_array() @ _recovery_weights(w.p_grid)[0]
     layout = w.state.layout[:-1]
     return RecoveryResult(u=StateVector(u.reshape(-1), layout), method="integration")
 
@@ -510,11 +512,12 @@ def _projection_numbers(
 def _positive_readout(w: WarpedState) -> tuple[np.ndarray, np.ndarray]:
     """Per row of w: the least-squares fit of the profile exp(-p) to the
     p >= 0 block, and the block's weighted squared norm."""
-    pos, weights, profile, denom = _projection_weights(w.p_grid)
-    block = w.state.as_array()[..., pos]
+    half = w.p_grid.count // 2
+    _, fit, weights = _recovery_weights(w.p_grid)
+    block = w.state.as_array()[..., half:]
     mass = np.abs(block)
     mass *= mass
-    return block @ (weights * profile) / denom, mass @ weights
+    return block @ fit[half:], mass @ weights[half:]
 
 
 def project_positive(w: WarpedState) -> RecoveryResult:
@@ -546,29 +549,25 @@ def _mode_weights(p_grid: Grid1D, recovery: str) -> tuple[np.ndarray, np.ndarray
     """Weights c_j of ``decay_factors`` over the ascending modes, and the
     indices of the modes it sums.
 
-    A recovery reads a real weight vector r off the p row, so through
-    ``idft_p`` it weights mode j by conj(dft_p(r)_j): c = a * conj(b) for
-    [a; b] = dft_p([profile; r]).  r is the calibrated trapezoid rule of
-    ``recover_integrate`` ("integration"), whose weights vanish to rounding
-    on every even mode j != 0 (whole periods) and are left out, or the
-    profile fit of ``project_positive`` ("projection").
+    A recovery reads a real weight vector r of ``_recovery_weights`` off
+    the p row, so through ``idft_p`` it weights mode j by conj(dft_p(r)_j):
+    c = a * conj(b) for [a; b] = dft_p([profile; r]).  r is the calibrated
+    trapezoid rule of ``recover_integrate`` ("integration"), whose weights
+    vanish to rounding on every even mode j != 0 (whole periods) and are
+    left out, or the profile fit of ``project_positive`` ("projection").
     """
     n = p_grid.count
-    stack = np.zeros((2, n))
-    stack[0] = _profile(p_grid)
+    quadrature, fit, _ = _recovery_weights(p_grid)
     if recovery == "integration":
         m = np.arange(n) - n // 2  # mu_j = pi * m_j / half_width
         summed = np.flatnonzero((m % 2 == 1) | (m == 0))
-        node = p_grid.spacing / _integration_calibration(p_grid)
-        stack[1, n // 2 :] = node
-        stack[1, [0, n // 2]] = 0.5 * node  # half weights at p = L (read at -L) and p = 0
+        r = quadrature
     elif recovery == "projection":
         summed = np.arange(n)
-        pos, weights, profile, denom = _projection_weights(p_grid)
-        stack[1, pos] = weights * profile / denom
+        r = fit
     else:
         raise InvalidArgumentError(f"unknown recovery method {recovery!r}")
-    a, b = _to_modes(stack)
+    a, b = _to_modes(np.stack([_profile(p_grid), r]))
     return summed, a * b.conj()
 
 
@@ -586,13 +585,12 @@ def decay_factors(lam, p_grid: Grid1D, t: float, recovery: str) -> np.ndarray:
     V diag(g(lam)) V^dag u0 with g(lam) = sum_j c_j exp(-i t mu_j lam) over
     the ascending modes mu_j of ``dft_p``, the weights c_j those of the
     profile and the recovery, transformed by the pipeline's own ``dft_p``.
-    ``recovery`` is "integration", the calibrated trapezoid rule of
-    ``recover_integrate`` (its weights vanish at every even mode j != 0,
-    which is skipped), or "projection", the profile fit u_est of
-    ``project_positive``, whose direction is that route's result.  The sum
-    over modes runs in chunks, so memory is O(N + len(lam) * chunk) and no
-    len(lam) x N array is built.  Warns like ``schrodingerize_evolve`` when
-    t * max|lam| reaches the p boundary.
+    ``recovery`` is "integration" (``recover_integrate``, whose weights
+    vanish at every even mode j != 0, skipped) or "projection" (the profile
+    fit of ``project_positive``, whose direction is that route's result).
+    The sum over modes runs in chunks, so memory is O(N + len(lam) * chunk)
+    and no len(lam) x N array is built.  Warns like ``schrodingerize_evolve``
+    when t * max|lam| reaches the p boundary.
     """
     if t < 0:
         raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
@@ -606,7 +604,7 @@ def decay_factors(lam, p_grid: Grid1D, t: float, recovery: str) -> np.ndarray:
     step = max(1, _FACTOR_CHUNK // max(lam.size, 1))
     for start in range(0, summed.size, step):
         chunk = slice(start, start + step)
-        out += np.exp(-1j * t * np.multiply.outer(lam, mus[chunk])) @ weights[chunk]
+        out += _mode_phases(lam, mus[chunk], t) @ weights[chunk]
     return out
 
 
@@ -682,8 +680,11 @@ def _read_out(
     p_grid = s_t.eta_grid
     spectral_norms = (initial_norm, s_t.state.norm)
     w_t = idft_p(s_t)
-    rec = recover_integrate(w_t, calibrate=True)
-    projection = project_positive(w_t)
+    rec = recover_integrate(w_t)
+    fit, block_mass = _positive_readout(w_t)
+    success, cost_factor = _projection_numbers(
+        float(block_mass.sum()), float(np.linalg.norm(fit)), w_t.state.norm, p_grid
+    )
     cost = _price(
         u0.norm, rec.u.norm, t, epsilon,
         sparsity=max(pair.h.sparsity, pair.h_bar.sparsity),
@@ -693,8 +694,8 @@ def _read_out(
     )
     return w_t, replace(
         rec,
-        success_probability=projection.success_probability,
-        cost_factor=projection.cost_factor,
+        success_probability=success,
+        cost_factor=cost_factor,
         spectral_norms=spectral_norms,
         cost=cost,
     )
@@ -718,8 +719,7 @@ def _lifted_rows(lam: np.ndarray, p_grid: Grid1D, t: float) -> _Rows:
     profile = dft_p(warp_extend(unit, p_grid)).state.amplitudes
     # in place: when every eigenvalue of H is distinct the rows are as large
     # as the lifted state, and idft_p adds a copy
-    spec = np.multiply.outer(lam, assemble_eta_diagonal(p_grid).diagonal) * (-1j * t)
-    np.exp(spec, out=spec)
+    spec = _mode_phases(lam, assemble_eta_diagonal(p_grid).diagonal, t)
     spec *= profile
     spectral_sq = (np.abs(spec) ** 2).sum(axis=-1)
     layout = (AxisSpec("lambda", lam.size), AxisSpec("eta", p_grid.count, p_grid))
@@ -729,7 +729,7 @@ def _lifted_rows(lam: np.ndarray, p_grid: Grid1D, t: float) -> _Rows:
     del s_t
     fit, block_mass = _positive_readout(w_t)
     return _Rows(
-        integration=recover_integrate(w_t, calibrate=True).u.amplitudes,
+        integration=recover_integrate(w_t).u.amplitudes,
         fit=fit,
         block_mass=block_mass,
         spectral_sq=spectral_sq,

@@ -138,6 +138,18 @@ class TestRun:
         )
         assert run(path) == 2
 
+    def test_physics_echoed_as_loaded(self, tmp_path):
+        # the summary echoes the physics section as json.loads returned it;
+        # a key that no runner reads keeps a non-finite value with its sign
+        path = general_config(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["physics"]["note"] = [-INF, INF]
+        path.write_text(json.dumps(payload))
+        assert run(path) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["config"]["physics"] == load_config(path).physics
+        assert summary["config"]["physics"]["note"] == [-INF, INF]
+
     def test_exit_code_3_on_tolerance(self, tmp_path):
         path = heat_config(tmp_path, tolerance={"l2_relative_error": 1e-12})
         assert run(path) == 3
