@@ -16,7 +16,6 @@ from .core import (
     InvalidArgumentError,
     ModeVector,
     ResourceLimitError,
-    StabilityError,
     StateVector,
     UnsupportedProblemError,
     fourier_modes,
@@ -46,7 +45,7 @@ from .pipeline import (
     schrodingerize_evolve,
     warp_extend,
 )
-from .oracle import expm_apply, heat_analytic, transport_exact, transport_reference
+from .oracle import expm_apply, heat_analytic, transport_exact
 from .costs import (
     CostReport,
     gibbs_cost,

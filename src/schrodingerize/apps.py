@@ -29,6 +29,7 @@ from .core import (
     AxisSpec,
     Grid1D,
     InvalidArgumentError,
+    ResourceLimitError,
     StateVector,
     UnsupportedProblemError,
 )
@@ -43,6 +44,7 @@ from .operators import (
 )
 from .oracle import _check_dense_dimension, expm_apply, heat_analytic, transport_exact
 from .pipeline import (
+    ARRAY_BYTES_LIMIT,
     _check_array_bytes,
     _evolve_modes,
     _lift,
@@ -79,6 +81,9 @@ TRANSPORT_P_HALF_WIDTH = 8.0
 TRANSPORT_P_COUNT = 64
 # exp(-L) at or above which a transport lift warns (run_transport and the search)
 _TRANSPORT_TRUNCATION_TOL = 1e-2
+# peak bytes of TransportModel.hermitian_pair in complex (J^d, K^d, K^d)
+# stacks: 4.1-4.3 by tracemalloc for stacks of 4 MiB and up
+_PAIR_BUILD_STACKS = 4.5
 
 
 def _as_state(u0, grids: list[Grid1D], prefix: str = "x") -> StateVector:
@@ -430,6 +435,20 @@ def _transport_layout(model: TransportModel) -> tuple[AxisSpec, ...]:
     return axes
 
 
+def _check_transport_bytes(model: TransportModel, held_modes: int = 0) -> None:
+    """Refuse a transport model whose Hermitian pair, while it is built,
+    plus the real spectra of ``held_modes`` auxiliary modes would pass
+    ``pipeline.ARRAY_BYTES_LIMIT``, before either is allocated."""
+    jd, kd = model.x_count, model.k_count
+    estimate = _PAIR_BUILD_STACKS * jd * kd * kd * 16 + held_modes * jd * kd * (kd + 1) * 8
+    if estimate > ARRAY_BYTES_LIMIT:
+        raise ResourceLimitError(
+            f"a transport model of {jd} spatial frequencies and {kd} velocities needs "
+            f"about {estimate / 2**20:.0f} MiB of generator blocks, over the "
+            f"{ARRAY_BYTES_LIMIT / 2**20:.0f} MiB cap"
+        )
+
+
 def _transport_p_grid(model: TransportModel, p_config, t: float) -> Grid1D:
     """Auxiliary grid of a transport run: ``p_config`` over the defaults
     N = 64 and L = max(8, t*lambda_max + 4), lambda_max the largest
@@ -499,8 +518,11 @@ def run_transport(
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
     take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
     the largest scattering rate, so the convected profile stays inside
-    the auxiliary domain.
+    the auxiliary domain.  A model whose pair would pass
+    ``pipeline.ARRAY_BYTES_LIMIT`` raises ResourceLimitError before it is
+    built.
     """
+    _check_transport_bytes(model)
     w0_state = _transport_state(model, w0)
     _, rec = evolve_lifted(
         _to_frequencies(model, w0_state), model.hermitian_pair(),
@@ -561,12 +583,15 @@ def find_stationary_transport(
     legs skip the reference solve and the moments that only
     ``run_transport`` reports.  ``leg`` and ``tol`` must be finite and > 0
     and ``max_legs`` an int >= 1, else InvalidArgumentError before any
-    evolution.  Returns (W_stationary, legs_used, converged).
+    evolution; a pair and spectra past ``pipeline.ARRAY_BYTES_LIMIT`` raise
+    ResourceLimitError before either is built.  Returns (W_stationary,
+    legs_used, converged).
     """
     _positive_finite("leg", leg)
     _positive_finite("tol", tol)
     if isinstance(max_legs, bool) or not isinstance(max_legs, numbers.Integral) or max_legs < 1:
         raise InvalidArgumentError(f"max_legs must be an int >= 1, got {max_legs!r}")
+    _check_transport_bytes(model, held_modes=TRANSPORT_P_COUNT)
     current = _transport_state(model, w0)
     pair = model.hermitian_pair()
     p_grid = _transport_p_grid(model, None, leg)

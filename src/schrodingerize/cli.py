@@ -32,7 +32,6 @@ from .core import (
     InvalidArgumentError,
     ResourceLimitError,
     StateVector,
-    StabilityError,
     DegenerateStateError,
     UnsupportedProblemError,
 )
@@ -451,9 +450,7 @@ def _execute(cfg: ExperimentConfig, out_dir: Path) -> tuple[int, dict]:
         raise
     except (InvalidArgumentError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    except (
-        StabilityError, DegenerateStateError, UnsupportedProblemError, ResourceLimitError
-    ) as exc:
+    except (DegenerateStateError, UnsupportedProblemError, ResourceLimitError) as exc:
         solution, results, error = None, {}, str(exc)
 
     if error is not None:

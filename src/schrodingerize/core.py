@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "InvalidArgumentError",
     "ResourceLimitError",
-    "StabilityError",
     "DegenerateStateError",
     "UnsupportedProblemError",
     "AccuracyWarning",
@@ -43,10 +42,6 @@ class InvalidArgumentError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A desk-scale resource cap (dimension, memory) would be exceeded."""
-
-
-class StabilityError(RuntimeError):
-    """A time integration left its stability region."""
 
 
 class DegenerateStateError(RuntimeError):

@@ -2,18 +2,16 @@
 
 Nothing here reuses the operator-assembly code: the heat reference applies
 mode-wise decay factors directly, expm_apply works on the raw matrix, and
-the transport references build the kinetic generator from the scattering
+the transport reference builds the kinetic generator from the scattering
 data and the grids.  These are the trusted ground truth for every
 end-to-end check.
 
-Transport has two.  ``transport_exact``, which ``run_transport`` compares
-against, Fourier transforms x, after which the kinetic equation is one
-K^d x K^d linear ODE per spatial frequency xi, and applies the matrix
-exponential of each frequency's generator sigma - diag(Sigma) -
+Transport has one reference, ``transport_exact``, which ``run_transport``
+compares against.  It Fourier transforms x, after which the kinetic
+equation is one K^d x K^d linear ODE per spatial frequency xi, and applies
+the matrix exponential of each frequency's generator sigma - diag(Sigma) -
 i*diag(xi . k): one batched Pade-13 scaling and squaring (Higham 2005)
-over the frequencies, exact up to rounding.  ``transport_reference``
-integrates the same equation in physical space by method-of-lines RK4
-and stays as its cross-check.
+over the frequencies, exact up to rounding.
 
 All of it runs in NumPy's linear algebra.  SciPy ships its own BLAS, with
 its own thread pool; calling it after a pipeline run that kept NumPy's
@@ -26,20 +24,12 @@ scipy.linalg.expm.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-from .core import (
-    AccuracyWarning,
-    Grid1D,
-    InvalidArgumentError,
-    ResourceLimitError,
-    StabilityError,
-    StateVector,
-)
+from .core import Grid1D, InvalidArgumentError, ResourceLimitError, StateVector
 
-__all__ = ["expm_apply", "heat_analytic", "transport_exact", "transport_reference"]
+__all__ = ["expm_apply", "heat_analytic", "transport_exact"]
 
 EXPM_DENSE_LIMIT = 4096
 _NORMALITY_RTOL = 1e-12
@@ -119,35 +109,6 @@ def heat_analytic(u0, grids, t: float):
     return out
 
 
-def _transport_rhs(w, model, xi_ops, k_vals):
-    # dW/dt = -k . grad_x W + sigma*W - Sigma(k) W  on the (x.., k..) grid
-    d = model.dimension
-    out = np.zeros_like(w)
-    for l in range(d):
-        spec = np.fft.fft(w, axis=l)
-        deriv = np.fft.ifft(1j * xi_ops[l] * spec, axis=l)
-        out -= k_vals[l] * deriv
-    kd = model.k_count
-    flat = w.reshape(-1, kd)
-    scattered = flat @ model.sigma.T - flat * model.sigma_total[None, :]
-    return out + scattered.reshape(w.shape)
-
-
-def _spectral_radius_estimate(rhs, shape, iterations: int = 25) -> float:
-    rng = np.random.default_rng(20230517)
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(iterations):
-        v = rhs(v)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            return 0.0
-        rho = nrm
-        v /= nrm
-    return rho
-
-
 def _expm_stack(a: np.ndarray) -> np.ndarray:
     """exp(a) of every matrix in a (B, n, n) stack by Pade-13 scaling and
     squaring, each matrix scaled by its own power of two."""
@@ -176,10 +137,10 @@ def transport_exact(model, w0, t: float):
     After a Fourier transform of x, each spatial frequency xi evolves its
     velocity spectrum by exp(t*G_xi) with G_xi = sigma - diag(Sigma) -
     i*diag(xi . k), built from the scattering data, the velocity points
-    and the x grids as ``transport_reference``'s right-hand side is.  The
-    (J^d, K^d, K^d) stack of exponentials is computed in chunks of
-    frequencies (at most 1 MiB per complex temporary) by Pade-13 scaling
-    and squaring, exact to rounding for every resolved mode.  Works on a
+    and the x grids alone.  The (J^d, K^d, K^d) stack of exponentials is
+    computed in chunks of frequencies (at most 1 MiB per complex
+    temporary) by Pade-13 scaling and squaring, exact to rounding for
+    every resolved mode.  Works on a
     StateVector or an array shaped like the (x.., k..) grid; the return
     type matches the input.
     """
@@ -210,60 +171,3 @@ def transport_exact(model, w0, t: float):
         return w0.with_amplitudes(out.reshape(-1))
     return out
 
-
-def transport_reference(model, w0, t: float, steps: int | None = None):
-    """Method-of-lines RK4 for the kinetic transport equation.
-
-    Spatial derivatives are spectral, collisions act on the flattened
-    velocity axis.  The default step count is ceil(10 * t * rho) with rho a
-    power-iteration estimate of the generator's spectral radius; norm growth
-    beyond 10x trips a StabilityError.
-    """
-    is_state = isinstance(w0, StateVector)
-    arr = w0.as_array() if is_state else np.asarray(w0, dtype=complex)
-    shape = tuple(g.count for g in model.x_grids) + tuple(g.count for g in model.k_grids)
-    arr = arr.reshape(shape).astype(complex)
-    d = model.dimension
-    xi_ops, k_vals = [], []
-    for l in range(d):
-        g = model.x_grids[l]
-        xi = 2.0 * np.pi * np.fft.fftfreq(g.count, d=g.spacing)
-        sh = [1] * arr.ndim
-        sh[l] = g.count
-        xi_ops.append(xi.reshape(sh))
-        kg = model.k_grids[l]
-        sh = [1] * arr.ndim
-        sh[d + l] = kg.count
-        k_vals.append(kg.points.reshape(sh))
-
-    def rhs(w):
-        return _transport_rhs(w, model, xi_ops, k_vals)
-
-    if t == 0.0:
-        out = arr
-    else:
-        rho = _spectral_radius_estimate(rhs, shape)
-        needed = max(1, math.ceil(10.0 * t * rho))
-        if steps is None:
-            steps = needed
-        elif steps * 2.5 < t * rho:
-            warnings.warn(
-                f"{steps} RK4 steps for t*rho ~ {t * rho:.1f} is outside the stability region",
-                AccuracyWarning,
-                stacklevel=2,
-            )
-        dt = t / steps
-        w = arr
-        norm0 = np.linalg.norm(w)
-        for _ in range(steps):
-            k1 = rhs(w)
-            k2 = rhs(w + 0.5 * dt * k1)
-            k3 = rhs(w + 0.5 * dt * k2)
-            k4 = rhs(w + dt * k3)
-            w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if np.linalg.norm(w) > 10.0 * max(norm0, 1e-300):
-                raise StabilityError("transport reference integration is diverging")
-        out = w
-    if is_state:
-        return w0.with_amplitudes(out.reshape(-1))
-    return out

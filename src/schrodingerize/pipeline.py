@@ -310,32 +310,21 @@ def _phase(n: int) -> np.ndarray:
 _FFT_HAS_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
-# entries per chunk of _swap_halves: bounds its temporaries at 1 MiB
-_SWAP_CHUNK = 1 << 16
-
-
-def _swap_halves(a: np.ndarray) -> None:
-    """fftshift of the trailing axis in place: for an even length it equals
-    ifftshift, the swap of the two halves.  Runs over chunks of rows, since
-    NumPy copies the source of an assignment between two views of one
-    buffer whole."""
-    n = a.shape[-1]
+def _p_transform(arr: np.ndarray, transform) -> np.ndarray:
+    """transform(phase * swap(arr)) over the trailing axis, unitary: with
+    ``np.fft.ifft`` the ascending mode coefficients of ``dft_p``, with
+    ``np.fft.fft`` the p samples of ``idft_p``.  The swap of the two halves
+    (fftshift and ifftshift alike at an even length) writes a fresh complex
+    buffer; the phase and the transform then run in it."""
+    n = arr.shape[-1]
     half = n // 2
-    rows = a.reshape(-1, n)
-    step = max(1, _SWAP_CHUNK // n)
-    for start in range(0, rows.shape[0], step):
-        chunk = rows[start : start + step]
-        low = chunk[:, :half].copy()
-        chunk[:, :half] = chunk[:, half:]
-        chunk[:, half:] = low
-
-
-def _to_modes(arr: np.ndarray) -> np.ndarray:
-    """The array core of ``dft_p``: ascending mode coefficients of each row."""
-    spec = np.fft.ifft(arr, axis=-1, norm="ortho")
-    spec *= _phase(arr.shape[-1])
-    _swap_halves(spec)
-    return spec
+    out = np.empty(arr.shape, dtype=complex)
+    out[..., :half] = arr[..., half:]
+    out[..., half:] = arr[..., :half]
+    out *= _phase(n)
+    if _FFT_HAS_OUT:
+        return transform(out, axis=-1, norm="ortho", out=out)
+    return transform(out, axis=-1, norm="ortho")
 
 
 def dft_p(w: WarpedState) -> SpectralState:
@@ -344,28 +333,15 @@ def dft_p(w: WarpedState) -> SpectralState:
     Bin j holds the coefficient of exp(-i*mu_j*p); a pure tone
     exp(-i*mu*p) therefore lands on the single mode +mu.
     """
-    spec = _to_modes(w.state.as_array())
+    spec = _p_transform(w.state.as_array(), np.fft.ifft)
     layout = w.state.layout[:-1] + (AxisSpec("eta", w.p_grid.count, w.p_grid),)
     return SpectralState(StateVector._adopt(spec, layout), w.p_grid)
 
 
 def idft_p(s: SpectralState) -> WarpedState:
-    """Inverse of dft_p; the round trip is exact to unitary rounding.
-
-    Shift, phase and transform run in one buffer beside the input.
-    """
-    arr = s.state.as_array()
-    n = s.eta_grid.count
-    half = n // 2
-    phys = np.empty_like(arr)
-    phys[..., :half] = arr[..., half:]
-    phys[..., half:] = arr[..., :half]
-    phys *= _phase(n)
-    if _FFT_HAS_OUT:
-        np.fft.fft(phys, axis=-1, norm="ortho", out=phys)
-    else:
-        phys = np.fft.fft(phys, axis=-1, norm="ortho")
-    layout = s.state.layout[:-1] + (AxisSpec("p", n, s.eta_grid),)
+    """Inverse of dft_p; the round trip is exact to unitary rounding."""
+    phys = _p_transform(s.state.as_array(), np.fft.fft)
+    layout = s.state.layout[:-1] + (AxisSpec("p", s.eta_grid.count, s.eta_grid),)
     return WarpedState(StateVector._adopt(phys, layout), s.eta_grid)
 
 
@@ -567,7 +543,7 @@ def _mode_weights(p_grid: Grid1D, recovery: str) -> tuple[np.ndarray, np.ndarray
         r = fit
     else:
         raise InvalidArgumentError(f"unknown recovery method {recovery!r}")
-    a, b = _to_modes(np.stack([_profile(p_grid), r]))
+    a, b = _p_transform(np.stack([_profile(p_grid), r]), np.fft.ifft)
     return summed, a * b.conj()
 
 

@@ -31,7 +31,7 @@ from schrodingerize import (
     run_heat,
     run_transport,
     schrodingerize_evolve,
-    transport_reference,
+    transport_exact,
 )
 from schrodingerize import apps, oracle, pipeline
 from schrodingerize.operators import HermitianMatrix, HermitianPair
@@ -542,6 +542,10 @@ class TestExplicitLiftParity:
         assert np.abs(report.rho - rho / np.trace(rho).real).max() < 1e-12
 
 
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("built the transport pair before the byte check")
+
+
 def constant_sigma_model(j=16, k=16, c=1.0):
     sigma = np.full((k, k), c / k)
     return TransportModel.create([make_grid(1.0, j)], [make_grid(1.0, k)], sigma)
@@ -582,7 +586,7 @@ class TestComputeMoments:
         w0 = rng.uniform(0.5, 1.5, (8, 8))
         m0 = compute_moments(w0, (model.x_grids, model.k_grids)).mass
         for t in (0.3, 1.0):
-            w = transport_reference(model, w0, t).real
+            w = transport_exact(model, w0, t).real
             m = compute_moments(w, (model.x_grids, model.k_grids)).mass
             assert m == pytest.approx(m0, rel=1e-8)
 
@@ -742,6 +746,21 @@ class TestRunTransport:
         assert all(shape == (j, k, k) for shape in shapes)
         assert (j * k, j * k) not in shapes
 
+    def test_oversize_model_refused_before_the_pair_is_built(self, monkeypatch):
+        # J = 64, K = 1024: each complex (J, K, K) stack is 1 GiB, and
+        # building the pair peaks at over four of them
+        monkeypatch.setattr(TransportModel, "hermitian_pair", refuse_to_build)
+        model = constant_sigma_model(j=64, k=1024)
+        w0 = np.ones((64, 1024))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="64 spatial frequencies and 1024"):
+                run_transport(model, w0, t=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestStationaryTransport:
     def test_legs_skip_the_reference_and_match_run_transport(self, monkeypatch):
@@ -761,9 +780,8 @@ class TestStationaryTransport:
 
             return wrapper
 
-        for module, name in ((apps, "transport_exact"), (oracle, "transport_exact"),
-                             (oracle, "transport_reference")):
-            monkeypatch.setattr(module, name, counting(getattr(oracle, name)))
+        for module in (apps, oracle):
+            monkeypatch.setattr(module, "transport_exact", counting(oracle.transport_exact))
         stationary, legs, converged = find_stationary_transport(
             model, w0, leg=1.0, tol=1e-6, max_legs=40
         )
@@ -840,3 +858,19 @@ class TestStationaryTransport:
         model = constant_sigma_model(j=4, k=4)
         with pytest.raises(InvalidArgumentError):
             find_stationary_transport(model, np.ones((4, 4)), **kwargs)
+
+    def test_held_spectra_count_toward_the_byte_cap(self, monkeypatch):
+        # J = 16, K = 512: the pair alone fits (4.5 stacks of 64 MiB), but
+        # the search also holds 64 modes' spectra, 2.1 GiB more
+        monkeypatch.setattr(TransportModel, "hermitian_pair", refuse_to_build)
+        model = constant_sigma_model(j=16, k=512)
+        apps._check_transport_bytes(model)
+        w0 = np.ones((16, 512))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="MiB cap"):
+                find_stationary_transport(model, w0, leg=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -13,7 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schrodingerize import TransportModel, cli, find_stationary_transport, make_grid, oracle
+from schrodingerize import TransportModel, cli, core, find_stationary_transport, make_grid, oracle
 from schrodingerize.cli import load_config, main, run, sweep, validate_summary
 from schrodingerize.cli import ConfigError
 
@@ -220,6 +220,52 @@ class TestRun:
         assert "17179869184 auxiliary modes" in summary["error"]
         assert "MiB cap" in summary["error"]
         assert not (tmp_path / "out" / "solution.csv").exists()
+
+    def test_oversize_transport_model_exits_3_before_building_the_pair(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the transport pair before the byte check")
+
+        monkeypatch.setattr(TransportModel, "hermitian_pair", refuse)
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "transport",
+                "resolution": {"J": 64, "K": 1024},
+                "output": {"directory": str(tmp_path / "out")},
+            },
+        )
+        assert run(path) == 3
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert "MiB cap" in summary["error"]
+        assert validate_summary(summary) == []
+        assert not (tmp_path / "out" / "solution.csv").exists()
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            obj for obj in vars(core).values()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+            and not issubclass(obj, Warning) and obj.__module__ == core.__name__
+        ],
+        ids=lambda error: error.__name__,
+    )
+    def test_every_package_error_has_its_exit_code(self, tmp_path, monkeypatch, capsys, error):
+        # a package error class that _execute does not catch fails here
+        def failing(cfg):
+            raise error("raised by the runner")
+
+        monkeypatch.setitem(cli._RUNNERS, "heat", failing)
+        code = run(heat_config(tmp_path))
+        if issubclass(error, ValueError):
+            assert code == 2
+            assert "raised by the runner" in capsys.readouterr().err
+        else:
+            assert issubclass(error, RuntimeError)
+            assert code == 3
+            summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+            assert summary["status"] == "error"
+            assert summary["error"] == "raised by the runner"
 
     def test_gibbs_run(self, tmp_path):
         path = write_config(

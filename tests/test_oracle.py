@@ -11,14 +11,12 @@ from schrodingerize import (
     AxisSpec,
     InvalidArgumentError,
     ResourceLimitError,
-    StabilityError,
     StateVector,
     TransportModel,
     expm_apply,
     heat_analytic,
     make_grid,
     transport_exact,
-    transport_reference,
 )
 from schrodingerize import oracle
 from schrodingerize.cli import _eval_expression
@@ -155,7 +153,39 @@ def constant_sigma_model(j=8, k=8, c=1.0):
     return TransportModel.create([make_grid(1.0, j)], [make_grid(1.0, k)], sigma)
 
 
-class TestTransportReference:
+def rk4_transport(model, w0, t, steps):
+    """Method-of-lines RK4 for the kinetic transport equation, in physical
+    space: spectral x derivatives, collisions on the flattened velocity
+    axis.  The independent cross-check of transport_exact's Pade-13."""
+    d, kd = model.dimension, model.k_count
+    shape = tuple(g.count for g in model.x_grids) + tuple(g.count for g in model.k_grids)
+    xi, k_vals = [], []
+    for l, (gx, gk) in enumerate(zip(model.x_grids, model.k_grids)):
+        axis = [1] * 2 * d
+        axis[l] = gx.count
+        xi.append((2.0 * np.pi * np.fft.fftfreq(gx.count, d=gx.spacing)).reshape(axis))
+        axis = [1] * 2 * d
+        axis[d + l] = gk.count
+        k_vals.append(gk.points.reshape(axis))
+
+    def rhs(w):
+        # dW/dt = -k . grad_x W + sigma*W - Sigma(k) W
+        out = sum(-k * np.fft.ifft(1j * x * np.fft.fft(w, axis=l), axis=l)
+                  for l, (x, k) in enumerate(zip(xi, k_vals)))
+        flat = w.reshape(-1, kd)
+        return out + (flat @ model.sigma.T - flat * model.sigma_total).reshape(shape)
+
+    w, dt = np.asarray(w0, dtype=complex).reshape(shape), t / steps
+    for _ in range(steps):
+        k1 = rhs(w)
+        k2 = rhs(w + 0.5 * dt * k1)
+        k3 = rhs(w + 0.5 * dt * k2)
+        k4 = rhs(w + dt * k3)
+        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return w
+
+
+class TestRk4Transport:
     def test_free_streaming_translation(self):
         # sigma = 0: each velocity slice advects by k*t, exact for resolved modes
         j = k = 8
@@ -167,40 +197,9 @@ class TestTransportReference:
         xx, kk = np.meshgrid(gx.points, gk.points, indexing="ij")
         w0 = 1.0 + 0.5 * np.cos(np.pi * xx)
         t = 0.3
-        got = transport_reference(model, w0, t, steps=400)
+        got = rk4_transport(model, w0, t, steps=400)
         expected = 1.0 + 0.5 * np.cos(np.pi * (xx - kk * t))
         assert np.abs(got - expected).max() < 1e-7
-
-    def test_relaxation_toward_velocity_average(self):
-        model = constant_sigma_model(c=2.0)
-        gk = make_grid(1.0, 8)
-        w0 = np.broadcast_to(1.0 + 0.5 * np.cos(np.pi * gk.points), (8, 8)).copy()
-        deviations = []
-        for t in (0.0, 0.5, 1.0, 2.0):
-            w = transport_reference(model, w0, t).real
-            avg = w.mean(axis=1, keepdims=True)
-            deviations.append(np.linalg.norm(w - avg))
-        assert all(a > b - 1e-12 for a, b in zip(deviations, deviations[1:]))
-        assert deviations[-1] < 0.2 * deviations[0]
-
-    def test_mass_conserved(self):
-        rng = np.random.default_rng(17)
-        model = constant_sigma_model(c=1.5)
-        w0 = rng.uniform(0.5, 1.5, (8, 8))
-        m0 = w0.sum()
-        for t in (0.25, 1.0):
-            w = transport_reference(model, w0, t)
-            assert abs(w.real.sum() - m0) / m0 < 1e-8
-
-    def test_understepping_diverges_or_warns(self):
-        model = constant_sigma_model(j=16, k=16, c=1.0)
-        rng = np.random.default_rng(18)
-        w0 = rng.uniform(0.5, 1.5, (16, 16))
-        with pytest.warns(UserWarning):
-            try:
-                transport_reference(model, w0, 5.0, steps=2)
-            except StabilityError:
-                pass
 
 
 def random_sigma(rng, kd, scale=1.0):
@@ -264,7 +263,7 @@ class TestTransportExact:
     def test_workload_matches_converged_rk4(self, transport_config):
         model, w0, t = workload_instance(transport_config)
         exact = transport_exact(model, w0, t)
-        assert relative(exact, transport_reference(model, w0, t, steps=1000)) < 1e-9
+        assert relative(exact, rk4_transport(model, w0, t, steps=1000)) < 1e-9
 
     @pytest.mark.parametrize("dimension, j, k", [(1, 16, 8), (1, 8, 16), (2, 4, 4)])
     @pytest.mark.parametrize("seed", [3, 4])
@@ -272,7 +271,28 @@ class TestTransportExact:
         model, w0 = random_instance(seed, dimension, j, k)
         for t in (0.3, 1.0):
             exact = transport_exact(model, w0, t)
-            assert relative(exact, transport_reference(model, w0, t, steps=1000)) < 1e-9
+            assert relative(exact, rk4_transport(model, w0, t, steps=1000)) < 1e-9
+
+    def test_relaxation_toward_velocity_average(self):
+        model = constant_sigma_model(c=2.0)
+        gk = make_grid(1.0, 8)
+        w0 = np.broadcast_to(1.0 + 0.5 * np.cos(np.pi * gk.points), (8, 8)).copy()
+        deviations = []
+        for t in (0.0, 0.5, 1.0, 2.0):
+            w = transport_exact(model, w0, t).real
+            avg = w.mean(axis=1, keepdims=True)
+            deviations.append(np.linalg.norm(w - avg))
+        assert all(a > b - 1e-12 for a, b in zip(deviations, deviations[1:]))
+        assert deviations[-1] < 0.2 * deviations[0]
+
+    def test_mass_conserved(self):
+        rng = np.random.default_rng(17)
+        model = constant_sigma_model(c=1.5)
+        w0 = rng.uniform(0.5, 1.5, (8, 8))
+        m0 = w0.sum()
+        for t in (0.25, 1.0):
+            w = transport_exact(model, w0, t)
+            assert abs(w.real.sum() - m0) / m0 < 1e-8
 
     def test_free_streaming_translates_every_resolved_mode(self):
         # sigma = 0: each velocity slice advects by k*t; RK4 manages 1e-7 here

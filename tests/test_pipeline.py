@@ -188,6 +188,52 @@ class TestAuxiliaryTransforms:
         assert np.array_equal(w.state.as_array(), expected)
         assert not w.state.amplitudes.flags.writeable
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=700),
+        st.integers(min_value=1, max_value=4),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_forward_is_shifted_phased_inverse_fft(self, half, rows, is_complex, seed):
+        # dft_p(x) = fftshift(ifft(x) * phase): bit for bit at powers of two,
+        # to rounding at other even lengths; idft_p undoes it
+        n = 2 * half
+        rng = np.random.default_rng(seed)
+        arr = rng.standard_normal((rows, n))
+        if is_complex:
+            arr = arr + 1j * rng.standard_normal((rows, n))
+        grid = make_grid(3.0, n)
+        layout = (AxisSpec("x1", rows), AxisSpec("p", n, grid))
+        w = WarpedState(StateVector(arr.reshape(-1), layout), grid)
+        got = dft_p(w).state.as_array()
+        phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        expected = np.fft.fftshift(np.fft.ifft(arr, axis=-1, norm="ortho") * phase, axes=-1)
+        scale = np.abs(expected).max()
+        if n & (n - 1) == 0:
+            assert np.array_equal(got, expected)
+        else:
+            assert np.abs(got - expected).max() <= 4e-15 * scale
+        back = idft_p(dft_p(w)).state.as_array()
+        assert np.abs(back - arr).max() <= 1e-14 * np.abs(arr).max()
+
+    def test_forward_holds_one_copy_beside_its_input(self):
+        # the shift writes one fresh buffer and the transform runs in it
+        if not pipeline._FFT_HAS_OUT:
+            pytest.skip("np.fft has no out= before NumPy 2.0")
+        grid = make_grid(12.0, 4096)
+        arr = np.random.default_rng(1).standard_normal((64, 4096)) + 0j
+        layout = (AxisSpec("x1", 64), AxisSpec("p", 4096, grid))
+        w = WarpedState(StateVector(arr.reshape(-1), layout), grid)
+        dft_p(w)
+        tracemalloc.start()
+        try:
+            dft_p(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * arr.nbytes
+
     def test_roundtrip_and_norm(self):
         rng = np.random.default_rng(22)
         g = make_grid(5.0, 64)
