@@ -14,7 +14,6 @@ from .core import (
     DegenerateStateError,
     Grid1D,
     InvalidArgumentError,
-    ModeVector,
     ResourceLimitError,
     StateVector,
     UnsupportedProblemError,
@@ -35,9 +34,12 @@ from .pipeline import (
     RecoveryResult,
     SpectralState,
     WarpedState,
+    decay_factors,
     default_p_grid,
     dft_p,
     evolve_blocks,
+    evolve_eigenbasis,
+    evolve_lifted,
     idft_p,
     project_positive,
     recover_integrate,

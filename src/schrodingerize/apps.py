@@ -81,17 +81,17 @@ TRANSPORT_P_HALF_WIDTH = 8.0
 TRANSPORT_P_COUNT = 64
 # exp(-L) at or above which a transport lift warns (run_transport and the search)
 _TRANSPORT_TRUNCATION_TOL = 1e-2
+# precision at which a transport run is priced (run_transport and the search)
+_TRANSPORT_EPSILON = 1e-3
 # peak bytes of TransportModel.hermitian_pair in complex (J^d, K^d, K^d)
 # stacks: 4.1-4.3 by tracemalloc for stacks of 4 MiB and up
 _PAIR_BUILD_STACKS = 4.5
 
 
-def _as_state(u0, grids: list[Grid1D], prefix: str = "x") -> StateVector:
+def _as_state(u0, grids: list[Grid1D]) -> StateVector:
     if isinstance(u0, StateVector):
         return u0
-    layout = tuple(
-        AxisSpec(f"{prefix}{i + 1}", g.count, g) for i, g in enumerate(grids)
-    )
+    layout = tuple(AxisSpec(f"x{i + 1}", g.count, g) for i, g in enumerate(grids))
     return StateVector(np.asarray(u0, dtype=complex).reshape(-1), layout)
 
 
@@ -234,7 +234,10 @@ def prepare_ground_state(
         raise InvalidArgumentError(
             f"state length {u0.size} != Hamiltonian dimension {h_mat.dimension}"
         )
-    u0 = u0 / np.linalg.norm(u0)
+    u0_norm = np.linalg.norm(u0)
+    if u0_norm == 0.0:
+        raise InvalidArgumentError("initial state must be nonzero")
+    u0 = u0 / u0_norm
     ground = vectors[:, 0]
     alpha0_sq = float(np.abs(ground.conj() @ u0) ** 2)
     if alpha0_sq < 1e-14:
@@ -357,34 +360,24 @@ class MomentReport:
     energy: float
 
 
-def compute_moments(w, grids=None) -> MomentReport:
+def compute_moments(w, grids) -> MomentReport:
     """Quadrature moments of a phase-space density W(x, k).
 
+    ``w`` holds W row-major over the x axes, then the k axes, of ``grids``
+    = (x_grids, k_grids), e.g. ``(model.x_grids, model.k_grids)``.
     mass = sum W dx dk, momentum_l = sum k_l W dx dk, energy = sum |k|^2/2
     W dx dk.  Requires a real-valued W (imaginary residue above 1e-8 is an
     error).
     """
-    if isinstance(w, StateVector):
-        arr = w.as_array()
-        axes = w.layout
-        x_axes = [ax for ax in axes if ax.name.startswith("x")]
-        k_axes = [ax for ax in axes if ax.name.startswith("k")]
-        if len(x_axes) + len(k_axes) != len(axes) or not k_axes:
-            raise InvalidArgumentError("moments need a state over (x.., k..) axes")
-        x_grids = [ax.grid for ax in x_axes]
-        k_grids = [ax.grid for ax in k_axes]
-    else:
-        x_grids, k_grids = grids
-        x_grids = [x_grids] if isinstance(x_grids, Grid1D) else list(x_grids)
-        k_grids = [k_grids] if isinstance(k_grids, Grid1D) else list(k_grids)
-        shape = tuple(g.count for g in x_grids) + tuple(g.count for g in k_grids)
-        arr = np.asarray(w).reshape(shape)
+    x_grids, k_grids = grids
+    x_grids = [x_grids] if isinstance(x_grids, Grid1D) else list(x_grids)
+    k_grids = [k_grids] if isinstance(k_grids, Grid1D) else list(k_grids)
+    shape = tuple(g.count for g in x_grids) + tuple(g.count for g in k_grids)
+    arr = np.asarray(w).reshape(shape)
     if np.iscomplexobj(arr):
         if float(np.abs(arr.imag).max()) > 1e-8:
             raise InvalidArgumentError("moments require a real-valued density")
         arr = arr.real
-    if any(g is None for g in x_grids + k_grids):
-        raise InvalidArgumentError("moment axes must carry grids")
     d = len(k_grids)
     weight = float(np.prod([g.spacing for g in x_grids + k_grids]))
     mass = float(arr.sum()) * weight
@@ -402,16 +395,12 @@ def compute_moments(w, grids=None) -> MomentReport:
 
 def observable_overlap(g, w) -> float:
     """|<g, w>|^2 for unit-normalized inputs: the fidelity a swap test
-    would estimate between the observable state and the density state."""
-    if isinstance(g, StateVector) and isinstance(w, StateVector):
-        if g.shape != w.shape or g.axis_names != w.axis_names:
-            raise InvalidArgumentError("states must share the same layout")
-        gv, wv = g.amplitudes, w.amplitudes
-    else:
-        gv = np.asarray(g, dtype=complex).reshape(-1)
-        wv = np.asarray(w, dtype=complex).reshape(-1)
-        if gv.size != wv.size:
-            raise InvalidArgumentError("vectors must have equal length")
+    would estimate between the observable state and the density state,
+    both arrays of one length once flattened (a StateVector's amplitudes)."""
+    gv = np.asarray(g, dtype=complex).reshape(-1)
+    wv = np.asarray(w, dtype=complex).reshape(-1)
+    if gv.size != wv.size:
+        raise InvalidArgumentError("vectors must have equal length")
     gn, wn = np.linalg.norm(gv), np.linalg.norm(wv)
     if gn == 0 or wn == 0:
         raise InvalidArgumentError("overlap of a zero vector is undefined")
@@ -429,10 +418,9 @@ class TransportRunResult:
 
 
 def _transport_layout(model: TransportModel) -> tuple[AxisSpec, ...]:
-    axes = tuple(
+    return tuple(
         AxisSpec(f"x{i + 1}", g.count, g) for i, g in enumerate(model.x_grids)
     ) + tuple(AxisSpec(f"k{i + 1}", g.count, g) for i, g in enumerate(model.k_grids))
-    return axes
 
 
 def _check_transport_bytes(model: TransportModel, held_modes: int = 0) -> None:
@@ -497,7 +485,6 @@ def run_transport(
     w0,
     p_config=None,
     t: float = 0.0,
-    epsilon: float = 1e-3,
 ) -> TransportRunResult:
     """Transport pipeline over (x, k): spatial Fourier transform,
     ``evolve_lifted`` with its per-mode unitary evolution decomposed block by
@@ -514,7 +501,8 @@ def run_transport(
     each spatial frequency's K^d x K^d generator, built from the
     scattering data rather than from the pair.  Recovery, the
     projection bookkeeping and the cost come from ``evolve_lifted`` in
-    (xi, k) space, where the norms equal those over (x, k) to rounding.
+    (xi, k) space, where the norms equal those over (x, k) to rounding;
+    the cost is priced at precision eps = 1e-3.
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
     take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
     the largest scattering rate, so the convected profile stays inside
@@ -527,7 +515,7 @@ def run_transport(
     _, rec = evolve_lifted(
         _to_frequencies(model, w0_state), model.hermitian_pair(),
         _transport_p_grid(model, p_config, t), t,
-        epsilon=epsilon, truncation_tol=_TRANSPORT_TRUNCATION_TOL,
+        epsilon=_TRANSPORT_EPSILON, truncation_tol=_TRANSPORT_TRUNCATION_TOL,
     )
     w_rec_state = _from_frequencies(model, rec.u)
     w_ref = transport_exact(model, w0_state.as_array(), t)
@@ -536,7 +524,7 @@ def run_transport(
         np.linalg.norm(w_rec_state.amplitudes - w_ref_state.amplitudes)
         / np.linalg.norm(w_ref_state.amplitudes)
     )
-    moments = compute_moments(w_rec_state.with_amplitudes(w_rec_state.amplitudes.real))
+    moments = compute_moments(w_rec_state.amplitudes.real, (model.x_grids, model.k_grids))
     norms = {
         "w_initial": w0_state.norm,
         "w_recovered": w_rec_state.norm,
@@ -603,7 +591,8 @@ def find_stationary_transport(
         s_t = _evolve_modes(s0, model.k_count, spectra, leg)
         initial_norm = s0.state.norm
         del s0
-        nxt = _from_frequencies(model, _read_out(spec, s_t, initial_norm, pair, leg, 1e-3)[1].u)
+        _, rec = _read_out(spec, s_t, initial_norm, pair, leg, _TRANSPORT_EPSILON)
+        nxt = _from_frequencies(model, rec.u)
         delta = float(np.linalg.norm(nxt.amplitudes - current.amplitudes))
         current = nxt
         if delta < tol:

@@ -406,6 +406,17 @@ _RUNNERS = {
     "cost": _run_cost,
 }
 
+# The keys each runner reads that a sweep may vary: grid sizes and L set
+# the resolution, every other key the physics.
+_SWEEP_AXES = {
+    "heat": ("M", "N", "L", "t", "epsilon"),
+    "general": ("N", "L", "t", "epsilon"),
+    "ground_state": ("N", "L", "epsilon"),
+    "gibbs": ("N", "L", "beta"),
+    "transport": ("J", "K", "N", "L", "t"),
+    "cost": ("J", "K", "N", "L", "s", "t", "max_norm", "epsilon", "m_h"),
+}
+
 
 def _write_solution_csv(path: Path, coords, solution, reference) -> None:
     names = [name for name, _ in coords]
@@ -513,9 +524,15 @@ def _exact_label(value) -> str:
 
 
 def sweep(config_path, axis: str, values) -> int:
-    """Re-run one experiment over a list of values of a numeric parameter."""
+    """Re-run one experiment over a list of values of a numeric parameter,
+    one of the keys it reads (``_SWEEP_AXES``); any other exits 2 at once."""
     try:
         cfg = load_config(config_path)
+        axes = _SWEEP_AXES[cfg.experiment]
+        if axis not in axes:
+            raise ConfigError(
+                f"cannot sweep {axis!r}: the {cfg.experiment} experiment reads {', '.join(axes)}"
+            )
         if not values:
             raise ConfigError("sweep needs at least one value")
         numerics = [
@@ -534,12 +551,10 @@ def sweep(config_path, axis: str, values) -> int:
                 output=dict(cfg.output),
                 tolerance=dict(cfg.tolerance),
             )
-            if axis in sub.resolution or axis in _GRID_SIZES or axis == "L":
+            if axis in _GRID_SIZES or axis == "L":
                 sub.resolution[axis] = numeric
-            elif axis in sub.physics or axis in ("t", "beta", "epsilon"):
-                sub.physics[axis] = numeric
             else:
-                raise ConfigError(f"unknown sweep axis {axis!r}")
+                sub.physics[axis] = numeric
             out_dir = base_dir / f"{axis}={_exact_label(value)}"
             code, summary = _execute(sub, out_dir)
             if code == 2:

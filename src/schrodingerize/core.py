@@ -28,7 +28,6 @@ __all__ = [
     "UnsupportedProblemError",
     "AccuracyWarning",
     "Grid1D",
-    "ModeVector",
     "AxisSpec",
     "StateVector",
     "make_grid",
@@ -98,44 +97,17 @@ def make_grid(half_width: float, count: int) -> Grid1D:
     return Grid1D(half_width, count)
 
 
-@dataclass(frozen=True)
-class ModeVector:
-    """Fourier wavenumbers of a Grid1D, in DFT order.
+def fourier_modes(grid: Grid1D) -> np.ndarray:
+    """Wavenumbers pi*j/half_width of a grid, DFT ordered, read-only.
 
-    ``modes[j]`` is pi*j/half_width for j = 0..n/2-1 followed by
-    j = -n/2..-1.  ``sort_permutation`` reorders to ascending modes
-    (equivalent to an fftshift); it is its own bookkeeping inverse via
-    ``np.argsort``.
-    """
-
-    modes: np.ndarray
-    half_width: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", _readonly(np.asarray(self.modes, dtype=float)))
-
-    @property
-    def count(self) -> int:
-        return self.modes.size
-
-    @property
-    def sort_permutation(self) -> np.ndarray:
-        n = self.count
-        return np.concatenate([np.arange(n // 2, n), np.arange(0, n // 2)])
-
-    @property
-    def sorted_modes(self) -> np.ndarray:
-        return self.modes[self.sort_permutation]
-
-
-def fourier_modes(grid: Grid1D) -> ModeVector:
-    """Wavenumbers pi*j/half_width of a grid, DFT ordered.
-
-    Equals 2*pi*fftfreq(count, d=spacing); contains a single unpaired
-    mode -pi*(count/2)/half_width because the count is even.
+    Equals 2*pi*fftfreq(count, d=spacing): j = 0..n/2-1 followed by
+    j = -n/2..-1, so it contains a single unpaired mode
+    -pi*(count/2)/half_width because the count is even; np.fft.fftshift
+    orders it ascending.
     """
     modes = 2.0 * np.pi * np.fft.fftfreq(grid.count, d=grid.spacing)
-    return ModeVector(modes=modes, half_width=grid.half_width)
+    modes.setflags(write=False)
+    return modes
 
 
 @dataclass(frozen=True)
@@ -202,10 +174,6 @@ class StateVector:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.count for ax in self.layout)
-
-    @property
-    def axis_names(self) -> tuple[str, ...]:
-        return tuple(ax.name for ax in self.layout)
 
     @property
     def norm(self) -> float:

@@ -14,10 +14,9 @@ cost, not a hardware count.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,9 +65,6 @@ class CostReport:
         if self.norm_ratio is not None:
             out["norm_ratio"] = self.norm_ratio
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def _dressing(tau: float, epsilon: float) -> tuple[float, float]:
@@ -130,12 +126,10 @@ def schrodingerisation_cost(
         )
     effective = max(max_norm * math.pi / (2.0 * epsilon), max_norm_oscillatory)
     base = hamsim_cost(s, t, effective, epsilon, m_h)
-    return CostReport(
-        tau=base.tau,
+    return replace(
+        base,
         queries=norm_ratio * base.queries,
         gates=norm_ratio * base.gates,
-        qubit_count=m_h,
-        epsilon=epsilon,
         formula="schrodingerisation",
         norm_ratio=norm_ratio,
         inputs={
@@ -182,16 +176,7 @@ def ground_state_cost(
     report = schrodingerisation_cost(1.0 / alpha0, s, t_final, max_norm, epsilon, m_h)
     inputs = dict(report.inputs)
     inputs.update({"alpha0": alpha0, "gap": gap, "t_final": t_final})
-    return CostReport(
-        tau=report.tau,
-        queries=report.queries,
-        gates=report.gates,
-        qubit_count=m_h,
-        epsilon=epsilon,
-        formula="ground-state",
-        norm_ratio=report.norm_ratio,
-        inputs=inputs,
-    )
+    return replace(report, formula="ground-state", inputs=inputs)
 
 
 def gibbs_cost(
@@ -201,35 +186,25 @@ def gibbs_cost(
     dim: int,
     partition_z: float,
     epsilon: float,
-    m_h: float | None = None,
 ) -> CostReport:
     """Cost of preparing exp(-beta*H)/Z: s*max|H|*beta*sqrt(D/Z)/eps dressed.
 
     The purification evolves for time beta/2 and the amplification ratio is
-    sqrt(D/Z); the caller supplies Z (eigensolve at desk scale).
+    sqrt(D/Z); the caller supplies Z (eigensolve at desk scale).  The
+    register is priced at m_H = 2*log2(D) + log2(max(2, 1/eps)) qubits.
     """
     _check_positive(beta=beta, dim=dim)
     if not partition_z > 0:
         raise InvalidArgumentError(f"partition function must be positive, got {partition_z}")
     ratio = math.sqrt(dim / partition_z)
-    if m_h is None:
-        m_h = 2.0 * math.log2(dim) + math.log2(max(2.0, 1.0 / epsilon))
+    m_h = 2.0 * math.log2(dim) + math.log2(max(2.0, 1.0 / epsilon))
     with warnings.catch_warnings():
         # ratio < 1 is routine here (negative energies make Z exceed D)
         warnings.simplefilter("ignore", AccuracyWarning)
         report = schrodingerisation_cost(ratio, s, beta / 2.0, max_norm, epsilon, m_h)
     inputs = dict(report.inputs)
     inputs.update({"beta": beta, "dim": dim, "partition_z": partition_z})
-    return CostReport(
-        tau=report.tau,
-        queries=report.queries,
-        gates=report.gates,
-        qubit_count=m_h,
-        epsilon=epsilon,
-        formula="gibbs",
-        norm_ratio=ratio,
-        inputs=inputs,
-    )
+    return replace(report, formula="gibbs", inputs=inputs)
 
 
 def transport_norm_parity(model, d_matrix) -> dict:

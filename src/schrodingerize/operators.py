@@ -30,16 +30,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .core import (
-    AccuracyWarning,
-    Grid1D,
-    InvalidArgumentError,
-    ModeVector,
-    fourier_modes,
-)
+from .core import AccuracyWarning, Grid1D, InvalidArgumentError, fourier_modes
 
 __all__ = [
-    "HERMITICITY_ATOL",
     "HermitianMatrix",
     "HermitianPair",
     "EtaDiagonal",
@@ -177,23 +170,19 @@ def hermitian_decompose(a: np.ndarray, *, check_psd: bool = True) -> HermitianPa
 
 @dataclass(frozen=True)
 class EtaDiagonal:
-    """Diagonal matrix of auxiliary Fourier modes mu_j, ascending.
-
-    The modes field keeps the DFT-ordered wavenumbers of the grid; the
-    stored diagonal is their sorted version, matching the mode order of
-    spectral states produced by the forward auxiliary transform.
+    """Diagonal matrix of auxiliary Fourier modes mu_j, strictly ascending,
+    stored read-only: the mode order of spectral states produced by the
+    forward auxiliary transform.
     """
 
-    modes: ModeVector
     diagonal: np.ndarray
 
     def __post_init__(self):
-        diag = np.asarray(self.diagonal, dtype=float)
+        diag = np.array(self.diagonal, dtype=float)
         if np.any(np.diff(diag) <= 0):
             raise InvalidArgumentError("eta diagonal must be strictly ascending")
-        d = np.array(diag)
-        d.setflags(write=False)
-        object.__setattr__(self, "diagonal", d)
+        diag.setflags(write=False)
+        object.__setattr__(self, "diagonal", diag)
 
     @property
     def count(self) -> int:
@@ -205,13 +194,13 @@ class EtaDiagonal:
 
 
 def assemble_eta_diagonal(eta_grid: Grid1D) -> EtaDiagonal:
-    """D = diag of the grid's Fourier modes in ascending order.
+    """D = diag of the grid's Fourier modes in ascending order, the
+    fftshift of ``fourier_modes``.
 
     max_norm is pi*(count/2)/half_width, attained by the unpaired most
     negative mode.
     """
-    mv = fourier_modes(eta_grid)
-    return EtaDiagonal(modes=mv, diagonal=mv.sorted_modes)
+    return EtaDiagonal(diagonal=np.fft.fftshift(fourier_modes(eta_grid)))
 
 
 def _momentum_squared_row(grid: Grid1D) -> np.ndarray:
@@ -219,7 +208,7 @@ def _momentum_squared_row(grid: Grid1D) -> np.ndarray:
     # row[(a - b) % n] with row = ifft(mu^2); real and even because mu^2 is
     # invariant under mode negation (the unpaired mode maps to itself), and
     # its even part is kept so that the matrix is exactly symmetric.
-    row = np.fft.ifft(fourier_modes(grid).modes ** 2).real
+    row = np.fft.ifft(fourier_modes(grid) ** 2).real
     return 0.5 * (row + np.roll(row[::-1], 1))
 
 
@@ -237,7 +226,7 @@ def _laplacian_symbol(grids: list[Grid1D]) -> np.ndarray:
     """
     lam = np.zeros(())
     for g in grids:
-        lam = np.add.outer(lam, fourier_modes(g).modes ** 2)
+        lam = np.add.outer(lam, fourier_modes(g) ** 2)
     return lam
 
 
@@ -376,7 +365,7 @@ class TransportModel:
 
     def xi_modes(self) -> np.ndarray:
         """Flattened spatial Fourier modes, shape (J^d, d), DFT order per axis."""
-        axes = np.meshgrid(*[fourier_modes(g).modes for g in self.x_grids], indexing="ij")
+        axes = np.meshgrid(*[fourier_modes(g) for g in self.x_grids], indexing="ij")
         return np.stack([a.reshape(-1) for a in axes], axis=-1)
 
     def advection_diagonal(self) -> np.ndarray:

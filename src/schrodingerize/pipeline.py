@@ -149,17 +149,16 @@ def _discretisation_error(dp: float, shift: float, margin: float) -> float:
     )
 
 
-def default_p_grid(epsilon: float | None = None, t: float = 0.0, lambda_max: float = 0.0) -> Grid1D:
-    """Auxiliary grid defaults; with a target, the grid of an Hbar = 0
-    relaxation to infidelity eps over time t of a spectrum in [0, lambda_max].
+def default_p_grid(epsilon: float, t: float, lambda_max: float) -> Grid1D:
+    """Auxiliary grid of an Hbar = 0 relaxation to infidelity eps over time
+    t of a spectrum in [0, lambda_max]; all three are required (runs that
+    do not size their grid take the fixed default L=12, N=256).
 
-    Without a precision target this is the package default (L=12, N=256).
-
-    With a target eps the half-width is L = max(12, ln(1/eps) + t*lambda_max
-    + 2): the profile convected by t*lambda_max keeps a margin of
-    ln(1/eps) + 2 to the p boundary.  L sets the accuracy floor.  Lift,
-    evolution and calibrated quadrature scale an eigencomponent shifted by
-    s = t*lambda by the factor g(s) with g(0) = 1.  In the continuum, on
+    The half-width is L = max(12, ln(1/eps) + t*lambda_max + 2): the
+    profile convected by t*lambda_max keeps a margin of ln(1/eps) + 2 to
+    the p boundary.  L sets the accuracy floor.  Lift, evolution and
+    calibrated quadrature scale an eigencomponent shifted by s = t*lambda
+    by the factor g(s) with g(0) = 1.  In the continuum, on
     the periodic domain, g(s) - exp(-s) = 4 exp(-L) sinh(s/2)^2 /
     (1 - exp(-L)) <= exp(-(L - s)), the wrap error, at most eps*exp(-2)
     here.  On N points the spacing dp = 2L/N adds, at 0 < s < L,
@@ -184,8 +183,6 @@ def default_p_grid(epsilon: float | None = None, t: float = 0.0, lambda_max: flo
     every excited factor: 5.6e-7 for the grid above at gap 0.5, where the
     exact relaxation reaches 1.8e-8 to 3.3e-8.
     """
-    if epsilon is None:
-        return Grid1D(DEFAULT_P_HALF_WIDTH, DEFAULT_P_COUNT)
     if not 0.0 < epsilon < 1.0:
         raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
     shift = math.log(1.0 / epsilon)

@@ -406,6 +406,24 @@ class TestRun:
             1.0 - results["fidelity"], abs=4 * dim * np.finfo(float).eps
         )
 
+    def test_zero_start_state_exits_2_without_a_runtime_warning(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "ground_state",
+                "physics": {"matrix": [[0, 0.4], [0.4, 1.5]], "u0": [0, 0]},
+                "output": {"directory": str(tmp_path / "gs")},
+            },
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "schrodingerize", "run", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "initial state must be nonzero" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_one_level_ground_state_refused(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -694,6 +712,36 @@ class TestSweep:
 
     def test_unknown_axis_exit_2(self, tmp_path):
         assert sweep(heat_config(tmp_path), "banana", [1.0]) == 2
+
+    @pytest.mark.parametrize(
+        "experiment, resolution, physics, axis, values, reads",
+        [
+            ("heat", {}, {}, "beta", "1,2", "M, N, L, t, epsilon"),
+            ("heat", {}, {}, "K", "4,8", "M, N, L, t, epsilon"),
+            ("transport", {"J": 4, "K": 4}, {"t": 0.3}, "epsilon", "0.1,0.0001", "J, K, N, L, t"),
+        ],
+        ids=["heat-beta", "heat-K", "transport-epsilon"],
+    )
+    def test_axis_the_experiment_never_reads_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, experiment, resolution, physics, axis, values, reads
+    ):
+        # each run would write rows that do not depend on the swept value
+        def no_run(*args, **kwargs):
+            raise AssertionError("the sweep ran an experiment")
+
+        monkeypatch.setattr(cli, "_execute", no_run)
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": experiment,
+                "resolution": resolution,
+                "physics": physics,
+                "output": {"directory": str(tmp_path / "out")},
+            },
+        )
+        assert main(["sweep", str(path), "--axis", axis, "--values", values]) == 2
+        assert f"reads {reads}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "axis, values", [("M", "16,20.5"), ("N", "100.7"), ("M", "16,15"), ("J", "0")]

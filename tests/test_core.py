@@ -1,10 +1,17 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import schrodingerize
 from schrodingerize import (
     AxisSpec,
+    Grid1D,
     InvalidArgumentError,
     StateVector,
+    assemble_eta_diagonal,
     fourier_modes,
     make_grid,
 )
@@ -47,39 +54,52 @@ class TestMakeGrid:
 
 class TestFourierModes:
     def test_unit_half_width(self):
-        mv = fourier_modes(make_grid(1.0, 4))
-        assert np.allclose(sorted(mv.modes), [-2 * np.pi, -np.pi, 0.0, np.pi])
+        modes = fourier_modes(make_grid(1.0, 4))
+        assert np.allclose(sorted(modes), [-2 * np.pi, -np.pi, 0.0, np.pi])
 
     def test_half_width_scaling(self):
-        mv = fourier_modes(make_grid(2.0, 4))
-        assert np.allclose(sorted(mv.modes), [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
+        modes = fourier_modes(make_grid(2.0, 4))
+        assert np.allclose(sorted(modes), [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
 
     def test_two_points(self):
-        mv = fourier_modes(make_grid(1.0, 2))
-        assert np.allclose(sorted(mv.modes), [-np.pi, 0.0])
+        modes = fourier_modes(make_grid(1.0, 2))
+        assert np.allclose(sorted(modes), [-np.pi, 0.0])
 
     def test_dft_natural_order(self):
         g = make_grid(1.0, 8)
-        mv = fourier_modes(g)
         expected = np.pi * np.array([0, 1, 2, 3, -4, -3, -2, -1], dtype=float)
-        assert np.allclose(mv.modes, expected)
+        assert np.allclose(fourier_modes(g), expected)
 
     def test_contains_zero_and_unpaired_mode(self):
         g = make_grid(3.0, 16)
-        mv = fourier_modes(g)
-        assert 0.0 in mv.modes
-        assert np.isclose(mv.modes.min(), -np.pi * 8 / 3.0)
+        modes = fourier_modes(g)
+        assert 0.0 in modes
+        assert np.isclose(modes.min(), -np.pi * 8 / 3.0)
         # every positive mode has a negative partner; the most negative does not
-        positives = [m for m in mv.modes if m > 0]
+        positives = [m for m in modes if m > 0]
         for m in positives:
-            assert np.isclose(mv.modes, -m).any()
+            assert np.isclose(modes, -m).any()
 
-    def test_sort_permutation_roundtrip(self):
-        mv = fourier_modes(make_grid(1.5, 12))
-        perm = mv.sort_permutation
-        assert np.all(np.diff(mv.modes[perm]) > 0)
-        inverse = np.argsort(perm)
-        assert np.array_equal(mv.modes[perm][inverse], mv.modes)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        count=st.integers(1, 4096).map(lambda half: 2 * half),
+        half_width=st.floats(0.5, 200.0),
+    )
+    @example(count=2, half_width=0.5)
+    @example(count=8192, half_width=200.0)
+    @example(count=12, half_width=1.5)
+    def test_eta_diagonal_is_the_swapped_halves(self, count, half_width):
+        # the ascending diagonal is the fftshift of the DFT-ordered modes:
+        # the two halves of 2*pi*fftfreq swapped, element for element
+        grid = Grid1D(half_width, count)
+        dft = 2.0 * np.pi * np.fft.fftfreq(count, d=grid.spacing)
+        swapped = np.concatenate([dft[count // 2:], dft[: count // 2]])
+        assert np.array_equal(assemble_eta_diagonal(grid).diagonal, swapped)
+        modes = fourier_modes(grid)
+        assert np.array_equal(modes, dft)
+        assert not modes.flags.writeable
+        with pytest.raises(ValueError):
+            modes[0] = 1.0
 
 
 class TestStateVector:
@@ -118,3 +138,17 @@ class TestStateVector:
         assert np.linalg.norm(np.fft.fft(v, norm="ortho")) == pytest.approx(
             np.linalg.norm(v), rel=1e-12
         )
+
+
+class TestPackageRoot:
+    def test_root_reexports_exactly_the_modules_public_names(self):
+        from schrodingerize import apps, core, costs, operators, oracle, pipeline
+
+        modules = (core, operators, pipeline, oracle, costs, apps)
+        listed = set().union(*(module.__all__ for module in modules))
+        public = {
+            name
+            for name, value in vars(schrodingerize).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        }
+        assert public == listed

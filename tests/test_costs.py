@@ -63,7 +63,7 @@ class TestHamsimCost:
 
     def test_json_roundtrip(self):
         report = hamsim_cost(2, 1, 1, 0.01, 4)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.as_dict()))
         assert data["queries"] == pytest.approx(report.queries)
         assert data["inputs"]["s"] == 2
 

@@ -276,7 +276,7 @@ class TestSchrodingerHamiltonian:
         # DFT matrix, compared entrywise
         g = make_grid(1.0, 8)
         f = unitary_dft(8)
-        mu2 = fourier_modes(g).modes ** 2
+        mu2 = fourier_modes(g) ** 2
         expected = f.conj().T @ np.diag(mu2) @ f + np.diag(g.points**2)
         h = assemble_schrodinger_hamiltonian(lambda x: x**2, [g])
         assert np.abs(h.dense() - expected).max() < 1e-10
@@ -420,7 +420,7 @@ class TestTransport:
         )
         d = assemble_eta_diagonal(make_grid(1.0, 2))
         total = self.transport_total(model, d).dense()
-        xi = fourier_modes(make_grid(1.0, 4)).modes
+        xi = fourier_modes(make_grid(1.0, 4))
         kpts = make_grid(1.0, 4).points
         expected = np.kron(np.diag(np.multiply.outer(xi, kpts).reshape(-1)), np.eye(2))
         assert np.abs(total - expected).max() < 1e-12
@@ -437,7 +437,7 @@ class TestTransport:
         total = self.transport_total(model, d).dense()
         n = d.count
         # remove the advection part to isolate the scattering block
-        xi = fourier_modes(make_grid(1.0, 2)).modes
+        xi = fourier_modes(make_grid(1.0, 2))
         adv = np.kron(
             np.diag(np.multiply.outer(xi, make_grid(1.0, k).points).reshape(-1)), np.eye(n)
         )
@@ -458,7 +458,7 @@ class TestTransport:
         (xi, k, eta) with the axes of every dimension looped explicitly."""
         x_counts = [g.count for g in model.x_grids]
         k_counts = [g.count for g in model.k_grids]
-        xi_axes = [fourier_modes(g).modes for g in model.x_grids]
+        xi_axes = [fourier_modes(g) for g in model.x_grids]
         k_axes = [g.points for g in model.k_grids]
         s, sig_tot = model.sigma, model.sigma.sum(axis=0)
         jd, kd, n = model.x_count, model.k_count, d.count

@@ -161,8 +161,7 @@ class TestAuxiliaryTransforms:
         # the analysis basis is exp(-i*mu*p): the tone exp(-i*mu_m*p)
         # concentrates on mode +mu_m (and exp(+i*mu_m*p) on -mu_m)
         g = make_grid(2.0, 16)
-        mv = fourier_modes(g)
-        mu_m = mv.modes[3]
+        mu_m = fourier_modes(g)[3]
         tone = np.exp(-1j * mu_m * g.points)
         w = WarpedState(StateVector(tone, (AxisSpec("p", 16, g),)), g)
         spec = dft_p(w).state.amplitudes
@@ -798,7 +797,7 @@ class TestEvolveEigenbasis:
     def test_dft_basis_matches_explicit_eigenvectors(self):
         # vectors=None (the unitary DFT) against the same basis as columns
         grid = make_grid(1.0, 16)
-        modes = fourier_modes(grid).modes
+        modes = fourier_modes(grid)
         u0 = StateVector(
             1.0 + np.cos(np.pi * grid.points) + 0.2j * np.sin(2 * np.pi * grid.points),
             (AxisSpec("x1", 16, grid),),
@@ -835,7 +834,7 @@ class TestEvolveEigenbasis:
 
 class TestDefaultPGrid:
     def test_package_default(self):
-        g = default_p_grid()
+        g = pipeline._p_grid_from(None)
         assert g.half_width == 12.0
         assert g.count == 256
 
@@ -887,4 +886,4 @@ class TestDefaultPGrid:
 
     def test_bad_epsilon(self):
         with pytest.raises(InvalidArgumentError):
-            default_p_grid(epsilon=2.0)
+            default_p_grid(epsilon=2.0, t=1.0, lambda_max=1.0)
