@@ -45,12 +45,12 @@ from .operators import (
 from .oracle import _check_dense_dimension, expm_apply, heat_analytic, transport_exact
 from .pipeline import (
     ARRAY_BYTES_LIMIT,
+    _LIFTED_COPIES,
     _check_array_bytes,
     _evolve_modes,
-    _lift,
+    _lifted_run,
     _mode_spectrum,
     _p_grid_from,
-    _read_out,
     _relaxation_error,
     _warn_truncation,
     decay_factors,
@@ -150,9 +150,10 @@ def run_heat(
     )
 
     if v_is_zero:
-        u_ref = heat_analytic(u0_state, grids, t)
+        u_ref = heat_analytic(u0_state.amplitudes, grids, t)
     else:
-        u_ref = u0_state.with_amplitudes(expm_apply(h.dense(), u0_state.amplitudes, t))
+        u_ref = expm_apply(h.dense(), u0_state.amplitudes, t)
+    u_ref = u0_state.with_amplitudes(u_ref)
 
     err = float(
         np.linalg.norm(rec.u.amplitudes - u_ref.amplitudes) / np.linalg.norm(u_ref.amplitudes)
@@ -423,16 +424,23 @@ def _transport_layout(model: TransportModel) -> tuple[AxisSpec, ...]:
     ) + tuple(AxisSpec(f"k{i + 1}", g.count, g) for i, g in enumerate(model.k_grids))
 
 
-def _check_transport_bytes(model: TransportModel, held_modes: int = 0) -> None:
+def _check_transport_bytes(model: TransportModel, p_config=None, held_modes: int = 0) -> None:
     """Refuse a transport model whose Hermitian pair, while it is built,
-    plus the real spectra of ``held_modes`` auxiliary modes would pass
-    ``pipeline.ARRAY_BYTES_LIMIT``, before either is allocated."""
+    plus the real spectra of ``held_modes`` auxiliary modes and the lifted
+    copies of a run on the auxiliary grid of ``p_config`` would pass
+    ``pipeline.ARRAY_BYTES_LIMIT``, before any of them is allocated."""
     jd, kd = model.x_count, model.k_count
-    estimate = _PAIR_BUILD_STACKS * jd * kd * kd * 16 + held_modes * jd * kd * (kd + 1) * 8
+    # the estimate reads the grid's count alone; its half-width is a placeholder
+    count = _p_grid_from(p_config, 1.0, TRANSPORT_P_COUNT).count
+    estimate = (
+        _PAIR_BUILD_STACKS * jd * kd * kd * 16
+        + held_modes * jd * kd * (kd + 1) * 8
+        + _LIFTED_COPIES * jd * kd * count * 16
+    )
     if estimate > ARRAY_BYTES_LIMIT:
         raise ResourceLimitError(
             f"a transport model of {jd} spatial frequencies and {kd} velocities needs "
-            f"about {estimate / 2**20:.0f} MiB of generator blocks, over the "
+            f"about {estimate / 2**20:.0f} MiB of generator blocks and lifted state, over the "
             f"{ARRAY_BYTES_LIMIT / 2**20:.0f} MiB cap"
         )
 
@@ -506,11 +514,11 @@ def run_transport(
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
     take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
     the largest scattering rate, so the convected profile stays inside
-    the auxiliary domain.  A model whose pair would pass
-    ``pipeline.ARRAY_BYTES_LIMIT`` raises ResourceLimitError before it is
-    built.
+    the auxiliary domain.  A model whose pair and lifted copies would pass
+    ``pipeline.ARRAY_BYTES_LIMIT`` raises ResourceLimitError before either
+    is built.
     """
-    _check_transport_bytes(model)
+    _check_transport_bytes(model, p_config)
     w0_state = _transport_state(model, w0)
     _, rec = evolve_lifted(
         _to_frequencies(model, w0_state), model.hermitian_pair(),
@@ -565,14 +573,15 @@ def find_stationary_transport(
     many chained ``run_transport`` legs bit for bit.  Every leg applies the
     same linear map (same pair, auxiliary grid and leg time), so each
     auxiliary mode's generator stack mu_j*H + Hbar is decomposed once, up
-    front; each leg then lifts, applies those spectra and reads out.  The
-    search holds them all: N*B*b*(b + 1)*8 bytes for N auxiliary modes and
-    B blocks of size b (N = 64 and B = b = 16 at J = K = 16: 2.1 MiB).  The
-    legs skip the reference solve and the moments that only
-    ``run_transport`` reports.  ``leg`` and ``tol`` must be finite and > 0
-    and ``max_legs`` an int >= 1, else InvalidArgumentError before any
-    evolution; a pair and spectra past ``pipeline.ARRAY_BYTES_LIMIT`` raise
-    ResourceLimitError before either is built.  Returns (W_stationary,
+    front; each leg then runs the body of ``evolve_lifted`` with those
+    spectra as its evolution step.  The search holds them all:
+    N*B*b*(b + 1)*8 bytes for N auxiliary modes and B blocks of size b
+    (N = 64 and B = b = 16 at J = K = 16: 2.1 MiB).  The legs skip the
+    reference solve and the moments that only ``run_transport`` reports.
+    ``leg`` and ``tol`` must be finite and > 0 and ``max_legs`` an int >= 1,
+    else InvalidArgumentError before any evolution; a pair, spectra and
+    lifted copies past ``pipeline.ARRAY_BYTES_LIMIT`` raise
+    ResourceLimitError before any is built.  Returns (W_stationary,
     legs_used, converged).
     """
     _positive_finite("leg", leg)
@@ -586,12 +595,11 @@ def find_stationary_transport(
     mus = assemble_eta_diagonal(p_grid).diagonal
     spectra = [_mode_spectrum(pair, mu) for mu in mus]
     for n in range(1, max_legs + 1):
-        spec = _to_frequencies(model, current)
-        s0 = _lift(spec, p_grid, _TRANSPORT_TRUNCATION_TOL)
-        s_t = _evolve_modes(s0, model.k_count, spectra, leg)
-        initial_norm = s0.state.norm
-        del s0
-        _, rec = _read_out(spec, s_t, initial_norm, pair, leg, _TRANSPORT_EPSILON)
+        _, rec = _lifted_run(
+            _to_frequencies(model, current), pair, p_grid, leg,
+            _TRANSPORT_EPSILON, _TRANSPORT_TRUNCATION_TOL,
+            lambda s0: _evolve_modes(s0, model.k_count, spectra, leg),
+        )
         nxt = _from_frequencies(model, rec.u)
         delta = float(np.linalg.norm(nxt.amplitudes - current.amplitudes))
         current = nxt

@@ -485,8 +485,7 @@ def _execute(cfg: ExperimentConfig, out_dir: Path) -> tuple[int, dict]:
         summary["error"] = error
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    formats = cfg.output.get("formats", ["json", "csv"])
-    if solution is not None and "csv" in formats:
+    if solution is not None:
         _write_solution_csv(out_dir / "solution.csv", coords, solution, reference)
     return (0 if status == "ok" else 3), summary
 

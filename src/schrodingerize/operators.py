@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .core import AccuracyWarning, Grid1D, InvalidArgumentError, fourier_modes
 
@@ -107,9 +106,10 @@ class HermitianMatrix:
         return self.blocks.shape[0] * self.blocks.shape[1]
 
     def dense(self) -> np.ndarray:
-        if self.blocks.shape[0] == 1:
-            return np.array(self.blocks[0])
-        return scipy.linalg.block_diag(*self.blocks)
+        count, b, _ = self.blocks.shape
+        out = np.zeros((count, b, count, b), dtype=self.blocks.dtype)
+        out[np.arange(count), :, np.arange(count), :] = self.blocks
+        return out.reshape(self.dimension, self.dimension)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:

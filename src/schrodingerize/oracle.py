@@ -13,12 +13,9 @@ the matrix exponential of each frequency's generator sigma - diag(Sigma) -
 i*diag(xi . k): one batched Pade-13 scaling and squaring (Higham 2005)
 over the frequencies, exact up to rounding.
 
-All of it runs in NumPy's linear algebra.  SciPy ships its own BLAS, with
-its own thread pool; calling it after a pipeline run that kept NumPy's
-BLAS threads busy made both pools contend for the same cores, so the
-non-normal branch of expm_apply uses expm_multiply, whose products are
-NumPy's, and the transport exponential is NumPy's own Pade, instead of
-scipy.linalg.expm.
+All of it runs in NumPy's linear algebra: that Pade is also the dense
+exponential of every non-Hermitian matrix in expm_apply, so a run loads no
+second linear-algebra library.
 """
 
 from __future__ import annotations
@@ -27,12 +24,12 @@ import math
 
 import numpy as np
 
-from .core import Grid1D, InvalidArgumentError, ResourceLimitError, StateVector
+from .core import Grid1D, InvalidArgumentError, ResourceLimitError
 
 __all__ = ["expm_apply", "heat_analytic", "transport_exact"]
 
 EXPM_DENSE_LIMIT = 4096
-_NORMALITY_RTOL = 1e-12
+_HERMITICITY_RTOL = 1e-12
 # matrix entries per chunk of transport_exact: bounds each of its complex
 # (frequencies, K^d, K^d) temporaries at 1 MiB
 _EXPM_CHUNK = 1 << 16
@@ -57,10 +54,8 @@ def _check_dense_dimension(n: int) -> None:
 def expm_apply(a, u0, t: float) -> np.ndarray:
     """exp(-A*t) @ u0 by dense linear algebra.
 
-    Hermitian and normal matrices go through an eigendecomposition; anything
-    else goes to the exact action of the exponential by truncated Taylor
-    series with scaling (Al-Mohy & Higham 2011, scipy's expm_multiply),
-    whose matrix products run in NumPy's BLAS like the rest of the package.
+    A Hermitian matrix goes through its eigendecomposition; any other, normal
+    or not, through the Pade-13 scaling and squaring of ``_expm_stack``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -70,17 +65,10 @@ def expm_apply(a, u0, t: float) -> np.ndarray:
     if u0.size != a.shape[0]:
         raise InvalidArgumentError(f"vector length {u0.size} != dimension {a.shape[0]}")
     scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.conj().T).max()) <= _NORMALITY_RTOL * scale:
+    if float(np.abs(a - a.conj().T).max()) <= _HERMITICITY_RTOL * scale:
         lam, vec = np.linalg.eigh(a)
         return vec @ (np.exp(-lam * t) * (vec.conj().T @ u0))
-    gram_defect = float(np.abs(a @ a.conj().T - a.conj().T @ a).max())
-    if gram_defect <= _NORMALITY_RTOL * scale * scale:
-        lam, vec = np.linalg.eig(a)
-        return vec @ (np.exp(-lam * t) * np.linalg.solve(vec, u0))
-    # imported here so that importing the package leaves scipy.sparse unloaded
-    from scipy.sparse.linalg import expm_multiply
-
-    return expm_multiply(-a * t, u0)
+    return _expm_stack(-t * a[None])[0] @ u0
 
 
 def _grid_list(grids) -> list[Grid1D]:
@@ -90,23 +78,18 @@ def _grid_list(grids) -> list[Grid1D]:
 def heat_analytic(u0, grids, t: float):
     """Exact periodic heat solution: each Fourier mode decays by exp(-|xi|^2 t).
 
-    Works on a StateVector over the spatial axes or a plain array shaped
-    like the tensor grid; the return type matches the input.
+    Takes an array of the tensor grid's size and returns one shaped like
+    the grid.
     """
     grids = _grid_list(grids)
-    is_state = isinstance(u0, StateVector)
-    arr = u0.as_array() if is_state else np.asarray(u0, dtype=complex)
-    arr = arr.reshape(tuple(g.count for g in grids))
+    arr = np.asarray(u0, dtype=complex).reshape(tuple(g.count for g in grids))
     spec = np.fft.fftn(arr)
     for axis, g in enumerate(grids):
         xi = 2.0 * np.pi * np.fft.fftfreq(g.count, d=g.spacing)
         shape = [1] * arr.ndim
         shape[axis] = g.count
         spec = spec * np.exp(-t * xi**2).reshape(shape)
-    out = np.fft.ifftn(spec)
-    if is_state:
-        return u0.with_amplitudes(out.reshape(-1))
-    return out
+    return np.fft.ifftn(spec)
 
 
 def _expm_stack(a: np.ndarray) -> np.ndarray:
@@ -140,19 +123,17 @@ def transport_exact(model, w0, t: float):
     and the x grids alone.  The (J^d, K^d, K^d) stack of exponentials is
     computed in chunks of frequencies (at most 1 MiB per complex
     temporary) by Pade-13 scaling and squaring, exact to rounding for
-    every resolved mode.  Works on a
-    StateVector or an array shaped like the (x.., k..) grid; the return
-    type matches the input.
+    every resolved mode.  Takes an array of the (x.., k..) grid's size and
+    returns one shaped like that grid.
     """
     if not math.isfinite(t):
         raise InvalidArgumentError(f"evolution time must be finite, got {t}")
-    is_state = isinstance(w0, StateVector)
-    arr = w0.as_array() if is_state else np.asarray(w0, dtype=complex)
     shape = tuple(g.count for g in model.x_grids) + tuple(g.count for g in model.k_grids)
     d = model.dimension
     x_axes = tuple(range(d))
     kd = model.k_count
-    spec = np.fft.fftn(arr.reshape(shape), axes=x_axes).reshape(-1, kd)
+    arr = np.asarray(w0, dtype=complex).reshape(shape)
+    spec = np.fft.fftn(arr, axes=x_axes).reshape(-1, kd)
     xi = np.meshgrid(
         *[2.0 * np.pi * np.fft.fftfreq(g.count, d=g.spacing) for g in model.x_grids],
         indexing="ij",
@@ -166,8 +147,5 @@ def transport_exact(model, w0, t: float):
         gen = np.broadcast_to(t * scattering, (len(advection[chunk]), kd, kd)).astype(complex)
         gen[:, diag, diag] -= 1j * t * advection[chunk]
         spec[chunk] = (_expm_stack(gen) @ spec[chunk, :, None])[:, :, 0]
-    out = np.fft.ifftn(spec.reshape(shape), axes=x_axes)
-    if is_state:
-        return w0.with_amplitudes(out.reshape(-1))
-    return out
+    return np.fft.ifftn(spec.reshape(shape), axes=x_axes)
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -626,32 +627,30 @@ def evolve_lifted(
     A grid whose lifted copies would pass ``ARRAY_BYTES_LIMIT`` raises
     ResourceLimitError before any is allocated.
     """
-    _check_array_bytes(u0.amplitudes.size, p_grid.count, _LIFTED_COPIES)
-    s0 = _lift(u0, p_grid, truncation_tol)
-    s_t = evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t)
-    initial_norm = s0.state.norm
-    del s0  # one lifted copy fewer while the inverse transform allocates
-    return _read_out(u0, s_t, initial_norm, pair, t, epsilon)
+    return _lifted_run(
+        u0, pair, p_grid, t, epsilon, truncation_tol,
+        lambda s0: evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t),
+    )
 
 
-def _lift(u0: StateVector, p_grid: Grid1D, truncation_tol: float) -> SpectralState:
-    """First half of ``evolve_lifted``: the lifted state's mode spectrum."""
-    return dft_p(warp_extend(u0, p_grid, truncation_tol=truncation_tol))
-
-
-def _read_out(
+def _lifted_run(
     u0: StateVector,
-    s_t: SpectralState,
-    initial_norm: float,
     pair: HermitianPair,
+    p_grid: Grid1D,
     t: float,
     epsilon: float,
+    truncation_tol: float,
+    evolve: Callable[[SpectralState], SpectralState],
 ) -> tuple[WarpedState, RecoveryResult]:
-    """Second half of ``evolve_lifted``: inverse transform of the evolved
-    spectrum ``s_t``, recovery, the projection's two numbers and the cost;
-    ``initial_norm`` is the norm of the lifted spectrum at t = 0."""
-    p_grid = s_t.eta_grid
-    spectral_norms = (initial_norm, s_t.state.norm)
+    """The body of ``evolve_lifted``, its evolution step ``evolve`` taking
+    the lifted mode spectrum to the spectrum at time t: byte check, lift,
+    evolution, inverse transform, recovery, the projection's two numbers
+    and the cost."""
+    _check_array_bytes(u0.amplitudes.size, p_grid.count, _LIFTED_COPIES)
+    s0 = dft_p(warp_extend(u0, p_grid, truncation_tol=truncation_tol))
+    s_t = evolve(s0)
+    spectral_norms = (s0.state.norm, s_t.state.norm)
+    del s0  # one lifted copy fewer while the inverse transform allocates
     w_t = idft_p(s_t)
     rec = recover_integrate(w_t)
     fit, block_mass = _positive_readout(w_t)

@@ -874,3 +874,26 @@ class TestStationaryTransport:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda model, w0: run_transport(model, w0, t=0.5),
+            lambda model, w0: find_stationary_transport(model, w0, leg=0.5),
+        ],
+        ids=["run_transport", "find_stationary_transport"],
+    )
+    def test_lifted_copies_count_toward_the_byte_cap(self, monkeypatch, entry):
+        # J = 2**19, K = 2: the pair and the search's held spectra fit (about
+        # 1.6 GiB), but the lifted copies of a run on 64 modes need 3 GiB more
+        monkeypatch.setattr(TransportModel, "hermitian_pair", refuse_to_build)
+        model = constant_sigma_model(j=2**19, k=2)
+        w0 = np.ones((2**19, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="MiB cap"):
+                entry(model, w0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from schrodingerize import (
-    AxisSpec,
     InvalidArgumentError,
     ResourceLimitError,
-    StateVector,
     TransportModel,
     expm_apply,
     heat_analytic,
@@ -311,14 +309,9 @@ class TestTransportExact:
             )
             assert np.abs(got - expected).max() < 1e-12
 
-    def test_time_zero_and_state_in_state_out(self):
+    def test_time_zero_identity(self):
         model, w0 = random_instance(5, 1, 8, 8)
         assert np.abs(transport_exact(model, w0, 0.0) - w0).max() < 1e-14
-        layout = (AxisSpec("x1", 8, model.x_grids[0]), AxisSpec("k1", 8, model.k_grids[0]))
-        state = StateVector(w0.astype(complex).reshape(-1), layout)
-        got = transport_exact(model, state, 0.4)
-        assert isinstance(got, StateVector) and got.layout == layout
-        assert np.array_equal(got.amplitudes, transport_exact(model, w0, 0.4).reshape(-1))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, t):
