@@ -32,8 +32,6 @@ from .operators import (
 )
 from .pipeline import (
     RecoveryResult,
-    SpectralState,
-    WarpedState,
     decay_factors,
     default_p_grid,
     dft_p,

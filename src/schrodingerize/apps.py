@@ -42,7 +42,14 @@ from .operators import (
     assemble_eta_diagonal,
     assemble_schrodinger_hamiltonian,
 )
-from .oracle import _check_dense_dimension, expm_apply, heat_analytic, transport_exact
+from .oracle import (
+    _EXPM_CHUNK,
+    _PADE_COPIES,
+    _check_dense_dimension,
+    expm_apply,
+    heat_analytic,
+    transport_exact,
+)
 from .pipeline import (
     ARRAY_BYTES_LIMIT,
     _LIFTED_COPIES,
@@ -83,8 +90,8 @@ TRANSPORT_P_COUNT = 64
 _TRANSPORT_TRUNCATION_TOL = 1e-2
 # precision at which a transport run is priced (run_transport and the search)
 _TRANSPORT_EPSILON = 1e-3
-# peak bytes of TransportModel.hermitian_pair in complex (J^d, K^d, K^d)
-# stacks: 4.1-4.3 by tracemalloc for stacks of 4 MiB and up
+# complex (J^d, K^d, K^d) stacks of a transport run: by tracemalloc the pair
+# build peaks near 2 and a whole run at J = 4, K = 256, N = 8 at 2.8
 _PAIR_BUILD_STACKS = 4.5
 
 
@@ -425,10 +432,10 @@ def _transport_layout(model: TransportModel) -> tuple[AxisSpec, ...]:
 
 
 def _check_transport_bytes(model: TransportModel, p_config=None, held_modes: int = 0) -> None:
-    """Refuse a transport model whose Hermitian pair, while it is built,
-    plus the real spectra of ``held_modes`` auxiliary modes and the lifted
-    copies of a run on the auxiliary grid of ``p_config`` would pass
-    ``pipeline.ARRAY_BYTES_LIMIT``, before any of them is allocated."""
+    """Refuse a transport model whose pair, while it is built, the real
+    spectra of ``held_modes`` auxiliary modes, the lifted copies of a run on
+    the grid of ``p_config`` and one chunk of its ``transport_exact``
+    reference would pass ARRAY_BYTES_LIMIT, before any of them is allocated."""
     jd, kd = model.x_count, model.k_count
     # the estimate reads the grid's count alone; its half-width is a placeholder
     count = _p_grid_from(p_config, 1.0, TRANSPORT_P_COUNT).count
@@ -436,11 +443,12 @@ def _check_transport_bytes(model: TransportModel, p_config=None, held_modes: int
         _PAIR_BUILD_STACKS * jd * kd * kd * 16
         + held_modes * jd * kd * (kd + 1) * 8
         + _LIFTED_COPIES * jd * kd * count * 16
+        + _PADE_COPIES * max(kd * kd, _EXPM_CHUNK) * 16
     )
     if estimate > ARRAY_BYTES_LIMIT:
         raise ResourceLimitError(
             f"a transport model of {jd} spatial frequencies and {kd} velocities needs "
-            f"about {estimate / 2**20:.0f} MiB of generator blocks and lifted state, over the "
+            f"about {estimate / 2**20:.0f} MiB of pair, lifted state and reference, over the "
             f"{ARRAY_BYTES_LIMIT / 2**20:.0f} MiB cap"
         )
 

@@ -276,11 +276,12 @@ def _run_general(cfg: ExperimentConfig):
     dim = a.shape[0]
     u0 = _u0(cfg, dim)
     t = _physics(cfg, "t", 0.5)
+    # the reference first: a matrix whose exponential is refused costs no run
+    u_ref = expm_apply(a, u0, t)
     state = StateVector(u0, (AxisSpec("x1", dim),))
     _, rec = schrodingerize_evolve(
         state, a, _p_config(cfg), t, epsilon=_physics(cfg, "epsilon", 1e-3)
     )
-    u_ref = expm_apply(a, u0, t)
     err = float(np.linalg.norm(rec.u.amplitudes - u_ref) / np.linalg.norm(u_ref))
     coords = [("index", np.arange(dim))]
     return coords, rec.u.amplitudes, u_ref, {

@@ -72,13 +72,14 @@ class HermitianMatrix:
         """From a square matrix (B = 1) or a (B, b, b) stack of diagonal blocks.
 
         Rejects entries farther from Hermitian than HERMITICITY_ATOL times
-        the largest magnitude (at least 1), then stores (A + A^dag)/2.  When
-        that symmetrised matrix has no imaginary entry above the same
-        tolerance, it is real symmetric up to rounding and its real part is
-        stored as float64, so every decomposition of it, or of a real
-        combination mu*H + Hbar, takes the real LAPACK driver.
+        the largest magnitude (at least 1), then stores (A + A^dag)/2 as
+        float64 for real entries, which are never made complex, and for
+        complex ones whose symmetrised imaginary part is within the same
+        tolerance; so every decomposition of it, or of a real combination
+        mu*H + Hbar, takes the real LAPACK driver.
         """
-        blocks = np.asarray(entries, dtype=complex)
+        is_complex = np.iscomplexobj(entries)
+        blocks = np.asarray(entries, dtype=complex if is_complex else float)
         if blocks.ndim == 2:
             blocks = blocks[None]
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
@@ -92,7 +93,7 @@ class HermitianMatrix:
                 f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}"
             )
         blocks = 0.5 * (blocks + _adjoint(blocks))
-        if float(np.abs(blocks.imag).max(initial=0.0)) <= HERMITICITY_ATOL * scale:
+        if is_complex and float(np.abs(blocks.imag).max(initial=0.0)) <= HERMITICITY_ATOL * scale:
             blocks = blocks.real.copy()
         blocks.setflags(write=False)
         return cls(
@@ -281,7 +282,7 @@ def assemble_schrodinger_hamiltonian(potential, grids) -> HermitianMatrix:
     if not grids:
         raise InvalidArgumentError("need at least one grid")
     v = _sample_potential(potential, grids).reshape(-1)
-    h = np.diag(v.astype(complex))
+    h = np.diag(v)
     for l, g in enumerate(grids):
         p2 = _momentum_squared_1d(g)
         left = int(np.prod([gg.count for gg in grids[:l]], dtype=np.int64))
@@ -388,7 +389,7 @@ class TransportModel:
         mu*(Sigma - sigma) + diag(xi . k).
         """
         jd, kd = self.x_count, self.k_count
-        advection = np.zeros((jd, kd, kd), dtype=complex)
+        advection = np.zeros((jd, kd, kd))
         advection[:, np.arange(kd), np.arange(kd)] = self.advection_diagonal().reshape(jd, kd)
         return HermitianPair(
             h=HermitianMatrix.from_entries(np.broadcast_to(self.collision_matrix(), (jd, kd, kd))),

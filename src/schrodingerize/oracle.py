@@ -25,14 +25,18 @@ import math
 import numpy as np
 
 from .core import Grid1D, InvalidArgumentError, ResourceLimitError
+from .pipeline import ARRAY_BYTES_LIMIT
 
 __all__ = ["expm_apply", "heat_analytic", "transport_exact"]
 
 EXPM_DENSE_LIMIT = 4096
 _HERMITICITY_RTOL = 1e-12
-# matrix entries per chunk of transport_exact: bounds each of its complex
-# (frequencies, K^d, K^d) temporaries at 1 MiB
+# matrix entries per chunk of transport_exact: bounds its complex temporaries
+# at 1 MiB up to K^d = 256, past which a chunk is one frequency
 _EXPM_CHUNK = 1 << 16
+# peak complex n x n copies of a Pade exponential, its scaled input included:
+# 10.5 by tracemalloc at n = 256 and 512 (about 2 for the eigh branch)
+_PADE_COPIES = 10.5
 # Pade-13 coefficients and the 1-norm up to which that approximant is exact
 # to double precision (Higham 2005, Table 2.3)
 _PADE13 = (
@@ -55,7 +59,8 @@ def expm_apply(a, u0, t: float) -> np.ndarray:
     """exp(-A*t) @ u0 by dense linear algebra.
 
     A Hermitian matrix goes through its eigendecomposition; any other, normal
-    or not, through the Pade-13 scaling and squaring of ``_expm_stack``.
+    or not, through the Pade-13 scaling and squaring of ``_expm_stack``,
+    refused before it allocates past ``ARRAY_BYTES_LIMIT`` (n >= 3,576).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -68,6 +73,11 @@ def expm_apply(a, u0, t: float) -> np.ndarray:
     if float(np.abs(a - a.conj().T).max()) <= _HERMITICITY_RTOL * scale:
         lam, vec = np.linalg.eigh(a)
         return vec @ (np.exp(-lam * t) * (vec.conj().T @ u0))
+    if _PADE_COPIES * a.size * 16 > ARRAY_BYTES_LIMIT:
+        raise ResourceLimitError(
+            f"the Pade exponential of a non-Hermitian matrix of dimension {a.shape[0]} "
+            f"passes the {ARRAY_BYTES_LIMIT / 2**20:.0f} MiB cap"
+        )
     return _expm_stack(-t * a[None])[0] @ u0
 
 
@@ -121,10 +131,9 @@ def transport_exact(model, w0, t: float):
     velocity spectrum by exp(t*G_xi) with G_xi = sigma - diag(Sigma) -
     i*diag(xi . k), built from the scattering data, the velocity points
     and the x grids alone.  The (J^d, K^d, K^d) stack of exponentials is
-    computed in chunks of frequencies (at most 1 MiB per complex
-    temporary) by Pade-13 scaling and squaring, exact to rounding for
-    every resolved mode.  Takes an array of the (x.., k..) grid's size and
-    returns one shaped like that grid.
+    computed in chunks of at most max(K^2d, 2^16) entries by Pade-13
+    scaling and squaring, exact to rounding for every resolved mode.  Takes
+    an array of the (x.., k..) grid's size and returns one shaped like it.
     """
     if not math.isfinite(t):
         raise InvalidArgumentError(f"evolution time must be finite, got {t}")

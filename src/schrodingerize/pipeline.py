@@ -19,10 +19,16 @@ exp(-i*(H (x) D + Hbar (x) 1)*t) with D the ascending mode diagonal.  (With
 the opposite kernel the generator would be -mu_j*H + Hbar; only the mode
 labelling differs.)
 
+The stages pass StateVectors whose last axis carries the auxiliary grid:
+"p" in physical p-space (``warp_extend``, ``idft_p``), "eta" over the
+ascending modes (``dft_p``, ``evolve_blocks``); any other last axis raises
+InvalidArgumentError.
+
 Three recovery routes are provided: calibrated trapezoid quadrature over
-p >= 0, point evaluation exp(p*) w(., p*), and projection onto the p >= 0
-block with its measurement probability and amplification cost factor; the
-first and last read a real weight vector off the p row (``_recovery_weights``).
+p >= 0 and point evaluation exp(p*) w(., p*), which return the recovered
+state, and projection onto the p >= 0 block, which adds its measurement
+probability and amplification cost factor; the first and last read a real
+weight vector off the p row (``_recovery_weights``).
 ``evolve_lifted`` is the one run of the whole path: it recovers by
 quadrature, attaches the projection's two numbers and prices the run.
 ``evolve_eigenbasis`` gives the same result when Hbar = 0 from the spectrum
@@ -35,7 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,8 +59,6 @@ from .costs import CostReport, schrodingerisation_cost
 from .operators import EtaDiagonal, HermitianPair, assemble_eta_diagonal, hermitian_decompose
 
 __all__ = [
-    "WarpedState",
-    "SpectralState",
     "RecoveryResult",
     "default_p_grid",
     "warp_extend",
@@ -93,48 +97,19 @@ _FACTOR_ERROR_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
-class WarpedState:
-    """State with a trailing auxiliary axis p, in physical p-space."""
-
-    state: StateVector
-    p_grid: Grid1D
-
-    def __post_init__(self):
-        last = self.state.layout[-1]
-        if last.name != "p" or last.count != self.p_grid.count:
-            raise InvalidArgumentError("warped state must end with the p axis")
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """State with a trailing auxiliary-mode axis eta, ascending mode order."""
-
-    state: StateVector
-    eta_grid: Grid1D
-
-    def __post_init__(self):
-        last = self.state.layout[-1]
-        if last.name != "eta" or last.count != self.eta_grid.count:
-            raise InvalidArgumentError("spectral state must end with the eta axis")
-
-
-@dataclass(frozen=True)
 class RecoveryResult:
-    """Recovered solution over the non-auxiliary axes.
+    """What a projection or a whole lifted run reports beside its solution.
 
-    ``u`` carries the physical magnitude for the integration and point
-    routes; the projection route returns the normalized direction with the
-    magnitude estimate in ``u_norm``, the measurement ``success_probability``
+    ``project_positive`` gives the normalized direction ``u`` with the
+    magnitude estimate ``u_norm``, the measurement ``success_probability``
     and the amplification ``cost_factor`` |w| / (sqrt(N/(2L)) |u|).
-    ``evolve_lifted`` adds the projection's two numbers, the lifted
-    ``spectral_norms`` before and after the evolution and the ``cost``
-    report to its quadrature recovery.
+    ``evolve_lifted`` and ``evolve_eigenbasis`` give the quadrature solution
+    ``u`` with the projection's two numbers, the lifted ``spectral_norms``
+    before and after the evolution and the ``cost`` report.
     """
 
     u: StateVector
-    method: str
     success_probability: float | None = None
-    p_star: float | None = None
     u_norm: float | None = None
     cost_factor: float | None = None
     spectral_norms: tuple[float, float] | None = None
@@ -287,7 +262,15 @@ def _profile(p_grid: Grid1D) -> np.ndarray:
     return np.exp(-np.abs(p_grid.points))
 
 
-def warp_extend(u0: StateVector, p_grid: Grid1D, truncation_tol: float = 1e-4) -> WarpedState:
+def _aux_grid(state: StateVector, name: str) -> Grid1D:
+    """The grid of the last axis of ``state``, which must be ``name`` and have one."""
+    last = state.layout[-1]
+    if last.name != name or last.grid is None:
+        raise InvalidArgumentError(f"expected a last axis {name!r} with a grid, got {last}")
+    return last.grid
+
+
+def warp_extend(u0: StateVector, p_grid: Grid1D, truncation_tol: float = 1e-4) -> StateVector:
     """Lift u0 into w(0, x, p) = exp(-|p|) u0(x) on the extended p grid.
 
     Warns when exp(-half_width) is not below ``truncation_tol``: the
@@ -296,7 +279,7 @@ def warp_extend(u0: StateVector, p_grid: Grid1D, truncation_tol: float = 1e-4) -
     _warn_truncation(p_grid, truncation_tol)
     amplitudes = np.multiply.outer(u0.amplitudes, _profile(p_grid))
     layout = u0.layout + (AxisSpec("p", p_grid.count, p_grid),)
-    return WarpedState(StateVector._adopt(amplitudes, layout), p_grid)
+    return StateVector._adopt(amplitudes, layout)
 
 
 def _phase(n: int) -> np.ndarray:
@@ -325,22 +308,22 @@ def _p_transform(arr: np.ndarray, transform) -> np.ndarray:
     return transform(out, axis=-1, norm="ortho")
 
 
-def dft_p(w: WarpedState) -> SpectralState:
+def dft_p(w: StateVector) -> StateVector:
     """Unitary forward transform of the trailing p axis, modes ascending.
 
     Bin j holds the coefficient of exp(-i*mu_j*p); a pure tone
     exp(-i*mu*p) therefore lands on the single mode +mu.
     """
-    spec = _p_transform(w.state.as_array(), np.fft.ifft)
-    layout = w.state.layout[:-1] + (AxisSpec("eta", w.p_grid.count, w.p_grid),)
-    return SpectralState(StateVector._adopt(spec, layout), w.p_grid)
+    grid = _aux_grid(w, "p")
+    spec = _p_transform(w.as_array(), np.fft.ifft)
+    return StateVector._adopt(spec, w.layout[:-1] + (AxisSpec("eta", grid.count, grid),))
 
 
-def idft_p(s: SpectralState) -> WarpedState:
+def idft_p(s: StateVector) -> StateVector:
     """Inverse of dft_p; the round trip is exact to unitary rounding."""
-    phys = _p_transform(s.state.as_array(), np.fft.fft)
-    layout = s.state.layout[:-1] + (AxisSpec("p", s.eta_grid.count, s.eta_grid),)
-    return WarpedState(StateVector._adopt(phys, layout), s.eta_grid)
+    grid = _aux_grid(s, "eta")
+    phys = _p_transform(s.as_array(), np.fft.fft)
+    return StateVector._adopt(phys, s.layout[:-1] + (AxisSpec("p", grid.count, grid),))
 
 
 def _mode_spectrum(pair: HermitianPair, mu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -359,21 +342,21 @@ def _mode_phases(lam: np.ndarray, mus: np.ndarray, t: float) -> np.ndarray:
     return np.exp(phases, out=phases)
 
 
-def _evolve_modes(s0: SpectralState, block: int, spectra, t: float) -> SpectralState:
+def _evolve_modes(s0: StateVector, block: int, spectra, t: float) -> StateVector:
     """Evolve mode slice j of s0 by exp(-i*t*(mu_j*H + Hbar)), block by
     block of size ``block``, from the j-th entry of ``spectra``, the
     (eigenvalues, eigenvectors) of its generator stack."""
-    blocks_in = s0.state.amplitudes.reshape(-1, block, s0.eta_grid.count)
+    blocks_in = s0.amplitudes.reshape(-1, block, s0.shape[-1])
     blocks_out = np.empty_like(blocks_in)
     for j, (lam, vec) in enumerate(spectra):
         coeff = vec.conj().transpose(0, 2, 1) @ blocks_in[:, :, j, None]
         blocks_out[:, :, j] = (vec @ (np.exp(-1j * t * lam)[:, :, None] * coeff))[:, :, 0]
-    return SpectralState(StateVector._adopt(blocks_out, s0.state.layout), s0.eta_grid)
+    return StateVector._adopt(blocks_out, s0.layout)
 
 
 def evolve_blocks(
-    s0: SpectralState, pair: HermitianPair, d_matrix: EtaDiagonal, t: float
-) -> SpectralState:
+    s0: StateVector, pair: HermitianPair, d_matrix: EtaDiagonal, t: float
+) -> StateVector:
     """Evolve each mode slice by exp(-i*t*(mu_j*H + Hbar)), exact in time.
 
     Flattened, this equals exp(-i*(H (x) D + Hbar (x) 1)*t).  With Hbar = 0
@@ -388,9 +371,9 @@ def evolve_blocks(
     if t < 0:
         raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
     n = d_matrix.count
-    if s0.eta_grid.count != n:
+    if _aux_grid(s0, "eta").count != n:
         raise InvalidArgumentError("eta axis and mode diagonal disagree in size")
-    arr = s0.state.amplitudes.reshape(-1, n)
+    arr = s0.amplitudes.reshape(-1, n)
     if arr.shape[0] != pair.h.dimension:
         raise InvalidArgumentError(
             f"state block dimension {arr.shape[0]} != Hamiltonian dimension {pair.h.dimension}"
@@ -400,7 +383,7 @@ def evolve_blocks(
         lam, vec = pair.h.spectrum
         coeff = vec.conj().T @ arr
         coeff *= _mode_phases(lam, mus, t)
-        return SpectralState(StateVector._adopt(vec @ coeff, s0.state.layout), s0.eta_grid)
+        return StateVector._adopt(vec @ coeff, s0.layout)
     return _evolve_modes(s0, pair.h.blocks.shape[-1], (_mode_spectrum(pair, mu) for mu in mus), t)
 
 
@@ -423,7 +406,7 @@ def _recovery_weights(p_grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return quadrature, fit, block
 
 
-def recover_integrate(w: WarpedState) -> RecoveryResult:
+def recover_integrate(w: StateVector) -> StateVector:
     """u(x) = integral of w(x, p) over p >= 0 by the calibrated trapezoid rule.
 
     Nodes run from p = 0 to p = half_width, the endpoint taken from the
@@ -433,16 +416,15 @@ def recover_integrate(w: WarpedState) -> RecoveryResult:
     quadrature bias shared by all modes and makes the t = 0 round trip
     exact.
     """
-    u = w.state.as_array() @ _recovery_weights(w.p_grid)[0]
-    layout = w.state.layout[:-1]
-    return RecoveryResult(u=StateVector(u.reshape(-1), layout), method="integration")
+    u = w.as_array() @ _recovery_weights(_aux_grid(w, "p"))[0]
+    return StateVector(u.reshape(-1), w.layout[:-1])
 
 
 def recover_point(
-    w: WarpedState,
+    w: StateVector,
     p_star: float,
     convection_estimate: float | None = None,
-) -> RecoveryResult:
+) -> StateVector:
     """u(x) = w(x, p*) / exp(-p*) at a positive grid point p*.
 
     No interpolation: p* must lie on the grid.  The value at p* is only
@@ -450,7 +432,7 @@ def recover_point(
     while t*lambda_max < half_width - p*; pass ``convection_estimate`` =
     t*lambda_max to get a warning when the window is violated.
     """
-    grid = w.p_grid
+    grid = _aux_grid(w, "p")
     if p_star <= 0:
         raise InvalidArgumentError(f"p_star must be positive, got {p_star}")
     idx = int(round((p_star + grid.half_width) / grid.spacing))
@@ -463,10 +445,8 @@ def recover_point(
             AccuracyWarning,
             stacklevel=2,
         )
-    u = w.state.as_array()[..., idx] / _profile(grid)[idx]
-    return RecoveryResult(
-        u=StateVector(u.reshape(-1), w.state.layout[:-1]), method="point", p_star=float(p_star)
-    )
+    u = w.as_array()[..., idx] / _profile(grid)[idx]
+    return StateVector(u.reshape(-1), w.layout[:-1])
 
 
 def _projection_numbers(
@@ -483,18 +463,19 @@ def _projection_numbers(
     return block_mass / w_norm**2, w_norm / (normalizer * u_norm)
 
 
-def _positive_readout(w: WarpedState) -> tuple[np.ndarray, np.ndarray]:
+def _positive_readout(w: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """Per row of w: the least-squares fit of the profile exp(-p) to the
     p >= 0 block, and the block's weighted squared norm."""
-    half = w.p_grid.count // 2
-    _, fit, weights = _recovery_weights(w.p_grid)
-    block = w.state.as_array()[..., half:]
+    grid = _aux_grid(w, "p")
+    half = grid.count // 2
+    _, fit, weights = _recovery_weights(grid)
+    block = w.as_array()[..., half:]
     mass = np.abs(block)
     mass *= mass
     return block @ fit[half:], mass @ weights[half:]
 
 
-def project_positive(w: WarpedState) -> RecoveryResult:
+def project_positive(w: StateVector) -> RecoveryResult:
     """Project onto the p >= 0 block and collapse out the exp(-p) profile.
 
     The p = 0 slice enters with half quadrature weight.  Returns the
@@ -507,12 +488,10 @@ def project_positive(w: WarpedState) -> RecoveryResult:
     u_est, block_mass = _positive_readout(w)
     u_norm = float(np.linalg.norm(u_est))
     success, cost_factor = _projection_numbers(
-        float(block_mass.sum()), u_norm, w.state.norm, w.p_grid
+        float(block_mass.sum()), u_norm, w.norm, _aux_grid(w, "p")
     )
-    layout = w.state.layout[:-1]
     return RecoveryResult(
-        u=StateVector((u_est / u_norm).reshape(-1), layout),
-        method="projection",
+        u=StateVector((u_est / u_norm).reshape(-1), w.layout[:-1]),
         success_probability=success,
         u_norm=u_norm,
         cost_factor=cost_factor,
@@ -612,7 +591,7 @@ def evolve_lifted(
     t: float,
     epsilon: float = 1e-3,
     truncation_tol: float = 1e-4,
-) -> tuple[WarpedState, RecoveryResult]:
+) -> tuple[StateVector, RecoveryResult]:
     """Lift u0, evolve every auxiliary mode to time t, recover, measure, price.
 
     The one route from an initial state to a recovered run.  Returns the
@@ -640,8 +619,8 @@ def _lifted_run(
     t: float,
     epsilon: float,
     truncation_tol: float,
-    evolve: Callable[[SpectralState], SpectralState],
-) -> tuple[WarpedState, RecoveryResult]:
+    evolve: Callable[[StateVector], StateVector],
+) -> tuple[StateVector, RecoveryResult]:
     """The body of ``evolve_lifted``, its evolution step ``evolve`` taking
     the lifted mode spectrum to the spectrum at time t: byte check, lift,
     evolution, inverse transform, recovery, the projection's two numbers
@@ -649,23 +628,23 @@ def _lifted_run(
     _check_array_bytes(u0.amplitudes.size, p_grid.count, _LIFTED_COPIES)
     s0 = dft_p(warp_extend(u0, p_grid, truncation_tol=truncation_tol))
     s_t = evolve(s0)
-    spectral_norms = (s0.state.norm, s_t.state.norm)
+    spectral_norms = (s0.norm, s_t.norm)
     del s0  # one lifted copy fewer while the inverse transform allocates
     w_t = idft_p(s_t)
-    rec = recover_integrate(w_t)
+    u = recover_integrate(w_t)
     fit, block_mass = _positive_readout(w_t)
     success, cost_factor = _projection_numbers(
-        float(block_mass.sum()), float(np.linalg.norm(fit)), w_t.state.norm, p_grid
+        float(block_mass.sum()), float(np.linalg.norm(fit)), w_t.norm, p_grid
     )
     cost = _price(
-        u0.norm, rec.u.norm, t, epsilon,
+        u0.norm, u.norm, t, epsilon,
         sparsity=max(pair.h.sparsity, pair.h_bar.sparsity),
         max_norm=pair.h.max_norm,
         max_norm_oscillatory=pair.h_bar.max_norm,
         size=pair.h.dimension * p_grid.count,
     )
-    return w_t, replace(
-        rec,
+    return w_t, RecoveryResult(
+        u=u,
         success_probability=success,
         cost_factor=cost_factor,
         spectral_norms=spectral_norms,
@@ -688,20 +667,20 @@ def _lifted_rows(lam: np.ndarray, p_grid: Grid1D, t: float) -> _Rows:
     each eigenvalue in ``lam`` (Hbar = 0: every mode mu_j turns by
     exp(-i t mu_j lam)), transform back and read out each length-N row."""
     unit = StateVector(np.ones(1), (AxisSpec("lambda", 1),))
-    profile = dft_p(warp_extend(unit, p_grid)).state.amplitudes
+    profile = dft_p(warp_extend(unit, p_grid)).amplitudes
     # in place: when every eigenvalue of H is distinct the rows are as large
     # as the lifted state, and idft_p adds a copy
     spec = _mode_phases(lam, assemble_eta_diagonal(p_grid).diagonal, t)
     spec *= profile
     spectral_sq = (np.abs(spec) ** 2).sum(axis=-1)
     layout = (AxisSpec("lambda", lam.size), AxisSpec("eta", p_grid.count, p_grid))
-    s_t = SpectralState(StateVector._adopt(spec, layout), p_grid)
+    s_t = StateVector._adopt(spec, layout)
     del spec
     w_t = idft_p(s_t)
     del s_t
     fit, block_mass = _positive_readout(w_t)
     return _Rows(
-        integration=recover_integrate(w_t).u.amplitudes,
+        integration=recover_integrate(w_t).amplitudes,
         fit=fit,
         block_mass=block_mass,
         spectral_sq=spectral_sq,
@@ -785,7 +764,6 @@ def evolve_eigenbasis(
     u = u0.with_amplitudes(u)
     return RecoveryResult(
         u=u,
-        method="integration",
         success_probability=success,
         cost_factor=cost_factor,
         spectral_norms=(math.sqrt(float(mass.sum()) * rows.initial_sq), w_norm),
@@ -805,7 +783,7 @@ def schrodingerize_evolve(
     p_grid: Grid1D | tuple | None,
     t: float,
     epsilon: float = 1e-3,
-) -> tuple[WarpedState, RecoveryResult]:
+) -> tuple[StateVector, RecoveryResult]:
     """End-to-end run for du/dt = -A u: decompose A = H + i*Hbar, then
     ``evolve_lifted``.
 

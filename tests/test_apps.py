@@ -875,6 +875,33 @@ class TestStationaryTransport:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_reference_chunk_counts_toward_the_byte_cap(self, monkeypatch):
+        # J = 2, K = 3400: the pair and the lifted copies fit (about 1.6
+        # GiB), but transport_exact takes one frequency at a time here, and
+        # its Pade needs 1.8 GiB more.  The scattering matrix is a broadcast
+        # view, so the test allocates nothing of size K^2
+        monkeypatch.setattr(TransportModel, "hermitian_pair", refuse_to_build)
+        k = 3400
+        model = TransportModel(
+            x_grids=(make_grid(1.0, 2),),
+            k_grids=(make_grid(1.0, k),),
+            sigma=np.broadcast_to(1.0 / k, (k, k)),
+            sigma_total=np.ones(k),
+            dimension=1,
+        )
+        with monkeypatch.context() as without_reference:
+            without_reference.setattr(apps, "_PADE_COPIES", 0.0)
+            apps._check_transport_bytes(model)
+        w0 = np.ones((2, k))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="MiB cap"):
+                run_transport(model, w0, t=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize(
         "entry",
         [

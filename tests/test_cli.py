@@ -259,6 +259,21 @@ class TestRun:
         assert validate_summary(summary) == []
         assert not (tmp_path / "out" / "solution.csv").exists()
 
+    def test_general_with_a_refused_reference_exits_3_before_the_run(self, tmp_path, monkeypatch):
+        # the cap set below the Pade working set of the 2 x 2 non-Hermitian
+        # A: the reference is refused, and the lifted run never starts
+        def no_run(*args, **kwargs):
+            raise AssertionError("the lifted run started before the reference")
+
+        monkeypatch.setattr(oracle, "ARRAY_BYTES_LIMIT", 256)
+        monkeypatch.setattr(cli, "schrodingerize_evolve", no_run)
+        assert run(general_config(tmp_path)) == 3
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert "Pade exponential" in summary["error"] and "MiB cap" in summary["error"]
+        assert validate_summary(summary) == []
+        assert not (tmp_path / "out" / "solution.csv").exists()
+
     @pytest.mark.parametrize(
         "error",
         [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,7 +27,6 @@ from schrodingerize.operators import (
     _laplacian_sparsity_and_max_norm,
     _laplacian_symbol,
 )
-from schrodingerize.pipeline import SpectralState
 
 
 def random_complex(rng, shape):
@@ -177,13 +178,13 @@ class TestRealStorage:
         assert h.blocks.dtype == hbar.blocks.dtype == zero.blocks.dtype == np.float64
         amps = rng.standard_normal((nblocks * b, 8)) + 1j * rng.standard_normal((nblocks * b, 8))
         layout = (AxisSpec("x1", nblocks * b), AxisSpec("eta", 8, p_grid))
-        s0 = SpectralState(StateVector(amps.reshape(-1), layout), p_grid)
+        s0 = StateVector(amps.reshape(-1), layout)
         d = assemble_eta_diagonal(p_grid)
         for bar in (hbar, zero):  # the per-mode path and the shared eigenbasis
-            real = evolve_blocks(s0, HermitianPair(h, bar), d, t).state.amplitudes
+            real = evolve_blocks(s0, HermitianPair(h, bar), d, t).amplitudes
             cplx = evolve_blocks(
                 s0, HermitianPair(forced_complex(h), forced_complex(bar)), d, t
-            ).state.amplitudes
+            ).amplitudes
             assert np.abs(real - cplx).max() < 1e-12
 
         (lam, vec), (lam_c, vec_c) = h.spectrum, forced_complex(h).spectrum
@@ -197,6 +198,37 @@ class TestRealStorage:
         x, k = make_grid(1.0, 4), make_grid(1.0, 4)
         pair = TransportModel.create([x, x], [k, k], np.full((16, 16), 0.1)).hermitian_pair()
         assert pair.h.blocks.dtype == pair.h_bar.blocks.dtype == np.float64
+
+    def test_transport_pair_builds_in_about_two_complex_stacks(self):
+        # the scattering and advection stacks start real: the build peaked
+        # at 4.2 complex (J, K, K) stacks when both were built complex
+        j, k = 4, 256
+        sigma = np.full((k, k), 1 / k)
+        model = TransportModel.create([make_grid(1.0, j)], [make_grid(1.0, k)], sigma)
+        model.hermitian_pair()  # caches and imports
+        tracemalloc.start()
+        try:
+            pair = model.hermitian_pair()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair.h.blocks.dtype == pair.h_bar.blocks.dtype == np.float64
+        assert peak < 2.5 * j * k * k * 16
+
+    def test_potential_assembly_stays_real(self):
+        # 2-D 32 x 48 with a potential: the float64 matrix is 18 MiB and the
+        # assembly peaks near 54 MiB (108 MiB when it was built complex)
+        grids = [make_grid(1.0, 32), make_grid(1.0, 48)]
+        potential = lambda x, y: 1.0 + x * x + y * y  # noqa: E731
+        assemble_schrodinger_hamiltonian(potential, [make_grid(1.0, 4)] * 2)  # caches
+        tracemalloc.start()
+        try:
+            h = assemble_schrodinger_hamiltonian(potential, grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.blocks.dtype == np.float64
+        assert peak < 64 * 2**20
 
     def test_general_dense_pair_stored_real(self, general_dense_matrix):
         pair = hermitian_decompose(general_dense_matrix)

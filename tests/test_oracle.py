@@ -99,6 +99,26 @@ class TestExpmApply:
         u0 = np.asarray(u0["real"]) + 1j * np.asarray(u0["imag"])
         self.assert_matches_dense_expm(general_dense_matrix, u0, general_dense_config["physics"]["t"])
 
+    def test_pade_past_the_byte_cap_refused_before_it_allocates(self, monkeypatch):
+        # the cap set just below the Pade working set at n = 64: a
+        # non-Hermitian A is refused before _expm_stack runs, and a Hermitian
+        # A of the same size still takes its eigendecomposition
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Pade exponential started past the byte cap")
+
+        monkeypatch.setattr(oracle, "_expm_stack", refuse)
+        cap = int(oracle._PADE_COPIES * 64 * 64 * 16) - 1
+        monkeypatch.setattr(oracle, "ARRAY_BYTES_LIMIT", cap)
+        rng = np.random.default_rng(15)
+        g = rng.standard_normal((64, 64))
+        u0 = rng.standard_normal(64)
+        with pytest.raises(ResourceLimitError, match="dimension 64 .* MiB cap"):
+            expm_apply(g + 0.5j * (g + g.T), u0, 0.5)
+        h = g + g.T
+        lam, vec = np.linalg.eigh(h)
+        expected = vec @ (np.exp(-0.5 * lam) * (vec.T @ u0))
+        assert np.linalg.norm(expm_apply(h, u0, 0.5) - expected) < 1e-10 * np.linalg.norm(expected)
+
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError):
             expm_apply(np.zeros((5000, 5000)), np.zeros(5000), 1.0)

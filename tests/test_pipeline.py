@@ -15,7 +15,6 @@ from schrodingerize import (
     Grid1D,
     InvalidArgumentError,
     StateVector,
-    WarpedState,
     assemble_eta_diagonal,
     assemble_total_hamiltonian,
     default_p_grid,
@@ -35,7 +34,6 @@ from schrodingerize import (
 from schrodingerize.operators import HermitianMatrix, HermitianPair
 from schrodingerize import pipeline
 from schrodingerize.pipeline import (
-    SpectralState,
     _discretisation_error,
     _lifted_rows,
     _mode_weights,
@@ -112,13 +110,13 @@ class TestWarpExtend:
         g = make_grid(12.0, 128)
         u0 = vector_state([1.0, 2.0 - 1.0j, 0.5])
         w = warp_extend(u0, g)
-        arr = w.state.as_array()
+        arr = w.as_array()
         assert np.array_equal(arr[:, 64], u0.amplitudes)  # p = 0 at index N/2
 
     def test_even_extension(self):
         g = make_grid(8.0, 64)
         u0 = vector_state([1.0, -0.7j])
-        arr = warp_extend(u0, g, truncation_tol=1e-3).state.as_array()
+        arr = warp_extend(u0, g, truncation_tol=1e-3).as_array()
         pts = g.points
         i_plus = np.argmin(np.abs(pts - 1.0))
         i_minus = np.argmin(np.abs(pts + 1.0))
@@ -127,7 +125,7 @@ class TestWarpExtend:
     def test_profile_values_exact(self):
         g = make_grid(6.0, 32)
         u0 = vector_state([2.0])
-        arr = warp_extend(u0, g, truncation_tol=1e-2).state.as_array()
+        arr = warp_extend(u0, g, truncation_tol=1e-2).as_array()
         assert np.abs(arr[0] - 2.0 * np.exp(-np.abs(g.points))).max() < 1e-14
 
     def test_lifted_norm_matches_closed_form(self):
@@ -137,7 +135,7 @@ class TestWarpExtend:
         u0 = vector_state(rng.standard_normal(5))
         w = warp_extend(u0, g)
         predicted = math.sqrt(g.count / (2.0 * g.half_width)) * u0.norm
-        assert w.state.norm == pytest.approx(predicted, rel=1e-2)
+        assert w.norm == pytest.approx(predicted, rel=1e-2)
 
     def test_short_domain_warns(self):
         g = make_grid(4.0, 32)
@@ -149,8 +147,8 @@ class TestAuxiliaryTransforms:
     def test_constant_in_p_hits_zero_mode(self):
         g = make_grid(2.0, 16)
         amps = np.tile(np.array([1.0 + 0.5j]), 16)
-        w = WarpedState(StateVector(amps, (AxisSpec("x1", 1), AxisSpec("p", 16, g))), g)
-        spec = dft_p(w).state.as_array()[0]
+        w = StateVector(amps, (AxisSpec("x1", 1), AxisSpec("p", 16, g)))
+        spec = dft_p(w).as_array()[0]
         d = assemble_eta_diagonal(g)
         zero_idx = int(np.argmin(np.abs(d.diagonal)))
         others = np.delete(np.abs(spec), zero_idx)
@@ -163,8 +161,8 @@ class TestAuxiliaryTransforms:
         g = make_grid(2.0, 16)
         mu_m = fourier_modes(g)[3]
         tone = np.exp(-1j * mu_m * g.points)
-        w = WarpedState(StateVector(tone, (AxisSpec("p", 16, g),)), g)
-        spec = dft_p(w).state.amplitudes
+        w = StateVector(tone, (AxisSpec("p", 16, g),))
+        spec = dft_p(w).amplitudes
         d = assemble_eta_diagonal(g)
         idx = int(np.argmax(np.abs(spec)))
         assert d.diagonal[idx] == pytest.approx(mu_m, rel=1e-12)
@@ -181,11 +179,11 @@ class TestAuxiliaryTransforms:
         grid = make_grid(6.0, 32)
         layout = (AxisSpec("x1", 3), AxisSpec("eta", 32, grid))
         arr = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
-        w = idft_p(SpectralState(StateVector(arr.reshape(-1), layout), grid))
+        w = idft_p(StateVector(arr.reshape(-1), layout))
         spec = np.fft.ifftshift(arr, axes=-1) * np.where(np.arange(32) % 2 == 0, 1.0, -1.0)
         expected = np.fft.fft(spec, axis=-1, norm="ortho")
-        assert np.array_equal(w.state.as_array(), expected)
-        assert not w.state.amplitudes.flags.writeable
+        assert np.array_equal(w.as_array(), expected)
+        assert not w.amplitudes.flags.writeable
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -204,8 +202,8 @@ class TestAuxiliaryTransforms:
             arr = arr + 1j * rng.standard_normal((rows, n))
         grid = make_grid(3.0, n)
         layout = (AxisSpec("x1", rows), AxisSpec("p", n, grid))
-        w = WarpedState(StateVector(arr.reshape(-1), layout), grid)
-        got = dft_p(w).state.as_array()
+        w = StateVector(arr.reshape(-1), layout)
+        got = dft_p(w).as_array()
         phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         expected = np.fft.fftshift(np.fft.ifft(arr, axis=-1, norm="ortho") * phase, axes=-1)
         scale = np.abs(expected).max()
@@ -213,7 +211,7 @@ class TestAuxiliaryTransforms:
             assert np.array_equal(got, expected)
         else:
             assert np.abs(got - expected).max() <= 4e-15 * scale
-        back = idft_p(dft_p(w)).state.as_array()
+        back = idft_p(dft_p(w)).as_array()
         assert np.abs(back - arr).max() <= 1e-14 * np.abs(arr).max()
 
     def test_forward_holds_one_copy_beside_its_input(self):
@@ -223,7 +221,7 @@ class TestAuxiliaryTransforms:
         grid = make_grid(12.0, 4096)
         arr = np.random.default_rng(1).standard_normal((64, 4096)) + 0j
         layout = (AxisSpec("x1", 64), AxisSpec("p", 4096, grid))
-        w = WarpedState(StateVector(arr.reshape(-1), layout), grid)
+        w = StateVector(arr.reshape(-1), layout)
         dft_p(w)
         tracemalloc.start()
         try:
@@ -237,13 +235,42 @@ class TestAuxiliaryTransforms:
         rng = np.random.default_rng(22)
         g = make_grid(5.0, 64)
         amps = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
-        w = WarpedState(
-            StateVector(amps.reshape(-1), (AxisSpec("x1", 3), AxisSpec("p", 64, g))), g
-        )
+        w = StateVector(amps.reshape(-1), (AxisSpec("x1", 3), AxisSpec("p", 64, g)))
         s = dft_p(w)
-        assert s.state.norm == pytest.approx(w.state.norm, rel=1e-12)
+        assert s.norm == pytest.approx(w.norm, rel=1e-12)
         back = idft_p(s)
-        assert np.abs(back.state.amplitudes - w.state.amplitudes).max() < 1e-12
+        assert np.abs(back.amplitudes - w.amplitudes).max() < 1e-12
+
+
+_STAGE_GRID = make_grid(4.0, 8)
+_STAGE_PAIR = hermitian_decompose(np.diag([1.0, 2.0]))
+# each stage and the name of the last axis it reads
+_STAGES = {
+    "dft_p": (dft_p, "p"),
+    "recover_integrate": (recover_integrate, "p"),
+    "recover_point": (lambda w: recover_point(w, _STAGE_GRID.points[6]), "p"),
+    "project_positive": (project_positive, "p"),
+    "idft_p": (idft_p, "eta"),
+    "evolve_blocks": (
+        lambda s: evolve_blocks(s, _STAGE_PAIR, assemble_eta_diagonal(_STAGE_GRID), 0.1),
+        "eta",
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", _STAGES)
+@pytest.mark.parametrize("defect", ["other space", "no grid"])
+def test_stage_refuses_a_state_from_the_wrong_space(stage, defect):
+    # a p-space state handed to a mode-space stage or the reverse, or the
+    # stage's own axis name without the grid it reads
+    func, name = _STAGES[stage]
+    if defect == "other space":
+        last = AxisSpec({"p": "eta", "eta": "p"}[name], 8, _STAGE_GRID)
+    else:
+        last = AxisSpec(name, 8)
+    state = StateVector(np.ones(16), (AxisSpec("x1", 2), last))
+    with pytest.raises(InvalidArgumentError, match=f"last axis '{name}' with a grid"):
+        func(state)
 
 
 class HeatFixture:
@@ -275,14 +302,14 @@ class TestEvolveBlocks:
     def test_time_zero_identity(self):
         fix = HeatFixture()
         s = fix.evolved(t=0.0)
-        assert np.abs(s.state.amplitudes - fix.s0.state.amplitudes).max() < 1e-14
+        assert np.abs(s.amplitudes - fix.s0.amplitudes).max() < 1e-14
 
     def test_zero_mode_slice_frozen(self):
         fix = HeatFixture()
         s = fix.evolved(t=0.7)
         zero_idx = int(np.argmin(np.abs(fix.d.diagonal)))
-        before = fix.s0.state.as_array()[:, zero_idx]
-        after = s.state.as_array()[:, zero_idx]
+        before = fix.s0.as_array()[:, zero_idx]
+        after = s.as_array()[:, zero_idx]
         assert np.abs(after - before).max() < 1e-12
 
     @staticmethod
@@ -294,15 +321,12 @@ class TestEvolveBlocks:
         d = assemble_eta_diagonal(p_grid)
         amps = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
         s0 = dft_p(
-            WarpedState(
-                StateVector(amps.reshape(-1), (AxisSpec("x1", dim), AxisSpec("p", n, p_grid))),
-                p_grid,
-            )
+            StateVector(amps.reshape(-1), (AxisSpec("x1", dim), AxisSpec("p", n, p_grid)))
         )
         total = assemble_total_hamiltonian(pair, d)
-        expected = expm_apply(1j * total.dense(), s0.state.amplitudes, t)
+        expected = expm_apply(1j * total.dense(), s0.amplitudes, t)
         got = evolve_blocks(s0, pair, d, t)
-        assert np.abs(got.state.amplitudes - expected).max() < 1e-10
+        assert np.abs(got.amplitudes - expected).max() < 1e-10
 
     def test_matches_dense_exponential_of_total_hamiltonian(self):
         rng = np.random.default_rng(23)
@@ -319,7 +343,7 @@ class TestEvolveBlocks:
         fix = HeatFixture()
         for t in (0.05, 0.3, 2.0):
             s = fix.evolved(t=t)
-            assert s.state.norm == pytest.approx(fix.s0.state.norm, rel=1e-10)
+            assert s.norm == pytest.approx(fix.s0.norm, rel=1e-10)
 
     def test_negative_time_rejected(self):
         fix = HeatFixture()
@@ -338,7 +362,7 @@ class TestEvolveBlocks:
         p_grid = make_grid(12.0, 4096)
         amps = rng.standard_normal((256, 4096)) + 1j * rng.standard_normal((256, 4096))
         layout = (AxisSpec("x1", 256), AxisSpec("eta", 4096, p_grid))
-        s0 = SpectralState(StateVector(amps.reshape(-1), layout), p_grid)
+        s0 = StateVector(amps.reshape(-1), layout)
         d = assemble_eta_diagonal(p_grid)
         del amps
         tracemalloc.start()
@@ -376,8 +400,8 @@ def evolve_matrices(h, hbar, amps, p_grid, t):
         h=HermitianMatrix.from_entries(h), h_bar=HermitianMatrix.from_entries(hbar)
     )
     layout = (AxisSpec("x1", amps.shape[0]), AxisSpec("eta", p_grid.count, p_grid))
-    s0 = SpectralState(StateVector(amps.reshape(-1), layout), p_grid)
-    return evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t).state.as_array()
+    s0 = StateVector(amps.reshape(-1), layout)
+    return evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t).as_array()
 
 
 def per_mode_expm(h, hbar, amps, p_grid, t):
@@ -455,14 +479,13 @@ class TestRecoverIntegrate:
         g = make_grid(20.0, 4000)  # dp = 0.01
         u0 = vector_state([1.0])
         w = warp_extend(u0, g, truncation_tol=1e-3)
-        rec = recover_integrate(w)
-        assert abs(rec.u.amplitudes[0] - 1.0) < 1e-4
+        u = recover_integrate(w)
+        assert abs(u.amplitudes[0] - 1.0) < 1e-4
 
     def test_zero_state(self):
         g = make_grid(8.0, 32)
-        w = WarpedState(StateVector(np.zeros(32), (AxisSpec("p", 32, g),)), g)
-        rec = recover_integrate(w)
-        assert np.all(rec.u.amplitudes == 0)
+        w = StateVector(np.zeros(32), (AxisSpec("p", 32, g),))
+        assert np.all(recover_integrate(w).amplitudes == 0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -483,17 +506,17 @@ class TestRecoverIntegrate:
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
         layout = (AxisSpec("x1", dim), AxisSpec("p", n, g))
-        w = WarpedState(StateVector(amps.reshape(-1), layout), g)
+        w = StateVector(amps.reshape(-1), layout)
         expected = trapezoid_slices(amps) / trapezoid_slices(np.exp(-np.abs(g.points)))
-        got = recover_integrate(w).u.amplitudes
+        got = recover_integrate(w).amplitudes
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(amps).max()
 
     def test_calibrated_roundtrip_exact(self):
         g = make_grid(12.0, 64)
         rng = np.random.default_rng(25)
         u0 = vector_state(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        rec = recover_integrate(warp_extend(u0, g))
-        assert np.abs(rec.u.amplitudes - u0.amplitudes).max() < 1e-14
+        u = recover_integrate(warp_extend(u0, g))
+        assert np.abs(u.amplitudes - u0.amplitudes).max() < 1e-14
 
 
 class TestRecoverPoint:
@@ -503,9 +526,8 @@ class TestRecoverPoint:
         u0 = vector_state(rng.standard_normal(3))
         w = warp_extend(u0, g)
         p_star = g.points[40]
-        rec = recover_point(w, p_star)
-        assert np.abs(rec.u.amplitudes - u0.amplitudes).max() < 1e-12
-        assert rec.p_star == pytest.approx(p_star)
+        u = recover_point(w, p_star)
+        assert np.abs(u.amplitudes - u0.amplitudes).max() < 1e-12
 
     def test_off_grid_rejected(self):
         g = make_grid(12.0, 64)
@@ -532,8 +554,8 @@ class TestRecoverPoint:
         fix = HeatFixture(m=32, n=1024)
         w_t = idft_p(fix.evolved())
         p_star = fix.p_grid.points[fix.p_grid.count // 2 + 64]
-        by_point = recover_point(w_t, p_star).u.amplitudes
-        by_quad = recover_integrate(w_t).u.amplitudes
+        by_point = recover_point(w_t, p_star).amplitudes
+        by_quad = recover_integrate(w_t).amplitudes
         rel = np.linalg.norm(by_point - by_quad) / np.linalg.norm(by_quad)
         assert rel < 1e-4
 
@@ -551,7 +573,7 @@ class TestProjectPositive:
         pos = g.points[g.count // 2:]
         weights = np.ones(pos.size)
         weights[0] = 0.5
-        expected = np.sum(weights * np.exp(-2 * pos)) / w.state.norm**2
+        expected = np.sum(weights * np.exp(-2 * pos)) / w.norm**2
         assert rec.success_probability == pytest.approx(expected, rel=1e-12)
         assert 0.4 < rec.success_probability < 0.6
         assert rec.cost_factor == pytest.approx(1.0, abs=0.02)
@@ -569,7 +591,7 @@ class TestProjectPositive:
         g = make_grid(8.0, 32)
         amps = np.zeros(32)
         amps[: 32 // 2] = 1.0  # support strictly on p < 0
-        w = WarpedState(StateVector(amps, (AxisSpec("p", 32, g),)), g)
+        w = StateVector(amps, (AxisSpec("p", 32, g),))
         with pytest.raises(DegenerateStateError):
             project_positive(w)
 
@@ -586,7 +608,7 @@ class TestLeftMovingSupport:
         for frac in (0.05, 0.15, 0.4):
             p_star = fix.p_grid.points[fix.p_grid.count // 2 + int(frac * fix.p_grid.count // 2)]
             assert fix.t * active_rate + p_star < fix.p_grid.half_width
-            results.append(recover_point(w_t, p_star).u.amplitudes)
+            results.append(recover_point(w_t, p_star).amplitudes)
         for other in results[1:]:
             rel = np.linalg.norm(other - results[0]) / np.linalg.norm(results[0])
             assert rel < 1e-3
@@ -657,7 +679,7 @@ class TestSchrodingerizeEvolve:
         w_t, rec = schrodingerize_evolve(u0, a, grid, 0.4)
         p_star = grid.points[grid.count // 2 + grid.count // 8]
         # every eigenvalue of the dissipative part is below lam_max = 1
-        point = recover_point(w_t, p_star, convection_estimate=0.4 * 1.0).u.amplitudes
+        point = recover_point(w_t, p_star, convection_estimate=0.4 * 1.0).amplitudes
         projection = project_positive(w_t).u.amplitudes
         assert cosine_similarity(rec.u.amplitudes, point) > 1 - 1e-6
         assert cosine_similarity(rec.u.amplitudes, projection) > 1 - 1e-6
@@ -691,9 +713,9 @@ class TestDecayFactors:
 
         profile = dft_p(warp_extend(vector_state([1.0]), grid, truncation_tol=1.0))
         layout = (AxisSpec("x1", n), AxisSpec("eta", n, grid))
-        units = SpectralState(StateVector(np.eye(n).reshape(-1), layout), grid)
-        functional = recover_integrate(idft_p(units)).u.amplitudes
-        explicit = profile.state.amplitudes * functional
+        units = StateVector(np.eye(n).reshape(-1), layout)
+        functional = recover_integrate(idft_p(units)).amplitudes
+        explicit = profile.amplitudes * functional
         scale = np.abs(explicit).max()
         assert np.abs(explicit[even]).max() < 1e-14 * scale
         assert np.abs(weights[even]).max() < 1e-14 * scale
