@@ -29,9 +29,9 @@ from .core import (
     AxisSpec,
     Grid1D,
     InvalidArgumentError,
-    ResourceLimitError,
     StateVector,
     UnsupportedProblemError,
+    _preflight,
 )
 from .costs import CostReport, gibbs_cost, ground_state_cost, relaxation_time
 from .operators import (
@@ -42,19 +42,12 @@ from .operators import (
     assemble_eta_diagonal,
     assemble_schrodinger_hamiltonian,
 )
-from .oracle import (
-    _EXPM_CHUNK,
-    _PADE_COPIES,
-    _check_dense_dimension,
-    expm_apply,
-    heat_analytic,
-    transport_exact,
-)
+from .oracle import _EXPM_CHUNK, _PADE_COPIES, expm_apply, heat_analytic, transport_exact
 from .pipeline import (
-    ARRAY_BYTES_LIMIT,
-    _LIFTED_COPIES,
-    _check_array_bytes,
+    _MODE_BYTES,
+    _PAIR_STACKS,
     _evolve_modes,
+    _lifted_phase,
     _lifted_run,
     _mode_spectrum,
     _p_grid_from,
@@ -93,6 +86,12 @@ _TRANSPORT_EPSILON = 1e-3
 # complex (J^d, K^d, K^d) stacks of a transport run: by tracemalloc the pair
 # build peaks near 2 and a whole run at J = 4, K = 256, N = 8 at 2.8
 _PAIR_BUILD_STACKS = 4.5
+# n x n peaks by tracemalloc at n = 512 and 1024: from_entries with its
+# spectrum 3.0 copies of the input's dtype (a real ground state 4.0); in
+# complex copies, run_heat's dense H and reference 3.5, Gibbs's 7.0
+_SPECTRUM_COPIES = 4.5
+_HEAT_DENSE_COPIES = 4
+_DENSITY_COPIES = 7.5
 
 
 def _as_state(u0, grids: list[Grid1D]) -> StateVector:
@@ -132,11 +131,12 @@ def run_heat(
     on eigencomponents that convect past L exceeds ``epsilon`` * |u0|.
     The reference is the exact Fourier solution when V = 0 and a dense
     matrix exponential of the assembled Hamiltonian otherwise, so with V != 0
-    a grid past ``oracle.EXPM_DENSE_LIMIT`` points raises ResourceLimitError
-    before H is assembled.  The norms dictionary records the conserved
-    lifted norm at both ends together with the projection bookkeeping
-    (success probability and amplification cost factor); the cost is
-    priced by |u(0)|/|u_recovered|.  ``workers`` is accepted and ignored.
+    a grid whose dense matrices pass a cap of ``core`` raises
+    ResourceLimitError before H is assembled.  The norms dictionary records
+    the conserved lifted norm at both ends together with the projection
+    bookkeeping (success probability and amplification cost factor); the
+    cost is priced by |u(0)|/|u_recovered|.  ``workers`` is accepted and
+    ignored.
     """
     if isinstance(grids, Grid1D):
         grids = [grids]
@@ -149,7 +149,9 @@ def run_heat(
         lam, vectors = _laplacian_symbol(grids), None
         sparsity, max_norm = _laplacian_sparsity_and_max_norm(grids)
     else:
-        _check_dense_dimension(u0_state.amplitudes.size)
+        n = u0_state.amplitudes.size
+        dense = f"the dense Hamiltonian of dimension {n} and its reference"
+        _preflight((dense, _HEAT_DENSE_COPIES * 16 * n * n, n**3))
         h = assemble_schrodinger_hamiltonian(potential, grids)
         (lam, vectors), sparsity, max_norm = h.spectrum, h.sparsity, h.max_norm
     rec = evolve_eigenbasis(
@@ -181,6 +183,21 @@ def run_heat(
         norms=norms,
         cost=rec.cost,
     )
+
+
+def _spectrum_phase(h) -> tuple[int, tuple[str, int, int]]:
+    """The dimension n of h and the phase of its spectrum, from its shape
+    and dtype alone."""
+    entries = h.blocks if isinstance(h, HermitianMatrix) else h
+    n = math.prod(np.shape(entries)[:-1])
+    nbytes = _SPECTRUM_COPIES * (16 if np.iscomplexobj(entries) else 8) * n * n
+    return n, (f"the eigendecomposition of dimension {n}", nbytes, n**3)
+
+
+def _decay_phase(count: int, vectors: np.ndarray) -> tuple[str, int, int]:
+    """The phase of ``decay_factors`` on ``count`` modes beside H and its eigenvectors."""
+    nbytes = count * _MODE_BYTES + 2 * vectors.nbytes
+    return (f"the {count} auxiliary modes of decay_factors", nbytes, 0)
 
 
 def estimate_t_final(gap: float, alpha0_sq: float, epsilon: float) -> float:
@@ -222,11 +239,12 @@ def prepare_ground_state(
     N stays in the thousands where the former dp <= eps rule grew as 1/eps.
     The report carries the grid used and ``predicted_error``, the
     infidelity bound of that model on this grid for eps, t_final, the gap
-    and the spectral width.  A grid whose O(N) arrays would pass
-    ``pipeline.ARRAY_BYTES_LIMIT`` raises ResourceLimitError before any is
-    allocated.  A matrix of dimension 1, or with a degenerate ground level,
-    has no spectral gap and raises UnsupportedProblemError.
+    and the spectral width.  A spectrum or O(N) arrays past a cap of
+    ``core`` are refused with ResourceLimitError before allocation.  A
+    matrix of dimension 1, or with a degenerate ground level, has no
+    spectral gap and raises UnsupportedProblemError.
     """
+    _preflight(_spectrum_phase(h)[1])
     h_mat = h if isinstance(h, HermitianMatrix) else HermitianMatrix.from_entries(h)
     if h_mat.dimension < 2:
         raise UnsupportedProblemError(
@@ -256,7 +274,7 @@ def prepare_ground_state(
     width = float(shifted[-1])
     default = default_p_grid(epsilon=epsilon, t=t_final, lambda_max=width)
     p_grid = _p_grid_from(p_grid, default.half_width, default.count)
-    _check_array_bytes(h_mat.dimension, p_grid.count, copies=0)
+    _preflight(_decay_phase(p_grid.count, vectors))
     _warn_truncation(p_grid, max(1e-4, epsilon))
     factors = decay_factors(shifted, p_grid, t_final, "integration")
     u_t = vectors @ (factors * (vectors.conj().T @ u0))
@@ -317,12 +335,14 @@ def prepare_gibbs(
     Grid1D or an (L, N) pair whose None entries take the defaults N=2048
     and L = max(10, (beta/2)*(E_max - E_0) + 4), so the profile convected
     for time beta/2 by the widest shifted energy stays inside the
-    auxiliary domain.  A grid whose O(N) arrays would pass
-    ``pipeline.ARRAY_BYTES_LIMIT`` raises ResourceLimitError before any is
-    allocated.
+    auxiliary domain.  A spectrum, density matrices or O(N) arrays past a
+    cap of ``core`` are refused with ResourceLimitError before allocation.
     """
     if not beta > 0:
         raise InvalidArgumentError(f"beta must be positive, got {beta}")
+    n, spectrum = _spectrum_phase(h)
+    density = (f"the density matrices of dimension {n}", _DENSITY_COPIES * 16 * n * n, n**3)
+    _preflight(spectrum, density)
     h_mat = h if isinstance(h, HermitianMatrix) else HermitianMatrix.from_entries(h)
     dim = h_mat.dimension
     energies, vectors = h_mat.spectrum
@@ -331,7 +351,7 @@ def prepare_gibbs(
 
     half_width = max(GIBBS_P_HALF_WIDTH, beta / 2.0 * float(energies[-1] - energies[0]) + 4.0)
     p_grid = _p_grid_from(p_grid, half_width, GIBBS_P_COUNT)
-    _check_array_bytes(dim, p_grid.count, copies=0)
+    _preflight(_decay_phase(p_grid.count, vectors))
     _warn_truncation(p_grid, epsilon)
     # projection recovery: only the direction of the purification matters
     # for rho, and the profile fit damps the periodic wrap of the lifted
@@ -431,26 +451,20 @@ def _transport_layout(model: TransportModel) -> tuple[AxisSpec, ...]:
     ) + tuple(AxisSpec(f"k{i + 1}", g.count, g) for i, g in enumerate(model.k_grids))
 
 
-def _check_transport_bytes(model: TransportModel, p_config=None, held_modes: int = 0) -> None:
-    """Refuse a transport model whose pair, while it is built, the real
-    spectra of ``held_modes`` auxiliary modes, the lifted copies of a run on
-    the grid of ``p_config`` and one chunk of its ``transport_exact``
-    reference would pass ARRAY_BYTES_LIMIT, before any of them is allocated."""
+def _transport_phases(model: TransportModel, count: int, held_modes: int) -> list:
+    """The pair build and lifted run of a transport model on ``count`` modes,
+    the run holding the pair and the real spectra of ``held_modes`` modes."""
     jd, kd = model.x_count, model.k_count
-    # the estimate reads the grid's count alone; its half-width is a placeholder
-    count = _p_grid_from(p_config, 1.0, TRANSPORT_P_COUNT).count
-    estimate = (
-        _PAIR_BUILD_STACKS * jd * kd * kd * 16
-        + held_modes * jd * kd * (kd + 1) * 8
-        + _LIFTED_COPIES * jd * kd * count * 16
-        + _PADE_COPIES * max(kd * kd, _EXPM_CHUNK) * 16
-    )
-    if estimate > ARRAY_BYTES_LIMIT:
-        raise ResourceLimitError(
-            f"a transport model of {jd} spatial frequencies and {kd} velocities needs "
-            f"about {estimate / 2**20:.0f} MiB of pair, lifted state and reference, over the "
-            f"{ARRAY_BYTES_LIMIT / 2**20:.0f} MiB cap"
-        )
+    stack = 16 * jd * kd * kd
+    held = _PAIR_STACKS * stack + held_modes * jd * kd * (kd + 1) * 8
+    return [
+        (
+            f"the pair build of {jd} spatial frequencies and {kd} velocities",
+            _PAIR_BUILD_STACKS * stack,
+            0,
+        ),
+        _lifted_phase(jd * kd, count, held, count * jd * kd**3),
+    ]
 
 
 def _transport_p_grid(model: TransportModel, p_config, t: float) -> Grid1D:
@@ -522,17 +536,24 @@ def run_transport(
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
     take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
     the largest scattering rate, so the convected profile stays inside
-    the auxiliary domain.  A model whose pair and lifted copies would pass
-    ``pipeline.ARRAY_BYTES_LIMIT`` raises ResourceLimitError before either
-    is built.
+    the auxiliary domain.  A pair build, lifted run or reference past a cap
+    of ``core`` raises ResourceLimitError before any of them starts.
     """
-    _check_transport_bytes(model, p_config)
+    jd, kd = model.x_count, model.k_count
+    # the count alone sets the sizes; the half-width is a placeholder
+    count = _p_grid_from(p_config, 1.0, TRANSPORT_P_COUNT).count
+    reference = (
+        f"the transport_exact reference of {jd} spatial frequencies and {kd} velocities",
+        _PADE_COPIES * 16 * min(jd * kd * kd, max(kd * kd, _EXPM_CHUNK)),
+        jd * kd**3,
+    )
+    _preflight(*_transport_phases(model, count, held_modes=0), reference)
     w0_state = _transport_state(model, w0)
-    _, rec = evolve_lifted(
+    rec = evolve_lifted(
         _to_frequencies(model, w0_state), model.hermitian_pair(),
         _transport_p_grid(model, p_config, t), t,
         epsilon=_TRANSPORT_EPSILON, truncation_tol=_TRANSPORT_TRUNCATION_TOL,
-    )
+    )[1]
     w_rec_state = _from_frequencies(model, rec.u)
     w_ref = transport_exact(model, w0_state.as_array(), t)
     w_ref_state = StateVector(w_ref.reshape(-1), _transport_layout(model))
@@ -587,8 +608,8 @@ def find_stationary_transport(
     (N = 64 and B = b = 16 at J = K = 16: 2.1 MiB).  The legs skip the
     reference solve and the moments that only ``run_transport`` reports.
     ``leg`` and ``tol`` must be finite and > 0 and ``max_legs`` an int >= 1,
-    else InvalidArgumentError before any evolution; a pair, spectra and
-    lifted copies past ``pipeline.ARRAY_BYTES_LIMIT`` raise
+    else InvalidArgumentError before any evolution; a pair build, or legs
+    with their held spectra, past a cap of ``core`` are refused with
     ResourceLimitError before any is built.  Returns (W_stationary,
     legs_used, converged).
     """
@@ -596,18 +617,18 @@ def find_stationary_transport(
     _positive_finite("tol", tol)
     if isinstance(max_legs, bool) or not isinstance(max_legs, numbers.Integral) or max_legs < 1:
         raise InvalidArgumentError(f"max_legs must be an int >= 1, got {max_legs!r}")
-    _check_transport_bytes(model, held_modes=TRANSPORT_P_COUNT)
+    _preflight(*_transport_phases(model, TRANSPORT_P_COUNT, held_modes=TRANSPORT_P_COUNT))
     current = _transport_state(model, w0)
     pair = model.hermitian_pair()
     p_grid = _transport_p_grid(model, None, leg)
     mus = assemble_eta_diagonal(p_grid).diagonal
     spectra = [_mode_spectrum(pair, mu) for mu in mus]
     for n in range(1, max_legs + 1):
-        _, rec = _lifted_run(
+        rec = _lifted_run(
             _to_frequencies(model, current), pair, p_grid, leg,
             _TRANSPORT_EPSILON, _TRANSPORT_TRUNCATION_TOL,
             lambda s0: _evolve_modes(s0, model.k_count, spectra, leg),
-        )
+        )[1]
         nxt = _from_frequencies(model, rec.u)
         delta = float(np.linalg.norm(nxt.amplitudes - current.amplitudes))
         current = nxt

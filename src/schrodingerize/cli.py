@@ -7,7 +7,7 @@ it over one numeric parameter and aggregates ``sweep.csv``.
 
 Exit codes: 0 success, 2 config/validation failure, 3 numerical failure
 (reference disagreement beyond the configured tolerance, a solver error,
-or a resource cap such as the dense matrix-exponential limit).  Floats in
+or a resource cap on the bytes or decomposition work of a run).  Floats in
 CSV output carry 17 significant digits so values round-trip exactly, and
 repeated runs of one config write byte-identical files.
 """
@@ -525,13 +525,22 @@ def _exact_label(value) -> str:
 
 def sweep(config_path, axis: str, values) -> int:
     """Re-run one experiment over a list of values of a numeric parameter,
-    one of the keys it reads (``_SWEEP_AXES``); any other exits 2 at once."""
+    one of the keys it reads (``_SWEEP_AXES``; for ``cost``, J, K, N and L
+    only when the config sets both J and K); any other exits 2 at once."""
     try:
         cfg = load_config(config_path)
         axes = _SWEEP_AXES[cfg.experiment]
         if axis not in axes:
             raise ConfigError(
                 f"cannot sweep {axis!r}: the {cfg.experiment} experiment reads {', '.join(axes)}"
+            )
+        # the cost experiment's transport parity check reads these only then
+        if cfg.experiment == "cost" and axis in ("J", "K", "N", "L") and not (
+            "J" in cfg.resolution and "K" in cfg.resolution
+        ):
+            raise ConfigError(
+                f"cannot sweep {axis!r}: the cost experiment reads it only when "
+                "resolution sets both J and K"
             )
         if not values:
             raise ConfigError("sweep needs at least one value")

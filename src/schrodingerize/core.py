@@ -43,6 +43,39 @@ class ResourceLimitError(RuntimeError):
     """A desk-scale resource cap (dimension, memory) would be exceeded."""
 
 
+# Bytes of arrays a run may hold at once, and the dimension of the largest
+# dense decomposition (eigh or Pade), whose cube caps a phase's work.
+ARRAY_BYTES_LIMIT = 1 << 31
+EXPM_DENSE_LIMIT = 4096
+
+
+def _preflight(*phases: tuple[str, float, float]) -> None:
+    """Refuse a run, before it allocates, whose largest phase passes a cap.
+
+    Each phase is (name, bytes, work): the bytes it holds at its peak, those
+    kept from earlier phases included, and its decomposition work, the sum
+    of batch*b^3 over its eigh and Pade calls on b x b matrices.  Phases
+    never coexist, so their bytes are never summed.  The ResourceLimitError
+    names the phase over ARRAY_BYTES_LIMIT or over EXPM_DENSE_LIMIT^3.
+    """
+    name, nbytes, _ = max(phases, key=lambda phase: phase[1])
+    heaviest, _, work = max(phases, key=lambda phase: phase[2])
+    if nbytes > ARRAY_BYTES_LIMIT:
+        reason = (
+            f"{name} needs about {nbytes / 2**20:.0f} MiB of arrays, over the "
+            f"{ARRAY_BYTES_LIMIT / 2**20:.0f} MiB cap"
+        )
+    elif work > EXPM_DENSE_LIMIT**3:
+        size = round(work ** (1 / 3))
+        reason = (
+            f"{heaviest} takes the decomposition work of one dense matrix of dimension "
+            f"{size}; dense decompositions are capped at dimension {EXPM_DENSE_LIMIT}, got {size}"
+        )
+    else:
+        return
+    raise ResourceLimitError(reason)
+
+
 class DegenerateStateError(RuntimeError):
     """A state carries no usable content for the requested reduction."""
 

@@ -24,19 +24,20 @@ import math
 
 import numpy as np
 
-from .core import Grid1D, InvalidArgumentError, ResourceLimitError
-from .pipeline import ARRAY_BYTES_LIMIT
+from .core import Grid1D, InvalidArgumentError, _preflight
 
 __all__ = ["expm_apply", "heat_analytic", "transport_exact"]
 
-EXPM_DENSE_LIMIT = 4096
 _HERMITICITY_RTOL = 1e-12
 # matrix entries per chunk of transport_exact: bounds its complex temporaries
 # at 1 MiB up to K^d = 256, past which a chunk is one frequency
 _EXPM_CHUNK = 1 << 16
-# peak complex n x n copies of a Pade exponential, its scaled input included:
-# 10.5 by tracemalloc at n = 256 and 512 (about 2 for the eigh branch)
-_PADE_COPIES = 10.5
+# peak complex n x n copies by tracemalloc at n = 512 and 1024: the Pade of
+# expm_apply 10.5, of one-frequency chunks of transport_exact 11.0 (K = 512
+# and 1024; run_transport, holding its states, 11.0 to 11.1); the eigh
+# branch of expm_apply 2.0 to 2.1, its Hermiticity test included
+_PADE_COPIES = 11.5
+_EIGH_COPIES = 2.5
 # Pade-13 coefficients and the 1-norm up to which that approximant is exact
 # to double precision (Higham 2005, Table 2.3)
 _PADE13 = (
@@ -47,38 +48,33 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
-def _check_dense_dimension(n: int) -> None:
-    """Refuse a dense exponential of dimension n above EXPM_DENSE_LIMIT."""
-    if n > EXPM_DENSE_LIMIT:
-        raise ResourceLimitError(
-            f"dense matrix exponential capped at dimension {EXPM_DENSE_LIMIT}, got {n}"
-        )
-
-
 def expm_apply(a, u0, t: float) -> np.ndarray:
     """exp(-A*t) @ u0 by dense linear algebra.
 
     A Hermitian matrix goes through its eigendecomposition; any other, normal
-    or not, through the Pade-13 scaling and squaring of ``_expm_stack``,
-    refused before it allocates past ``ARRAY_BYTES_LIMIT`` (n >= 3,576).
+    or not, through the Pade-13 scaling and squaring of ``_expm_stack``.
+    Either is refused from the shape of A alone, before A is copied: past
+    dimension ``core.EXPM_DENSE_LIMIT`` (4096) by its decomposition work,
+    and the Pade from n = 3,417 on, where its working set passes
+    ``core.ARRAY_BYTES_LIMIT`` (2 GiB).
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError(f"matrix must be square, got shape {a.shape}")
-    _check_dense_dimension(a.shape[0])
+    shape = np.shape(a)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidArgumentError(f"matrix must be square, got shape {shape}")
+    n = shape[0]
+    _preflight((f"the dense exponential of dimension {n}", _EIGH_COPIES * 16 * n * n, n**3))
     u0 = np.asarray(u0, dtype=complex).reshape(-1)
-    if u0.size != a.shape[0]:
-        raise InvalidArgumentError(f"vector length {u0.size} != dimension {a.shape[0]}")
+    if u0.size != n:
+        raise InvalidArgumentError(f"vector length {u0.size} != dimension {n}")
+    # the test runs on A as given, so a real A is made complex only for its branch
+    a = np.asarray(a)
+    a = a.astype(np.promote_types(a.dtype, float), copy=False)
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.conj().T).max()) <= _HERMITICITY_RTOL * scale:
-        lam, vec = np.linalg.eigh(a)
+        lam, vec = np.linalg.eigh(np.asarray(a, dtype=complex))
         return vec @ (np.exp(-lam * t) * (vec.conj().T @ u0))
-    if _PADE_COPIES * a.size * 16 > ARRAY_BYTES_LIMIT:
-        raise ResourceLimitError(
-            f"the Pade exponential of a non-Hermitian matrix of dimension {a.shape[0]} "
-            f"passes the {ARRAY_BYTES_LIMIT / 2**20:.0f} MiB cap"
-        )
-    return _expm_stack(-t * a[None])[0] @ u0
+    _preflight((f"the Pade exponential of dimension {n}", _PADE_COPIES * 16 * n * n, n**3))
+    return _expm_stack(-t * np.asarray(a, dtype=complex)[None])[0] @ u0
 
 
 def _grid_list(grids) -> list[Grid1D]:

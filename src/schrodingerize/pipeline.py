@@ -52,8 +52,8 @@ from .core import (
     DegenerateStateError,
     Grid1D,
     InvalidArgumentError,
-    ResourceLimitError,
     StateVector,
+    _preflight,
 )
 from .costs import CostReport, schrodingerisation_cost
 from .operators import EtaDiagonal, HermitianPair, assemble_eta_diagonal, hermitian_decompose
@@ -77,16 +77,23 @@ __all__ = [
 DEFAULT_P_HALF_WIDTH = 12.0
 DEFAULT_P_COUNT = 256
 
-# Bytes of arrays a run may hold, checked before it allocates any of them.
-ARRAY_BYTES_LIMIT = 1 << 31
 # Bytes per auxiliary mode of the O(N) arrays of a run: mode wavenumbers,
 # the weights of decay_factors and the (2, N) transform that makes them (a
 # Gibbs run peaks at about 108, a ground state at 96).
 _MODE_BYTES = 128
+# np.fft takes out= from NumPy 2.0 on; before, the transform allocates its result
+_FFT_HAS_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 # dim x N complex copies evolve_lifted holds at once: two whole copies (the
 # lifted state and its mode spectrum, or the evolved spectrum and its
-# inverse transform) plus the p >= 0 blocks the recoveries read; 2.8 measured.
-_LIFTED_COPIES = 3
+# inverse transform) plus the p >= 0 blocks the recoveries read; 2.8 measured,
+# and 3.3 where the inverse transform allocates its result
+_LIFTED_COPIES = 3 if _FFT_HAS_OUT else 4
+# complex (B, b, b) stacks held beside them: the pair and one mode's
+# decomposition (3.5 measured for a general 64 x 64 A on 256 modes)
+_PAIR_STACKS = 4
+# complex n x n copies of hermitian_decompose with the spectrum of H: 7.0
+# measured for a complex A at n = 256 .. 1024 (5.5 for a real one)
+_SPLIT_COPIES = 7
 
 # Fitted error model of the Hbar = 0 factor, quadrature recovery (see
 # default_p_grid): constant, order in dp, and the share of the half-width's
@@ -203,16 +210,15 @@ def _relaxation_error(
     return min(1.0, math.exp(math.log(epsilon) + t * gap + 2.0 * math.log(bound)))
 
 
-def _check_array_bytes(dim: int, count: int, copies: int) -> None:
-    """Refuse a run whose O(N) mode arrays and ``copies`` dim x N complex
-    lifted arrays would pass ARRAY_BYTES_LIMIT, before any is allocated."""
-    estimate = count * (_MODE_BYTES + copies * dim * 16)
-    if estimate > ARRAY_BYTES_LIMIT:
-        raise ResourceLimitError(
-            f"{count} auxiliary modes for a state of dimension {dim} need about "
-            f"{estimate / 2**20:.0f} MiB of arrays, over the "
-            f"{ARRAY_BYTES_LIMIT / 2**20:.0f} MiB cap"
-        )
+def _lifted_phase(rows: int, count: int, held: int, work: int) -> tuple[str, int, int]:
+    """The ``core._preflight`` phase of a lifted run of ``count`` modes over
+    ``rows`` rows: O(N) mode arrays, _LIFTED_COPIES rows x N complex copies
+    and ``held`` bytes beside them, and its evolution's ``work``."""
+    return (
+        f"a lifted run of {count} auxiliary modes over {rows} rows",
+        count * (_MODE_BYTES + _LIFTED_COPIES * rows * 16) + held,
+        work,
+    )
 
 
 def _p_grid_from(
@@ -285,10 +291,6 @@ def warp_extend(u0: StateVector, p_grid: Grid1D, truncation_tol: float = 1e-4) -
 def _phase(n: int) -> np.ndarray:
     # exp(+i*mu_k*p_0) for p_0 = -half_width: real alternating signs.
     return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-
-
-# np.fft takes out= from NumPy 2.0 on; before, the transform allocates its result
-_FFT_HAS_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
 def _p_transform(arr: np.ndarray, transform) -> np.ndarray:
@@ -603,9 +605,14 @@ def evolve_lifted(
     priced by the recovered amplification |u(0)|/|u(t)|; the auxiliary
     register adds log2(N) qubits to the system's.  Other recovery routes
     (``recover_point``, ``project_positive``) read the returned lifted state.
-    A grid whose lifted copies would pass ``ARRAY_BYTES_LIMIT`` raises
-    ResourceLimitError before any is allocated.
+    A run past a cap of ``core`` by its lifted copies or by its mode
+    decompositions (one of H when Hbar = 0, else one per mode) raises
+    ResourceLimitError before the lift.
     """
+    blocks, b, _ = pair.h.blocks.shape
+    work = (blocks * b) ** 3 if pair.h_bar.max_norm == 0.0 else p_grid.count * blocks * b**3
+    held = _PAIR_STACKS * 16 * pair.h.blocks.size
+    _preflight(_lifted_phase(u0.amplitudes.size, p_grid.count, held, work))
     return _lifted_run(
         u0, pair, p_grid, t, epsilon, truncation_tol,
         lambda s0: evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t),
@@ -622,10 +629,8 @@ def _lifted_run(
     evolve: Callable[[StateVector], StateVector],
 ) -> tuple[StateVector, RecoveryResult]:
     """The body of ``evolve_lifted``, its evolution step ``evolve`` taking
-    the lifted mode spectrum to the spectrum at time t: byte check, lift,
-    evolution, inverse transform, recovery, the projection's two numbers
-    and the cost."""
-    _check_array_bytes(u0.amplitudes.size, p_grid.count, _LIFTED_COPIES)
+    the lifted mode spectrum to the spectrum at time t: lift, evolution,
+    inverse transform, recovery, the projection's two numbers and the cost."""
     s0 = dft_p(warp_extend(u0, p_grid, truncation_tol=truncation_tol))
     s_t = evolve(s0)
     spectral_norms = (s0.norm, s_t.norm)
@@ -720,8 +725,8 @@ def evolve_eigenbasis(
     Warns when exp(-L) is not below 1e-4 (the default of ``warp_extend``),
     and when the part of u0 on eigencomponents with t*|lam| >= L, which
     convect past the p boundary, has norm above ``epsilon`` * |u0|.  Rows
-    that would pass ``ARRAY_BYTES_LIMIT`` raise ResourceLimitError before
-    any is allocated.
+    that would pass ``core.ARRAY_BYTES_LIMIT`` are refused with
+    ResourceLimitError before any is allocated.
     """
     if t < 0:
         raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
@@ -746,7 +751,7 @@ def evolve_eigenbasis(
         )
 
     values, inverse = np.unique(lam, return_inverse=True)
-    _check_array_bytes(values.size, p_grid.count, _LIFTED_COPIES)
+    _preflight(_lifted_phase(values.size, p_grid.count, 0, 0))
     rows = _lifted_rows(values, p_grid, t)
     mass = np.bincount(inverse, weights=weight, minlength=values.size)
     w_norm = math.sqrt(float(mass @ rows.spectral_sq))
@@ -791,16 +796,17 @@ def schrodingerize_evolve(
     the defaults L=12, N=256.  Warns when t*lambda_max(H) reaches the p
     boundary.  Returns the lifted state at time t and the recovery of
     ``evolve_lifted``: the calibrated quadrature solution with its success
-    probability, cost factor, spectral norms and cost report.
+    probability, cost factor, spectral norms and cost report.  A split of A
+    past a cap of ``core`` raises ResourceLimitError before A is copied.
     """
-    a = np.asarray(a_matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] != u0.amplitudes.size:
-        raise InvalidArgumentError(
-            f"matrix dimension {a.shape[0]} != state length {u0.amplitudes.size}"
-        )
-    pair = hermitian_decompose(a)
+    shape = np.shape(a_matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidArgumentError(f"matrix must be square, got shape {shape}")
+    n = shape[0]
+    if n != u0.amplitudes.size:
+        raise InvalidArgumentError(f"matrix dimension {n} != state length {u0.amplitudes.size}")
+    _preflight((f"the Hermitian split of dimension {n}", _SPLIT_COPIES * 16 * n * n, n**3))
+    pair = hermitian_decompose(a_matrix)
     p_grid = _p_grid_from(p_grid)
     lam_max = float(np.abs(pair.h.spectrum[0]).max()) if pair.h.max_norm > 0 else 0.0
     _warn_convection(t, lam_max, p_grid)

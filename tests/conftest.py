@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,3 +35,39 @@ def transport_config(workloads):
     """The benchmark's ``transport`` config at seed 1: J = K = 16, constant
     scattering, t = 1."""
     return workloads.make_config("transport", 1)
+
+
+@pytest.fixture
+def preflight_phases(monkeypatch):
+    """Every (name, bytes, work) phase that ``core._preflight`` is given,
+    in order, while still refusing as it does."""
+    from schrodingerize import apps, core, oracle, pipeline
+
+    phases = []
+    check = core._preflight
+
+    def recording(*listed):
+        phases.extend(listed)
+        check(*listed)
+
+    for module in (apps, oracle, pipeline):
+        monkeypatch.setattr(module, "_preflight", recording)
+    return phases
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(call)``: the tracemalloc peak, in bytes, of a call made after
+    one untraced warm-up call (caches and imports)."""
+
+    def peak(call, warm=True):
+        if warm:
+            call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -33,7 +33,7 @@ from schrodingerize import (
     schrodingerize_evolve,
     transport_exact,
 )
-from schrodingerize import apps, oracle, pipeline
+from schrodingerize import apps, core, oracle, pipeline
 from schrodingerize.operators import HermitianMatrix, HermitianPair
 from schrodingerize.pipeline import evolve_lifted
 
@@ -116,7 +116,7 @@ class TestRunHeat:
     def test_potential_past_the_dense_cap_is_refused_before_assembly(self, monkeypatch):
         # the reference's dense exponential caps the dimension; with the cap
         # at 512, n = 512 runs and n = 514 stops before H is assembled
-        monkeypatch.setattr(oracle, "EXPM_DENSE_LIMIT", 512)
+        monkeypatch.setattr(core, "EXPM_DENSE_LIMIT", 512)
         potential = lambda x: 1.0 + x * x  # noqa: E731
         grid = make_grid(1.0, 512)
         result = run_heat(1 + np.cos(np.pi * grid.points), potential, grid, (12.0, 64), t=0.1)
@@ -502,6 +502,123 @@ class TestPreflightEstimate:
         assert peak <= pipeline._MODE_BYTES * count + 2**20
 
 
+def heat_with_potential(m, count):
+    grid = make_grid(1.0, m)
+    x = grid.points
+    potential = 0.5 * (1 + np.sin(np.pi * x))
+    return lambda: run_heat(1 + np.cos(np.pi * x), potential, grid, (12.0, count), t=0.1)
+
+
+def heat_without_potential(m, count):
+    grid = make_grid(1.0, m)
+    return lambda: run_heat(1 + np.cos(np.pi * grid.points), None, grid, (12.0, count), t=0.1)
+
+
+def symmetric(n, complex_entries=False, seed=5):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    h = g + g.T
+    if complex_entries:
+        b = rng.standard_normal((n, n))
+        h = h + 1j * (b - b.T)
+    return h
+
+
+def ground_state(n, count=None, complex_entries=False):
+    h = symmetric(n, complex_entries)
+    return lambda: prepare_ground_state(h, np.ones(n), 1e-3, p_grid=(None, count))
+
+
+def gibbs_state(n, count=None, complex_entries=False):
+    h = symmetric(n, complex_entries)
+    return lambda: prepare_gibbs(h, 1.0, p_grid=(None, count))
+
+
+def transport_run(j, k, count):
+    model = constant_sigma_model(j=j, k=k)
+    xx, kk = np.meshgrid(model.x_grids[0].points, model.k_grids[0].points, indexing="ij")
+    w0 = 1.0 + 0.5 * np.cos(np.pi * xx) + 0.25 * np.cos(np.pi * kk)
+    return lambda: run_transport(model, w0, p_config=(None, count), t=0.5)
+
+
+def stationary_search(j, k):
+    model = constant_sigma_model(j=j, k=k)
+    return lambda: find_stationary_transport(model, np.ones((j, k)), tol=1e-300, max_legs=1)
+
+
+class TestOneBudget:
+    """Each phase of the apps refused alone, and each entry point's largest
+    listed phase against its tracemalloc peak."""
+
+    @pytest.mark.parametrize(
+        "patch, entry, phase",
+        [
+            # each cap set between the named phase and every other phase
+            ({"ARRAY_BYTES_LIMIT": 4 * 64 * 64 * 16 - 1}, (heat_with_potential, 64, 64),
+             "the dense Hamiltonian of dimension 64 and its reference needs"),
+            ({"ARRAY_BYTES_LIMIT": int(4.5 * 64 * 64 * 8) - 1}, (ground_state, 64),
+             "the eigendecomposition of dimension 64 needs"),
+            ({"EXPM_DENSE_LIMIT": 7}, (ground_state, 8),
+             "the eigendecomposition of dimension 8 takes"),
+            ({"ARRAY_BYTES_LIMIT": 300_000}, (gibbs_state, 64),
+             "the density matrices of dimension 64 needs"),
+            ({}, (ground_state, 4, 2**30),
+             "the 1073741824 auxiliary modes of decay_factors needs"),
+            ({}, (gibbs_state, 4, 2**30),
+             "the 1073741824 auxiliary modes of decay_factors needs"),
+            ({}, (heat_without_potential, 64, 2**30),
+             "a lifted run of 1073741824 auxiliary modes over 33 rows needs"),
+            ({"ARRAY_BYTES_LIMIT": 1_000_000}, (transport_run, 2, 64, 64),
+             "the transport_exact reference of 2 spatial frequencies and 64 velocities needs"),
+            ({}, (transport_run, 64, 1024, 64),
+             "the pair build of 64 spatial frequencies and 1024 velocities needs"),
+            ({}, (transport_run, 2**19, 2, 64),
+             "a lifted run of 64 auxiliary modes over 1048576 rows needs"),
+        ],
+        ids=[
+            "heat-dense", "spectrum-bytes", "spectrum-work", "density", "decay-ground",
+            "decay-gibbs", "heat-rows", "reference", "pair-build", "transport-lifted",
+        ],
+    )
+    def test_each_phase_refused_alone_before_it_allocates(
+        self, monkeypatch, traced_peak, patch, entry, phase
+    ):
+        monkeypatch.setattr(TransportModel, "hermitian_pair", refuse_to_build)
+        for name, value in patch.items():
+            monkeypatch.setattr(core, name, value)
+        call = entry[0](*entry[1:])
+
+        def refused():
+            with pytest.raises(ResourceLimitError, match=f"^{phase}"):
+                call()
+
+        assert traced_peak(refused, warm=False) < 2**20
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            (heat_with_potential, 768, 64),
+            (heat_with_potential, 512, 4096),
+            (heat_without_potential, 256, 4096),
+            (ground_state, 768),
+            (gibbs_state, 512, None, True),
+            (transport_run, 2, 256, 16),
+            (transport_run, 128, 8, 512),
+            (stationary_search, 4096, 2),
+        ],
+        ids=[
+            "heat-dense", "heat-rows", "heat-fourier", "ground_state", "gibbs",
+            "transport-reference", "transport-lifted", "stationary",
+        ],
+    )
+    def test_predicted_phase_bounds_the_peak(self, preflight_phases, traced_peak, entry):
+        # every config peaks above 8 MiB, so the largest listed phase must
+        # hold the measured peak and stay within twice it
+        peak = traced_peak(entry[0](*entry[1:]))
+        predicted = max(nbytes for _, nbytes, _ in preflight_phases)
+        assert 8 * 2**20 < peak <= predicted < 2 * peak
+
+
 def vector_state(amps):
     amps = np.asarray(amps, dtype=complex).reshape(-1)
     return StateVector(amps, (AxisSpec("x1", amps.size),))
@@ -746,6 +863,28 @@ class TestRunTransport:
         assert all(shape == (j, k, k) for shape in shapes)
         assert (j * k, j * k) not in shapes
 
+    def test_reference_runs_without_the_lifted_state(self, monkeypatch, traced_peak):
+        # J = 64, K = 16 on 64 modes: one chunk of the reference is a complex
+        # (64, 16, 16) stack, a quarter of the 1 MiB lifted state.  Inside
+        # the run the reference peaks as it does alone; holding the lifted
+        # state through it added four stacks (15.2 against 11.1)
+        model = constant_sigma_model(j=64, k=16)
+        xx, kk = np.meshgrid(model.x_grids[0].points, model.k_grids[0].points, indexing="ij")
+        w0 = 1.0 + 0.5 * np.cos(np.pi * xx) + 0.25 * np.cos(np.pi * kk)
+        alone = traced_peak(lambda: transport_exact(model, w0, 0.5))
+        in_run = []
+
+        def traced_reference(*args):
+            tracemalloc.reset_peak()
+            try:
+                return transport_exact(*args)
+            finally:
+                in_run.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(apps, "transport_exact", traced_reference)
+        traced_peak(lambda: run_transport(model, w0, p_config=(None, 64), t=0.5))
+        assert in_run[-1] < alone + 64 * 16 * 16 * 16
+
     def test_oversize_model_refused_before_the_pair_is_built(self, monkeypatch):
         # J = 64, K = 1024: each complex (J, K, K) stack is 1 GiB, and
         # building the pair peaks at over four of them
@@ -860,26 +999,27 @@ class TestStationaryTransport:
             find_stationary_transport(model, np.ones((4, 4)), **kwargs)
 
     def test_held_spectra_count_toward_the_byte_cap(self, monkeypatch):
-        # J = 16, K = 512: the pair alone fits (4.5 stacks of 64 MiB), but
-        # the search also holds 64 modes' spectra, 2.1 GiB more
+        # J = 16, K = 512: the pair build fits (4.5 stacks of 64 MiB), but
+        # the search's legs also hold 64 modes' spectra, 2.1 GiB
         monkeypatch.setattr(TransportModel, "hermitian_pair", refuse_to_build)
         model = constant_sigma_model(j=16, k=512)
-        apps._check_transport_bytes(model)
         w0 = np.ones((16, 512))
+        legs = "^a lifted run of 64 auxiliary modes over 8192 rows needs about 2.* MiB cap"
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="MiB cap"):
+            with pytest.raises(ResourceLimitError, match=legs):
                 find_stationary_transport(model, w0, leg=0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_reference_chunk_counts_toward_the_byte_cap(self, monkeypatch):
-        # J = 2, K = 3400: the pair and the lifted copies fit (about 1.6
-        # GiB), but transport_exact takes one frequency at a time here, and
-        # its Pade needs 1.8 GiB more.  The scattering matrix is a broadcast
-        # view, so the test allocates nothing of size K^2
+    def test_reference_sized_model_refused_by_the_work_cap(self, monkeypatch, preflight_phases):
+        # J = 2, K = 3400: every phase fits the byte cap (the largest, one
+        # frequency of the reference's Pade, about 1.95 GiB), but the run
+        # would decompose 64 stacks of two 3400 x 3400 blocks, 73 times the
+        # work of one 4096 x 4096 decomposition.  The scattering matrix is a
+        # broadcast view, so the test allocates nothing of size K^2
         monkeypatch.setattr(TransportModel, "hermitian_pair", refuse_to_build)
         k = 3400
         model = TransportModel(
@@ -889,18 +1029,33 @@ class TestStationaryTransport:
             sigma_total=np.ones(k),
             dimension=1,
         )
-        with monkeypatch.context() as without_reference:
-            without_reference.setattr(apps, "_PADE_COPIES", 0.0)
-            apps._check_transport_bytes(model)
         w0 = np.ones((2, k))
+        work = "^a lifted run of 64 auxiliary modes over 6800 rows takes .* got 17135$"
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="MiB cap"):
+            with pytest.raises(ResourceLimitError, match=work):
                 run_transport(model, w0, t=0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        largest = max(preflight_phases, key=lambda phase: phase[1])
+        assert largest[0].startswith("the transport_exact reference")
+        assert 1.9 * 2**30 < largest[1] <= core.ARRAY_BYTES_LIMIT
+
+    def test_legs_free_each_lifted_state(self, traced_peak):
+        # J = 4096, K = 2 on 64 modes (8 MiB per lifted copy): three legs
+        # peak where one does; holding each leg's lifted state through the
+        # next added a whole copy (4.87 against 3.85 copies at J = 8192)
+        model = constant_sigma_model(j=4096, k=2)
+        w0 = np.ones((4096, 2))
+        one, three = (
+            traced_peak(
+                lambda: find_stationary_transport(model, w0, tol=1e-300, max_legs=legs), warm=warm
+            )
+            for legs, warm in ((1, True), (3, False))
+        )
+        assert three < one + 0.25 * 4096 * 2 * 64 * 16
 
     @pytest.mark.parametrize(
         "entry",

@@ -13,7 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schrodingerize import TransportModel, cli, core, find_stationary_transport, make_grid, oracle
+from schrodingerize import TransportModel, cli, core, find_stationary_transport, make_grid
 from schrodingerize.cli import load_config, main, run, sweep, validate_summary
 from schrodingerize.cli import ConfigError
 
@@ -177,7 +177,7 @@ class TestRun:
 
     def test_resource_limit_exits_3_with_error_status(self, tmp_path, monkeypatch):
         # a potential sends the reference through the dense matrix exponential
-        monkeypatch.setattr(oracle, "EXPM_DENSE_LIMIT", 8)
+        monkeypatch.setattr(core, "EXPM_DENSE_LIMIT", 8)
         path = heat_config(
             tmp_path, resolution={"M": 16, "N": 64, "L": 12.0},
             physics={"t": 0.1, "potential": "1 + 0.5*cos(pi*x)"},
@@ -265,13 +265,37 @@ class TestRun:
         def no_run(*args, **kwargs):
             raise AssertionError("the lifted run started before the reference")
 
-        monkeypatch.setattr(oracle, "ARRAY_BYTES_LIMIT", 256)
+        monkeypatch.setattr(core, "ARRAY_BYTES_LIMIT", 256)
         monkeypatch.setattr(cli, "schrodingerize_evolve", no_run)
         assert run(general_config(tmp_path)) == 3
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "error"
         assert "Pade exponential" in summary["error"] and "MiB cap" in summary["error"]
         assert validate_summary(summary) == []
+        assert not (tmp_path / "out" / "solution.csv").exists()
+
+    def test_general_past_the_work_cap_exits_3_before_the_lifted_run(self, tmp_path):
+        # a 128 x 128 non-Hermitian A on 65,536 modes: every phase fits the
+        # byte cap (the lifted run about 393 MiB), but the run would take
+        # 65,536 decompositions of 128 x 128, twice the work of one at 4096
+        n = 128
+        matrix = np.eye(n) + 0.5 * np.eye(n, k=1)
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "general",
+                "resolution": {"N": 65536},
+                "physics": {"matrix": matrix.tolist()},
+                "output": {"directory": str(tmp_path / "out")},
+            },
+        )
+        start = time.perf_counter()
+        assert run(path) == 3
+        assert time.perf_counter() - start < 5.0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert summary["error"].startswith("a lifted run of 65536 auxiliary modes over 128 rows")
+        assert "capped at dimension 4096, got 5161" in summary["error"]
         assert not (tmp_path / "out" / "solution.csv").exists()
 
     @pytest.mark.parametrize(
@@ -752,8 +776,10 @@ class TestSweep:
             ("heat", {}, {}, "beta", "1,2", "M, N, L, t, epsilon"),
             ("heat", {}, {}, "K", "4,8", "M, N, L, t, epsilon"),
             ("transport", {"J": 4, "K": 4}, {"t": 0.3}, "epsilon", "0.1,0.0001", "J, K, N, L, t"),
+            # only the transport parity check reads N, and only with J and K set
+            ("cost", {"J": 4}, {}, "N", "64,128", "it only when resolution sets both J and K"),
         ],
-        ids=["heat-beta", "heat-K", "transport-epsilon"],
+        ids=["heat-beta", "heat-K", "transport-epsilon", "cost-N-without-K"],
     )
     def test_axis_the_experiment_never_reads_exits_2_before_any_run(
         self, tmp_path, capsys, monkeypatch, experiment, resolution, physics, axis, values, reads
@@ -775,6 +801,24 @@ class TestSweep:
         assert main(["sweep", str(path), "--axis", axis, "--values", values]) == 2
         assert f"reads {reads}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_cost_sweep_over_n_with_j_and_k_moves_the_parity(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "cost",
+                "resolution": {"J": 4, "K": 4},
+                "output": {"directory": str(tmp_path / "out")},
+            },
+        )
+        assert sweep(path, "N", [64, 128]) == 0
+        parity = [
+            json.loads((tmp_path / "out" / f"N={n}" / "summary.json").read_text())["results"][
+                "transport_parity"
+            ]
+            for n in (64, 128)
+        ]
+        assert parity[0] != parity[1]
 
     @pytest.mark.parametrize(
         "axis, values", [("M", "16,20.5"), ("N", "100.7"), ("M", "16,15"), ("J", "0")]

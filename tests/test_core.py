@@ -10,11 +10,13 @@ from schrodingerize import (
     AxisSpec,
     Grid1D,
     InvalidArgumentError,
+    ResourceLimitError,
     StateVector,
     assemble_eta_diagonal,
     fourier_modes,
     make_grid,
 )
+from schrodingerize import core
 
 
 class TestMakeGrid:
@@ -152,3 +154,31 @@ class TestPackageRoot:
             if not name.startswith("_") and not inspect.ismodule(value)
         }
         assert public == listed
+
+
+class TestPreflight:
+    def test_bytes_of_phases_are_never_summed(self):
+        # two phases of 1.5 GiB each: their sum passes the 2 GiB cap, but
+        # they never coexist, so the run is accepted
+        half = 3 << 29
+        core._preflight(("the first phase", half, 0), ("the second phase", half, 0))
+
+    def test_largest_phase_over_the_byte_cap_is_named(self):
+        message = "^the big phase needs about 4096 MiB of arrays, over the 2048 MiB cap$"
+        with pytest.raises(ResourceLimitError, match=message):
+            core._preflight(("a small phase", 1 << 20, 0), ("the big phase", 1 << 32, 0))
+
+    def test_work_cap_is_one_dense_decomposition_at_the_limit(self):
+        limit = core.EXPM_DENSE_LIMIT
+        core._preflight(("one decomposition", 0, limit**3))
+        with pytest.raises(
+            ResourceLimitError,
+            match=f"^the heavy phase .* capped at dimension {limit}, got {limit + 2}$",
+        ):
+            core._preflight(("a light phase", 1 << 30, 1), ("the heavy phase", 0, (limit + 2)**3))
+
+    def test_work_sums_over_a_phase_not_across_phases(self):
+        # 64 stacks of two 3400 x 3400 blocks: 73 times one 4096 decomposition
+        with pytest.raises(ResourceLimitError, match="^a lifted run .* got 17135$"):
+            core._preflight(("a lifted run", 0, 64 * 2 * 3400**3))
+        core._preflight(*[(f"phase {i}", 0, 4096**3) for i in range(8)])

@@ -16,7 +16,7 @@ from schrodingerize import (
     make_grid,
     transport_exact,
 )
-from schrodingerize import oracle
+from schrodingerize import core, oracle
 from schrodingerize.cli import _eval_expression
 from schrodingerize.oracle import _expm_stack
 
@@ -108,7 +108,7 @@ class TestExpmApply:
 
         monkeypatch.setattr(oracle, "_expm_stack", refuse)
         cap = int(oracle._PADE_COPIES * 64 * 64 * 16) - 1
-        monkeypatch.setattr(oracle, "ARRAY_BYTES_LIMIT", cap)
+        monkeypatch.setattr(core, "ARRAY_BYTES_LIMIT", cap)
         rng = np.random.default_rng(15)
         g = rng.standard_normal((64, 64))
         u0 = rng.standard_normal(64)
@@ -119,9 +119,46 @@ class TestExpmApply:
         expected = vec @ (np.exp(-0.5 * lam) * (vec.T @ u0))
         assert np.linalg.norm(expm_apply(h, u0, 0.5) - expected) < 1e-10 * np.linalg.norm(expected)
 
-    def test_dimension_cap(self):
-        with pytest.raises(ResourceLimitError):
-            expm_apply(np.zeros((5000, 5000)), np.zeros(5000), 1.0)
+    def test_dimension_cap(self, traced_peak):
+        # refused from the shape alone: no complex copy of the 191 MiB input
+        # (381.5 MiB were allocated before the refusal when A was converted first)
+        a, u0 = np.zeros((5000, 5000)), np.zeros(5000)
+
+        def refused():
+            with pytest.raises(ResourceLimitError, match="capped at dimension 4096, got 5000"):
+                expm_apply(a, u0, 1.0)
+
+        assert traced_peak(refused, warm=False) < 2**20
+
+    @pytest.mark.parametrize(
+        "hermitian, phase", [(True, "the dense exponential"), (False, "the Pade exponential")]
+    )
+    def test_each_branch_refused_by_its_own_phase(self, monkeypatch, traced_peak, hermitian, phase):
+        # the cap set just below each branch's phase at n = 64: that phase
+        # alone passes it, and the refusal names it before A is copied
+        rng = np.random.default_rng(16)
+        g = rng.standard_normal((64, 64))
+        a = g + g.T if hermitian else g
+        copies = oracle._EIGH_COPIES if hermitian else oracle._PADE_COPIES
+        monkeypatch.setattr(core, "ARRAY_BYTES_LIMIT", int(copies * 64 * 64 * 16) - 1)
+
+        def refused():
+            with pytest.raises(ResourceLimitError, match=f"^{phase} of dimension 64 needs"):
+                expm_apply(a, np.ones(64), 0.5)
+
+        assert traced_peak(refused, warm=False) < 2**20
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["eigh", "pade"])
+    def test_predicted_phase_bounds_the_peak(self, preflight_phases, traced_peak, hermitian):
+        # n = 512: 4 MiB per complex copy; the largest listed phase holds the
+        # measured peak and stays within twice it
+        rng = np.random.default_rng(17)
+        g = rng.standard_normal((512, 512))
+        a = g + g.T if hermitian else g
+        peak = traced_peak(lambda: expm_apply(a, np.ones(512), 0.5))
+        predicted = max(nbytes for _, nbytes, _ in preflight_phases)
+        assert peak > 8 * 2**20
+        assert peak <= predicted < 2 * peak
 
     def test_non_square_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -14,6 +14,7 @@ from schrodingerize import (
     DegenerateStateError,
     Grid1D,
     InvalidArgumentError,
+    ResourceLimitError,
     StateVector,
     assemble_eta_diagonal,
     assemble_total_hamiltonian,
@@ -32,7 +33,7 @@ from schrodingerize import (
     warp_extend,
 )
 from schrodingerize.operators import HermitianMatrix, HermitianPair
-from schrodingerize import pipeline
+from schrodingerize import core, pipeline
 from schrodingerize.pipeline import (
     _discretisation_error,
     _lifted_rows,
@@ -852,6 +853,81 @@ class TestEvolveEigenbasis:
             evolve_eigenbasis(vector_state([1.0, 0.0]), [0.0, 1.0], np.eye(2), grid, -0.1, 2, 1.0)
         with pytest.raises(InvalidArgumentError):
             evolve_eigenbasis(vector_state([1.0, 0.0]), [0.0], np.eye(2), grid, 0.1, 2, 1.0)
+
+
+class TestPreflightPhases:
+    @pytest.mark.parametrize(
+        "patch, dim, count, phase",
+        [
+            # the split's 7 complex copies of A at n = 64 pass a cap set just below them
+            ({"ARRAY_BYTES_LIMIT": 7 * 64 * 64 * 16 - 1}, 64, 16,
+             "the Hermitian split of dimension 64 needs"),
+            ({"EXPM_DENSE_LIMIT": 7}, 8, 16, "the Hermitian split of dimension 8 takes .* got 8$"),
+            ({}, 2, 2**28, "a lifted run of 268435456 auxiliary modes over 2 rows needs"),
+            # 16 per-mode decompositions of 8 x 8: work 8192, of one matrix of dimension 20
+            ({"EXPM_DENSE_LIMIT": 15}, 8, 16,
+             "a lifted run of 16 auxiliary modes over 8 rows takes .* got 20$"),
+        ],
+        ids=["split-bytes", "split-work", "lifted-bytes", "lifted-work"],
+    )
+    def test_each_phase_refused_alone_before_it_allocates(
+        self, monkeypatch, traced_peak, patch, dim, count, phase
+    ):
+        for name, value in patch.items():
+            monkeypatch.setattr(core, name, value)
+        a = random_dissipative(np.random.default_rng(41), dim)
+        u0 = vector_state(np.ones(dim))
+
+        def refused():
+            with pytest.raises(ResourceLimitError, match=f"^{phase}"):
+                schrodingerize_evolve(u0, a, (12.0, count), 0.1)
+
+        assert traced_peak(refused, warm=False) < 2**20
+
+    def test_hermitian_run_is_one_decomposition_whatever_the_count(self, monkeypatch):
+        # Hbar = 0 decomposes H once, so the work cap at dimension 8 passes
+        # an 8 x 8 Hermitian A on 4096 modes
+        monkeypatch.setattr(core, "EXPM_DENSE_LIMIT", 8)
+        g = np.random.default_rng(42).standard_normal((8, 8))
+        schrodingerize_evolve(vector_state(np.ones(8)), g @ g.T / 8, (12.0, 4096), 0.1)
+
+    def test_eigenbasis_rows_refused_before_they_are_allocated(self, traced_peak):
+        # three distinct eigenvalues: three rows
+        u0, grid = vector_state(np.ones(4)), Grid1D(12.0, 2**30)
+        phase = "^a lifted run of 1073741824 auxiliary modes over 3 rows"
+
+        def refused():
+            with pytest.raises(ResourceLimitError, match=phase):
+                evolve_eigenbasis(u0, [0.0, 1.0, 1.0, 2.0], np.eye(4), grid, 0.1, 1, 2.0)
+
+        assert traced_peak(refused, warm=False) < 2**20
+
+    @pytest.mark.parametrize("hermitian, dim, count", [(False, 64, 256), (True, 64, 16384)])
+    def test_predicted_phase_bounds_the_peak(
+        self, preflight_phases, traced_peak, hermitian, dim, count
+    ):
+        # the general-dense workload's shape (non-Hermitian, 64 x 64, 256
+        # modes; peak below 1 MiB) and a Hermitian A whose three lifted
+        # copies of 16 MiB dominate: the largest listed phase holds the
+        # tracemalloc peak, and above 8 MiB stays within twice it
+        rng = np.random.default_rng(43)
+        a = random_dissipative(rng, dim, lam_max=1.0)
+        a = (a + a.conj().T) / 2 if hermitian else a
+        u0 = vector_state(rng.standard_normal(dim))
+        peak = traced_peak(lambda: schrodingerize_evolve(u0, a, (12.0, count), 0.3))
+        predicted = max(nbytes for _, nbytes, _ in preflight_phases)
+        assert peak <= predicted
+        assert peak < 8 * 2**20 or predicted < 2 * peak
+
+    def test_predicted_rows_bound_the_peak(self, preflight_phases, traced_peak):
+        # 256 distinct eigenvalues on 4096 modes: 16 MiB per row copy
+        lam = np.linspace(0.0, 2.0, 256)
+        u0 = vector_state(np.random.default_rng(44).standard_normal(256))
+        peak = traced_peak(
+            lambda: evolve_eigenbasis(u0, lam, None, Grid1D(12.0, 4096), 0.5, 3, 2.0)
+        )
+        predicted = max(nbytes for _, nbytes, _ in preflight_phases)
+        assert 8 * 2**20 < peak <= predicted < 2 * peak
 
 
 class TestDefaultPGrid:
