@@ -46,13 +46,14 @@ from .oracle import _EXPM_CHUNK, _PADE_COPIES, expm_apply, heat_analytic, transp
 from .pipeline import (
     _MODE_BYTES,
     _PAIR_STACKS,
+    _check_p_grid,
     _evolve_modes,
     _lifted_phase,
     _lifted_run,
+    _matvec,
     _mode_spectrum,
     _p_grid_from,
     _relaxation_error,
-    _warn_truncation,
     decay_factors,
     default_p_grid,
     evolve_eigenbasis,
@@ -79,15 +80,13 @@ GIBBS_P_HALF_WIDTH = 10.0
 GIBBS_P_COUNT = 2048
 TRANSPORT_P_HALF_WIDTH = 8.0
 TRANSPORT_P_COUNT = 64
-# exp(-L) at or above which a transport lift warns (run_transport and the search)
-_TRANSPORT_TRUNCATION_TOL = 1e-2
-# precision at which a transport run is priced (run_transport and the search)
+# precision at which a transport run is priced and its grid checked
 _TRANSPORT_EPSILON = 1e-3
 # complex (J^d, K^d, K^d) stacks of a transport run: by tracemalloc the pair
 # build peaks near 2 and a whole run at J = 4, K = 256, N = 8 at 2.8
 _PAIR_BUILD_STACKS = 4.5
 # n x n peaks by tracemalloc at n = 512 and 1024: from_entries with its
-# spectrum 3.0 copies of the input's dtype (a real ground state 4.0); in
+# spectrum 3.0 copies of the input's dtype (a real ground state too); in
 # complex copies, run_heat's dense H and reference 3.5, Gibbs's 7.0
 _SPECTRUM_COPIES = 4.5
 _HEAT_DENSE_COPIES = 4
@@ -127,9 +126,8 @@ def run_heat(
     decomposed: the cost model's sparsity and max-norm come from the 1-D
     factors.  Otherwise H = -laplacian + V is assembled and its cached
     spectrum used.  ``p_config`` is None, a Grid1D or an (L, N) pair whose
-    None entries take the defaults L=12, N=256.  Warns when the part of u0
-    on eigencomponents that convect past L exceeds ``epsilon`` * |u0|.
-    The reference is the exact Fourier solution when V = 0 and a dense
+    None entries take the defaults L=12, N=256, checked by
+    ``evolve_eigenbasis``.  The reference is the exact Fourier solution when V = 0 and a dense
     matrix exponential of the assembled Hamiltonian otherwise, so with V != 0
     a grid whose dense matrices pass a cap of ``core`` raises
     ResourceLimitError before H is assembled.  The norms dictionary records
@@ -239,10 +237,11 @@ def prepare_ground_state(
     N stays in the thousands where the former dp <= eps rule grew as 1/eps.
     The report carries the grid used and ``predicted_error``, the
     infidelity bound of that model on this grid for eps, t_final, the gap
-    and the spectral width.  A spectrum or O(N) arrays past a cap of
-    ``core`` are refused with ResourceLimitError before allocation.  A
-    matrix of dimension 1, or with a degenerate ground level, has no
-    spectral gap and raises UnsupportedProblemError.
+    and the spectral width; the grid check's reach is t_final times that
+    width.  A spectrum or O(N) arrays past a cap of ``core`` are refused
+    with ResourceLimitError before allocation.  A matrix of dimension 1, or
+    with a degenerate ground level, has no spectral gap and raises
+    UnsupportedProblemError.
     """
     _preflight(_spectrum_phase(h)[1])
     h_mat = h if isinstance(h, HermitianMatrix) else HermitianMatrix.from_entries(h)
@@ -275,9 +274,9 @@ def prepare_ground_state(
     default = default_p_grid(epsilon=epsilon, t=t_final, lambda_max=width)
     p_grid = _p_grid_from(p_grid, default.half_width, default.count)
     _preflight(_decay_phase(p_grid.count, vectors))
-    _warn_truncation(p_grid, max(1e-4, epsilon))
+    _check_p_grid(p_grid, t_final * width, epsilon)
     factors = decay_factors(shifted, p_grid, t_final, "integration")
-    u_t = vectors @ (factors * (vectors.conj().T @ u0))
+    u_t = _matvec(vectors, factors * _matvec(vectors.conj().T, u0))
     u_rec = u_t / np.linalg.norm(u_t)
     fidelity = float(np.abs(ground.conj() @ u_rec) ** 2)
     cost = ground_state_cost(
@@ -335,8 +334,9 @@ def prepare_gibbs(
     Grid1D or an (L, N) pair whose None entries take the defaults N=2048
     and L = max(10, (beta/2)*(E_max - E_0) + 4), so the profile convected
     for time beta/2 by the widest shifted energy stays inside the
-    auxiliary domain.  A spectrum, density matrices or O(N) arrays past a
-    cap of ``core`` are refused with ResourceLimitError before allocation.
+    auxiliary domain; the grid check takes that reach and eps = 1e-3.  A
+    spectrum, density matrices or O(N) arrays past a cap of ``core`` are
+    refused with ResourceLimitError before allocation.
     """
     if not beta > 0:
         raise InvalidArgumentError(f"beta must be positive, got {beta}")
@@ -349,10 +349,10 @@ def prepare_gibbs(
     partition_z = float(np.exp(-beta * energies).sum())
     epsilon = 1e-3
 
-    half_width = max(GIBBS_P_HALF_WIDTH, beta / 2.0 * float(energies[-1] - energies[0]) + 4.0)
-    p_grid = _p_grid_from(p_grid, half_width, GIBBS_P_COUNT)
+    reach = beta / 2.0 * float(energies[-1] - energies[0])
+    p_grid = _p_grid_from(p_grid, max(GIBBS_P_HALF_WIDTH, reach + 4.0), GIBBS_P_COUNT)
     _preflight(_decay_phase(p_grid.count, vectors))
-    _warn_truncation(p_grid, epsilon)
+    _check_p_grid(p_grid, reach, epsilon)
     # projection recovery: only the direction of the purification matters
     # for rho, and the profile fit damps the periodic wrap of the lifted
     # state exponentially harder than the quadrature route does
@@ -467,16 +467,13 @@ def _transport_phases(model: TransportModel, count: int, held_modes: int) -> lis
     ]
 
 
-def _transport_p_grid(model: TransportModel, p_config, t: float) -> Grid1D:
-    """Auxiliary grid of a transport run: ``p_config`` over the defaults
-    N = 64 and L = max(8, t*lambda_max + 4), lambda_max the largest
-    scattering rate."""
-
-    def convection_half_width() -> float:
-        lam_max = float(np.abs(np.linalg.eigvalsh(model.collision_matrix())).max())
-        return max(TRANSPORT_P_HALF_WIDTH, t * lam_max + 4.0)
-
-    return _p_grid_from(p_config, convection_half_width, TRANSPORT_P_COUNT)
+def _transport_p_grid(model: TransportModel, p_config, t: float) -> tuple[Grid1D, float]:
+    """Auxiliary grid of a transport run, ``p_config`` over the defaults N = 64
+    and L = max(8, t*lambda_max + 4), and its reach t*lambda_max, lambda_max
+    the largest scattering rate."""
+    reach = t * float(np.abs(np.linalg.eigvalsh(model.collision_matrix())).max())
+    half_width = max(TRANSPORT_P_HALF_WIDTH, reach + 4.0)
+    return _p_grid_from(p_config, half_width, TRANSPORT_P_COUNT), reach
 
 
 def _to_frequencies(model: TransportModel, w_state: StateVector) -> StateVector:
@@ -536,8 +533,10 @@ def run_transport(
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
     take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
     the largest scattering rate, so the convected profile stays inside
-    the auxiliary domain.  A pair build, lifted run or reference past a cap
-    of ``core`` raises ResourceLimitError before any of them starts.
+    the auxiliary domain; a given L at or below t*lambda_max warns, as does
+    exp(-L) not below the run's eps = 1e-3.  A pair build, lifted run or
+    reference past a cap of ``core`` raises ResourceLimitError before any
+    of them starts.
     """
     jd, kd = model.x_count, model.k_count
     # the count alone sets the sizes; the half-width is a placeholder
@@ -549,10 +548,11 @@ def run_transport(
     )
     _preflight(*_transport_phases(model, count, held_modes=0), reference)
     w0_state = _transport_state(model, w0)
+    p_grid, reach = _transport_p_grid(model, p_config, t)
+    _check_p_grid(p_grid, reach, _TRANSPORT_EPSILON)
     rec = evolve_lifted(
-        _to_frequencies(model, w0_state), model.hermitian_pair(),
-        _transport_p_grid(model, p_config, t), t,
-        epsilon=_TRANSPORT_EPSILON, truncation_tol=_TRANSPORT_TRUNCATION_TOL,
+        _to_frequencies(model, w0_state), model.hermitian_pair(), p_grid, t,
+        epsilon=_TRANSPORT_EPSILON,
     )[1]
     w_rec_state = _from_frequencies(model, rec.u)
     w_ref = transport_exact(model, w0_state.as_array(), t)
@@ -620,13 +620,13 @@ def find_stationary_transport(
     _preflight(*_transport_phases(model, TRANSPORT_P_COUNT, held_modes=TRANSPORT_P_COUNT))
     current = _transport_state(model, w0)
     pair = model.hermitian_pair()
-    p_grid = _transport_p_grid(model, None, leg)
+    # the default grid keeps L = max(8, leg*lambda_max + 4): nothing to check
+    p_grid, _ = _transport_p_grid(model, None, leg)
     mus = assemble_eta_diagonal(p_grid).diagonal
     spectra = [_mode_spectrum(pair, mu) for mu in mus]
     for n in range(1, max_legs + 1):
         rec = _lifted_run(
-            _to_frequencies(model, current), pair, p_grid, leg,
-            _TRANSPORT_EPSILON, _TRANSPORT_TRUNCATION_TOL,
+            _to_frequencies(model, current), pair, p_grid, leg, _TRANSPORT_EPSILON,
             lambda s0: _evolve_modes(s0, model.k_count, spectra, leg),
         )[1]
         nxt = _from_frequencies(model, rec.u)

@@ -81,13 +81,10 @@ DEFAULT_P_COUNT = 256
 # the weights of decay_factors and the (2, N) transform that makes them (a
 # Gibbs run peaks at about 108, a ground state at 96).
 _MODE_BYTES = 128
-# np.fft takes out= from NumPy 2.0 on; before, the transform allocates its result
-_FFT_HAS_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 # dim x N complex copies evolve_lifted holds at once: two whole copies (the
 # lifted state and its mode spectrum, or the evolved spectrum and its
-# inverse transform) plus the p >= 0 blocks the recoveries read; 2.8 measured,
-# and 3.3 where the inverse transform allocates its result
-_LIFTED_COPIES = 3 if _FFT_HAS_OUT else 4
+# inverse transform) plus the p >= 0 blocks the recoveries read; 2.8 measured
+_LIFTED_COPIES = 3
 # complex (B, b, b) stacks held beside them: the pair and one mode's
 # decomposition (3.5 measured for a general 64 x 64 A on 256 modes)
 _PAIR_STACKS = 4
@@ -223,44 +220,50 @@ def _lifted_phase(rows: int, count: int, held: int, work: int) -> tuple[str, int
 
 def _p_grid_from(
     p_config,
-    half_width=DEFAULT_P_HALF_WIDTH,
+    half_width: float = DEFAULT_P_HALF_WIDTH,
     count: int = DEFAULT_P_COUNT,
 ) -> Grid1D:
     """Auxiliary grid of ``p_config``, one experiment's defaults filling the gaps.
 
     ``p_config`` is None, a Grid1D, or a (half_width, count) pair whose None
-    entries take the defaults.  ``half_width`` may be a callable, evaluated
-    only when the half-width is not given, for defaults that cost work.
+    entries take the defaults ``half_width`` and ``count``.
     """
     if isinstance(p_config, Grid1D):
         return p_config
     given_width, given_count = p_config or (None, None)
-    if given_width is None:
-        given_width = half_width() if callable(half_width) else half_width
-    return Grid1D(float(given_width), int(count if given_count is None else given_count))
+    half_width = half_width if given_width is None else given_width
+    return Grid1D(float(half_width), int(count if given_count is None else given_count))
 
 
-def _warn_truncation(p_grid: Grid1D, truncation_tol: float) -> None:
-    """Warn the caller's caller when the profile at p = -L is not below the tolerance."""
-    tail = float(_profile(p_grid)[0])
-    if tail >= truncation_tol:
+def _check_p_grid(p_grid: Grid1D, reach: float, epsilon: float) -> None:
+    """The one auxiliary-grid check of a run, before any array of N: warns
+    the run's caller when exp(-L) is not below max(1e-4, eps) (truncation),
+    and when ``reach``, the distance t*lambda that the profile convects, is
+    at or past L (convection)."""
+    tolerance = max(1e-4, epsilon)
+    tail = math.exp(-p_grid.half_width)
+    if tail >= tolerance:
         warnings.warn(
             f"exp(-{p_grid.half_width:g}) = {tail:.2e} "
-            f"exceeds the requested truncation tolerance {truncation_tol:g}",
+            f"exceeds the requested truncation tolerance {tolerance:g}",
             AccuracyWarning,
             stacklevel=3,
         )
-
-
-def _warn_convection(t: float, lam_max: float, p_grid: Grid1D) -> None:
-    """Warn the caller's caller when the profile convects past the p boundary."""
-    if t * lam_max >= p_grid.half_width:
+    if reach >= p_grid.half_width:
         warnings.warn(
-            f"convection t*lambda_max = {t * lam_max:.2f} reaches the p boundary "
-            f"{p_grid.half_width:g}; refine the auxiliary domain",
+            f"convection t*lambda = {reach:.2f} reaches the p boundary {p_grid.half_width:g}: "
+            "the lifted profile would convect past the p boundary; refine the auxiliary domain",
             AccuracyWarning,
             stacklevel=3,
         )
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x; a real ``a`` acts on the real and imaginary parts of a complex
+    ``x`` apart, so NumPy makes no complex copy of ``a``."""
+    if np.iscomplexobj(a) or not np.iscomplexobj(x):
+        return a @ x
+    return a @ x.real + 1j * (a @ x.imag)
 
 
 def _profile(p_grid: Grid1D) -> np.ndarray:
@@ -276,13 +279,12 @@ def _aux_grid(state: StateVector, name: str) -> Grid1D:
     return last.grid
 
 
-def warp_extend(u0: StateVector, p_grid: Grid1D, truncation_tol: float = 1e-4) -> StateVector:
+def warp_extend(u0: StateVector, p_grid: Grid1D) -> StateVector:
     """Lift u0 into w(0, x, p) = exp(-|p|) u0(x) on the extended p grid.
 
-    Warns when exp(-half_width) is not below ``truncation_tol``: the
-    periodic wrap then feeds visible mass back into the domain.
+    A stage: the runs that lift check the grid, whose periodic wrap feeds
+    mass back into the domain when exp(-half_width) is not small.
     """
-    _warn_truncation(p_grid, truncation_tol)
     amplitudes = np.multiply.outer(u0.amplitudes, _profile(p_grid))
     layout = u0.layout + (AxisSpec("p", p_grid.count, p_grid),)
     return StateVector._adopt(amplitudes, layout)
@@ -305,9 +307,7 @@ def _p_transform(arr: np.ndarray, transform) -> np.ndarray:
     out[..., :half] = arr[..., half:]
     out[..., half:] = arr[..., :half]
     out *= _phase(n)
-    if _FFT_HAS_OUT:
-        return transform(out, axis=-1, norm="ortho", out=out)
-    return transform(out, axis=-1, norm="ortho")
+    return transform(out, axis=-1, norm="ortho", out=out)
 
 
 def dft_p(w: StateVector) -> StateVector:
@@ -544,14 +544,13 @@ def decay_factors(lam, p_grid: Grid1D, t: float, recovery: str) -> np.ndarray:
     vanish at every even mode j != 0, skipped) or "projection" (the profile
     fit of ``project_positive``, whose direction is that route's result).
     The sum over modes runs in chunks, so memory is O(N + len(lam) * chunk)
-    and no len(lam) x N array is built.  Warns like ``schrodingerize_evolve``
-    when t * max|lam| reaches the p boundary.
+    and no len(lam) x N array is built.  A stage: the runs that call it
+    check the grid against t * max|lam| first.
     """
     if t < 0:
         raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
     summed, weights = _mode_weights(p_grid, recovery)
     lam = np.asarray(lam, dtype=float)
-    _warn_convection(t, float(np.abs(lam).max(initial=0.0)), p_grid)
     weights = weights[summed]
     mus = assemble_eta_diagonal(p_grid).diagonal[summed]
 
@@ -592,7 +591,6 @@ def evolve_lifted(
     p_grid: Grid1D,
     t: float,
     epsilon: float = 1e-3,
-    truncation_tol: float = 1e-4,
 ) -> tuple[StateVector, RecoveryResult]:
     """Lift u0, evolve every auxiliary mode to time t, recover, measure, price.
 
@@ -607,14 +605,15 @@ def evolve_lifted(
     (``recover_point``, ``project_positive``) read the returned lifted state.
     A run past a cap of ``core`` by its lifted copies or by its mode
     decompositions (one of H when Hbar = 0, else one per mode) raises
-    ResourceLimitError before the lift.
+    ResourceLimitError before the lift.  A stage: the runs that call it
+    (``schrodingerize_evolve``, ``apps.run_transport``) check the grid.
     """
     blocks, b, _ = pair.h.blocks.shape
     work = (blocks * b) ** 3 if pair.h_bar.max_norm == 0.0 else p_grid.count * blocks * b**3
     held = _PAIR_STACKS * 16 * pair.h.blocks.size
     _preflight(_lifted_phase(u0.amplitudes.size, p_grid.count, held, work))
     return _lifted_run(
-        u0, pair, p_grid, t, epsilon, truncation_tol,
+        u0, pair, p_grid, t, epsilon,
         lambda s0: evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t),
     )
 
@@ -625,13 +624,12 @@ def _lifted_run(
     p_grid: Grid1D,
     t: float,
     epsilon: float,
-    truncation_tol: float,
     evolve: Callable[[StateVector], StateVector],
 ) -> tuple[StateVector, RecoveryResult]:
     """The body of ``evolve_lifted``, its evolution step ``evolve`` taking
     the lifted mode spectrum to the spectrum at time t: lift, evolution,
     inverse transform, recovery, the projection's two numbers and the cost."""
-    s0 = dft_p(warp_extend(u0, p_grid, truncation_tol=truncation_tol))
+    s0 = dft_p(warp_extend(u0, p_grid))
     s_t = evolve(s0)
     spectral_norms = (s0.norm, s_t.norm)
     del s0  # one lifted copy fewer while the inverse transform allocates
@@ -722,11 +720,12 @@ def evolve_eigenbasis(
     per distinct eigenvalue: 129 x N for a 256-point Laplacian, dim x N
     when every eigenvalue is distinct.
 
-    Warns when exp(-L) is not below 1e-4 (the default of ``warp_extend``),
-    and when the part of u0 on eigencomponents with t*|lam| >= L, which
-    convect past the p boundary, has norm above ``epsilon`` * |u0|.  Rows
-    that would pass ``core.ARRAY_BYTES_LIMIT`` are refused with
-    ResourceLimitError before any is allocated.
+    Checks the grid once, before any row, with ``epsilon`` and the reach
+    read off the weighted spectrum: the largest t*|lam| at which the part
+    of u0 with t*|lam| at or above it still has norm above ``epsilon`` *
+    |u0|; so it warns of convection exactly when the part with t*|lam| >= L
+    is that large.  Rows that would pass ``core.ARRAY_BYTES_LIMIT`` are
+    refused with ResourceLimitError before any is allocated.
     """
     if t < 0:
         raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
@@ -738,17 +737,12 @@ def evolve_eigenbasis(
     if vectors is None:
         coeffs = np.fft.fftn(u0.as_array(), norm="ortho").reshape(-1)
     else:
-        coeffs = vectors.conj().T @ u0.amplitudes
+        coeffs = _matvec(vectors.conj().T, u0.amplitudes)
     weight = np.abs(coeffs) ** 2
-    wrapped = float(np.sqrt(weight[t * np.abs(lam) >= p_grid.half_width].sum()))
-    if wrapped > epsilon * u0.norm:
-        warnings.warn(
-            f"a part of norm {wrapped / u0.norm:.2e} |u0| sits on eigencomponents with "
-            f"t*lambda >= {p_grid.half_width:g}, which convect past the p boundary; "
-            "refine the auxiliary domain",
-            AccuracyWarning,
-            stacklevel=2,
-        )
+    shift = t * np.abs(lam)
+    order = np.argsort(shift)[::-1]
+    above = np.flatnonzero(np.sqrt(np.cumsum(weight[order])) > epsilon * u0.norm)
+    _check_p_grid(p_grid, float(shift[order[above[0]]]) if above.size else 0.0, epsilon)
 
     values, inverse = np.unique(lam, return_inverse=True)
     _preflight(_lifted_phase(values.size, p_grid.count, 0, 0))
@@ -765,7 +759,7 @@ def evolve_eigenbasis(
     if vectors is None:
         u = np.fft.ifftn(u_coeffs.reshape(u0.shape), norm="ortho")
     else:
-        u = vectors @ u_coeffs
+        u = _matvec(vectors, u_coeffs)
     u = u0.with_amplitudes(u)
     return RecoveryResult(
         u=u,
@@ -793,11 +787,12 @@ def schrodingerize_evolve(
     ``evolve_lifted``.
 
     ``p_grid`` is None, a Grid1D or an (L, N) pair whose None entries take
-    the defaults L=12, N=256.  Warns when t*lambda_max(H) reaches the p
-    boundary.  Returns the lifted state at time t and the recovery of
-    ``evolve_lifted``: the calibrated quadrature solution with its success
-    probability, cost factor, spectral norms and cost report.  A split of A
-    past a cap of ``core`` raises ResourceLimitError before A is copied.
+    the defaults L=12, N=256.  Checks the grid once, before the lift, with
+    eps and the reach t*lambda_max(H).  Returns the lifted state at time t
+    and the recovery of ``evolve_lifted``: the calibrated quadrature
+    solution with its success probability, cost factor, spectral norms and
+    cost report.  A split of A past a cap of ``core`` raises
+    ResourceLimitError before A is copied.
     """
     shape = np.shape(a_matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -809,5 +804,5 @@ def schrodingerize_evolve(
     pair = hermitian_decompose(a_matrix)
     p_grid = _p_grid_from(p_grid)
     lam_max = float(np.abs(pair.h.spectrum[0]).max()) if pair.h.max_norm > 0 else 0.0
-    _warn_convection(t, lam_max, p_grid)
-    return evolve_lifted(u0, pair, p_grid, t, epsilon=epsilon, truncation_tol=max(1e-4, epsilon))
+    _check_p_grid(p_grid, t * lam_max, epsilon)
+    return evolve_lifted(u0, pair, p_grid, t, epsilon=epsilon)

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import tracemalloc
@@ -33,7 +34,7 @@ from schrodingerize import (
     schrodingerize_evolve,
     transport_exact,
 )
-from schrodingerize import apps, core, oracle, pipeline
+from schrodingerize import apps, cli, core, oracle, pipeline
 from schrodingerize.operators import HermitianMatrix, HermitianPair
 from schrodingerize.pipeline import evolve_lifted
 
@@ -373,6 +374,13 @@ class TestPrepareGroundState:
         assert report.fidelity >= 1 - 1e-3
         assert shapes == [(dim, dim)]
         assert peak < 32 * 2**20
+
+    def test_real_eigenbasis_acts_without_a_complex_copy(self, traced_peak):
+        # a real 1024 x 1024 H and a complex u0: NumPy's complex copy of the
+        # eigenvectors for V^dag u0 and V (g c) put the peak at 32.1 MiB, four
+        # real copies; applied to the real and imaginary parts apart, three
+        peak = traced_peak(ground_state(1024))
+        assert peak < 28 * 2**20
 
     @pytest.mark.parametrize("epsilon", [1e-6, 1e-8])
     def test_default_grid_at_small_epsilon_is_fast_and_exact(self, epsilon):
@@ -885,6 +893,28 @@ class TestRunTransport:
         traced_peak(lambda: run_transport(model, w0, p_config=(None, 64), t=0.5))
         assert in_run[-1] < alone + 64 * 16 * 16 * 16
 
+    @pytest.mark.parametrize(
+        "t, error, messages",
+        [
+            (6.0, 0.363, ["truncation tolerance", "convect past the p boundary"]),
+            (3.0, 0.0239, ["truncation tolerance"]),
+        ],
+        ids=["convection", "truncation"],
+    )
+    def test_grid_given_too_short_warns(self, t, error, messages):
+        # L = 5 on an 8 x 8 model with lambda_max = 1: at t = 6 the profile
+        # convects past the p boundary (relative error 0.36); at t = 3 it
+        # stays inside, but exp(-5) = 6.7e-3 passes the run's eps = 1e-3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = transport_grid_run((5.0, 64), t)
+        texts = [str(w.message) for w in caught]
+        grid_warnings = [text for text in texts if TRUNCATION in text or CONVECTION in text]
+        assert len(grid_warnings) == len(messages)
+        for text, message in zip(grid_warnings, messages):
+            assert message in text
+        assert result.l2_relative_error == pytest.approx(error, rel=0.01)
+
     def test_oversize_model_refused_before_the_pair_is_built(self, monkeypatch):
         # J = 64, K = 1024: each complex (J, K, K) stack is 1 GiB, and
         # building the pair peaks at over four of them
@@ -1079,3 +1109,98 @@ class TestStationaryTransport:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def general_run(p_grid, t):
+    a = np.array([[1.0, 0.3], [-0.3, 0.5]])  # lambda(H) = {0.5, 1}
+    return schrodingerize_evolve(vector_state([1.0, 0.5]), a, p_grid, t)
+
+
+def heat_run(p_grid, t):
+    grid = make_grid(1.0, 16)  # u0 on the eigenvalues 0 and pi^2
+    return run_heat(1.0 + np.cos(np.pi * grid.points), None, grid, p_config=p_grid, t=t)
+
+
+def ground_state_run(p_grid, _):
+    # eps = 1e-3, gap 1, width 3: t_final = ln(3000), reach 24
+    return prepare_ground_state(np.diag([0.0, 1.0, 3.0]), np.ones(3), 1e-3, p_grid=p_grid)
+
+
+def gibbs_run(p_grid, beta):
+    return prepare_gibbs(np.diag([0.0, 1.0]), beta, p_grid=p_grid)  # reach beta/2
+
+
+def transport_grid_run(p_grid, t):
+    grid = make_grid(1.0, 8)  # lambda_max = 1
+    model = TransportModel.create([grid], [grid], np.full((8, 8), 1.0 / 8))
+    xx, kk = np.meshgrid(grid.points, grid.points, indexing="ij")
+    w0 = 1.0 + 0.3 * np.cos(np.pi * xx) + 0.2 * np.cos(np.pi * kk)
+    return run_transport(model, w0, p_config=p_grid, t=t)
+
+
+TRUNCATION, CONVECTION = "truncation tolerance", "convect past the p boundary"
+
+
+class TestGridCheck:
+    """One auxiliary-grid check per run: each of the five runs calls
+    ``pipeline._check_p_grid`` once, and each grid warning comes once."""
+
+    @pytest.mark.parametrize(
+        "run, p_grid, time, expected",
+        [
+            # exp(-5) = 6.7e-3 >= max(1e-4, eps) = 1e-3 with the reach inside L;
+            # L = 8 clears the tolerance (exp(-8) = 3.4e-4) with the reach past it
+            (general_run, (5.0, 64), 1.0, (1, 0)),
+            (general_run, (8.0, 64), 10.0, (0, 1)),
+            (heat_run, (5.0, 64), 0.1, (1, 0)),
+            (heat_run, (8.0, 64), 1.0, (0, 1)),
+            # a relaxation's reach is at least ln(1/eps): a grid short enough
+            # to truncate is also short enough to convect past
+            (ground_state_run, (6.0, 256), None, (1, 1)),
+            (ground_state_run, (12.0, 256), None, (0, 1)),
+            (gibbs_run, (5.0, 256), 1.0, (1, 0)),
+            (gibbs_run, (8.0, 256), 20.0, (0, 1)),
+            (transport_grid_run, (5.0, 64), 3.0, (1, 0)),
+            (transport_grid_run, (8.0, 64), 10.0, (0, 1)),
+        ],
+        ids=[
+            f"{run}-{case}"
+            for run in ("general", "heat", "ground_state", "gibbs", "transport")
+            for case in ("truncation", "convection")
+        ],
+    )
+    def test_each_condition_warns_once(self, monkeypatch, run, p_grid, time, expected):
+        checks = []
+        check = pipeline._check_p_grid
+
+        def counting(*args):
+            checks.append(args)
+            check(*args)
+
+        for module in (apps, pipeline):
+            monkeypatch.setattr(module, "_check_p_grid", counting)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(p_grid, time)
+        texts = [str(w.message) for w in caught if issubclass(w.category, AccuracyWarning)]
+        counts = tuple(sum(m in text for text in texts) for m in (TRUNCATION, CONVECTION))
+        assert counts == expected, texts
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("name", ["heat-lift", "general-dense", "transport", "ground-state"])
+    def test_workload_grids_warn_nothing(self, workloads, tmp_path, name):
+        cfg = workloads.make_config(name, 1)
+        cfg["output"] = {"directory": str(tmp_path / name)}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.run(path) == 0
+        assert [str(w.message) for w in caught if issubclass(w.category, AccuracyWarning)] == []
+
+    def test_default_gibbs_grid_warns_nothing(self):
+        # L = max(10, beta/2 * width + 4) = 16: exp(-16) = 1.1e-7, and the reach 12
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prepare_gibbs(np.diag([0.0, 1.0, 12.0]), 2.0)
+        assert [str(w.message) for w in caught if issubclass(w.category, AccuracyWarning)] == []
