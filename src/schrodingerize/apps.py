@@ -467,13 +467,15 @@ def _transport_phases(model: TransportModel, count: int, held_modes: int) -> lis
     ]
 
 
-def _transport_p_grid(model: TransportModel, p_config, t: float) -> tuple[Grid1D, float]:
+def _transport_p_grid(model: TransportModel, p_config, t: float) -> tuple[Grid1D, tuple]:
     """Auxiliary grid of a transport run, ``p_config`` over the defaults N = 64
-    and L = max(8, t*lambda_max + 4), and its reach t*lambda_max, lambda_max
-    the largest scattering rate."""
-    reach = t * float(np.abs(np.linalg.eigvalsh(model.collision_matrix())).max())
-    half_width = max(TRANSPORT_P_HALF_WIDTH, reach + 4.0)
-    return _p_grid_from(p_config, half_width, TRANSPORT_P_COUNT), reach
+    and L = max(8, t*lambda_max + 4), and the rest of its grid check: reach
+    t*lambda_max, eps, and the smallest rate lambda_min and max-norm of H."""
+    collision = model.collision_matrix()
+    rates = np.linalg.eigvalsh(collision)
+    reach = t * float(np.abs(rates).max())
+    p_grid = _p_grid_from(p_config, max(TRANSPORT_P_HALF_WIDTH, reach + 4.0), TRANSPORT_P_COUNT)
+    return p_grid, (reach, _TRANSPORT_EPSILON, float(rates[0]), float(np.abs(collision).max()))
 
 
 def _to_frequencies(model: TransportModel, w_state: StateVector) -> StateVector:
@@ -518,10 +520,10 @@ def run_transport(
     block, inverse spatial transform.
 
     The per-mode generator is mu*(Sigma - sigma) + diag(xi . k): the
-    scattering enters through the (positive semi-definite) loss-gain
-    matrix and the advection through the diagonal symbol.  With x Fourier
-    transformed it is block diagonal, one K^d x K^d block per spatial
-    frequency xi: ``model.hermitian_pair()`` builds H and Hbar as
+    scattering enters through the loss-gain matrix (positive semi-definite
+    for nonnegative sigma) and the advection through the diagonal symbol.
+    With x Fourier transformed it is block diagonal, one K^d x K^d block per
+    spatial frequency xi: ``model.hermitian_pair()`` builds H and Hbar as
     (J^d, K^d, K^d) block stacks, so neither the (J^d K^d)^2 generator nor
     any matrix of that size is ever formed.  The reference is
     ``transport_exact`` on the same (x, k) grid: the exact exponential of
@@ -533,10 +535,10 @@ def run_transport(
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
     take the defaults N=64 and L = max(8, t*lambda_max + 4), lambda_max
     the largest scattering rate, so the convected profile stays inside
-    the auxiliary domain; a given L at or below t*lambda_max warns, as does
-    exp(-L) not below the run's eps = 1e-3.  A pair build, lifted run or
-    reference past a cap of ``core`` raises ResourceLimitError before any
-    of them starts.
+    the auxiliary domain; a given L at or below t*lambda_max warns, as do
+    exp(-L) not below the run's eps = 1e-3 and a growing loss-gain matrix.
+    A pair build, lifted run or reference past a cap of ``core`` raises
+    ResourceLimitError before any of them starts.
     """
     jd, kd = model.x_count, model.k_count
     # the count alone sets the sizes; the half-width is a placeholder
@@ -548,8 +550,8 @@ def run_transport(
     )
     _preflight(*_transport_phases(model, count, held_modes=0), reference)
     w0_state = _transport_state(model, w0)
-    p_grid, reach = _transport_p_grid(model, p_config, t)
-    _check_p_grid(p_grid, reach, _TRANSPORT_EPSILON)
+    p_grid, check = _transport_p_grid(model, p_config, t)
+    _check_p_grid(p_grid, *check)
     rec = evolve_lifted(
         _to_frequencies(model, w0_state), model.hermitian_pair(), p_grid, t,
         epsilon=_TRANSPORT_EPSILON,
@@ -603,10 +605,10 @@ def find_stationary_transport(
     same linear map (same pair, auxiliary grid and leg time), so each
     auxiliary mode's generator stack mu_j*H + Hbar is decomposed once, up
     front; each leg then runs the body of ``evolve_lifted`` with those
-    spectra as its evolution step.  The search holds them all:
-    N*B*b*(b + 1)*8 bytes for N auxiliary modes and B blocks of size b
-    (N = 64 and B = b = 16 at J = K = 16: 2.1 MiB).  The legs skip the
-    reference solve and the moments that only ``run_transport`` reports.
+    spectra as its evolution step, after ``run_transport``'s grid check (on
+    the default grid only growth warns).  It holds them: N*B*b*(b + 1)*8
+    bytes for N modes and B blocks of size b (2.1 MiB at N = 64, B = b =
+    16).  The legs skip the reference and moments of ``run_transport``.
     ``leg`` and ``tol`` must be finite and > 0 and ``max_legs`` an int >= 1,
     else InvalidArgumentError before any evolution; a pair build, or legs
     with their held spectra, past a cap of ``core`` are refused with
@@ -620,8 +622,8 @@ def find_stationary_transport(
     _preflight(*_transport_phases(model, TRANSPORT_P_COUNT, held_modes=TRANSPORT_P_COUNT))
     current = _transport_state(model, w0)
     pair = model.hermitian_pair()
-    # the default grid keeps L = max(8, leg*lambda_max + 4): nothing to check
-    p_grid, _ = _transport_p_grid(model, None, leg)
+    p_grid, check = _transport_p_grid(model, None, leg)
+    _check_p_grid(p_grid, *check)
     mus = assemble_eta_diagonal(p_grid).diagonal
     spectra = [_mode_spectrum(pair, mu) for mu in mus]
     for n in range(1, max_legs + 1):

@@ -34,11 +34,12 @@ from .core import (
     StateVector,
     DegenerateStateError,
     UnsupportedProblemError,
+    _preflight,
 )
 from .operators import TransportModel, assemble_eta_diagonal
 from .oracle import expm_apply
 from .costs import hamsim_cost, transport_norm_parity
-from .pipeline import _p_grid_from, schrodingerize_evolve
+from .pipeline import schrodingerize_evolve
 
 __all__ = ["ExperimentConfig", "load_config", "run", "sweep", "main", "validate_summary"]
 
@@ -390,10 +391,11 @@ def _run_cost(cfg: ExperimentConfig):
     extras = {"l2_relative_error": 0.0, "cost": report.as_dict(), "norms": {}}
     if "J" in cfg.resolution and "K" in cfg.resolution:
         j, k = int(cfg.res("J")), int(cfg.res("K"))
-        model = TransportModel.create(
-            [Grid1D(1.0, j)], [Grid1D(1.0, k)], _sigma_matrix(cfg, k)
-        )
-        d_matrix = assemble_eta_diagonal(_p_grid_from(_p_config(cfg), 1.0, 64))
+        # the parity prices the grid of a transport run, sized from its rates
+        _preflight((f"the scattering rates of dimension {k}", 4 * 8 * k * k, k**3))
+        model = TransportModel.create([Grid1D(1.0, j)], [Grid1D(1.0, k)], _sigma_matrix(cfg, k))
+        p_grid, _ = apps._transport_p_grid(model, _p_config(cfg), _physics(cfg, "t", 1.0))
+        d_matrix = assemble_eta_diagonal(p_grid)
         extras["transport_parity"] = transport_norm_parity(model, d_matrix)
     return [], None, None, extras
 

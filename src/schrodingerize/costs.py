@@ -115,15 +115,22 @@ def schrodingerisation_cost(
     The auxiliary mode diagonal inflates the dissipative max-norm by
     pi/(2*epsilon) (its largest mode at N ~ 1/eps modes); the oscillatory
     part enters un-inflated, and the whole simulation is repeated
-    norm_ratio = |u(0)|/|u(t)| times by amplitude amplification.
+    norm_ratio = |u(0)|/|u(t)| times by amplification; warns below 1 (runs do not).
     """
-    _check_positive(norm_ratio=norm_ratio, s=s, t=t, max_norm=max_norm, epsilon=epsilon)
+    args = (norm_ratio, s, t, max_norm, epsilon, m_h, max_norm_oscillatory)
+    report = _schrodingerisation_cost(*args)
     if norm_ratio < 1.0 - 1e-9:
         warnings.warn(
             f"norm ratio {norm_ratio:.3g} < 1: the original dynamics grow in time",
             AccuracyWarning,
             stacklevel=2,
         )
+    return report
+
+
+def _schrodingerisation_cost(norm_ratio, s, t, max_norm, epsilon, m_h, max_norm_oscillatory):
+    """``schrodingerisation_cost`` without its growth warning."""
+    _check_positive(norm_ratio=norm_ratio, s=s, t=t, max_norm=max_norm, epsilon=epsilon)
     effective = max(max_norm * math.pi / (2.0 * epsilon), max_norm_oscillatory)
     base = hamsim_cost(s, t, effective, epsilon, m_h)
     return replace(
@@ -173,7 +180,7 @@ def ground_state_cost(
     if alpha0 > 1:
         raise InvalidArgumentError(f"alpha0 must be in (0, 1], got {alpha0}")
     t_final = relaxation_time(gap, alpha0**2, epsilon)
-    report = schrodingerisation_cost(1.0 / alpha0, s, t_final, max_norm, epsilon, m_h)
+    report = _schrodingerisation_cost(1.0 / alpha0, s, t_final, max_norm, epsilon, m_h, 0.0)
     inputs = dict(report.inputs)
     inputs.update({"alpha0": alpha0, "gap": gap, "t_final": t_final})
     return replace(report, formula="ground-state", inputs=inputs)
@@ -190,18 +197,16 @@ def gibbs_cost(
     """Cost of preparing exp(-beta*H)/Z: s*max|H|*beta*sqrt(D/Z)/eps dressed.
 
     The purification evolves for time beta/2 and the amplification ratio is
-    sqrt(D/Z); the caller supplies Z (eigensolve at desk scale).  The
-    register is priced at m_H = 2*log2(D) + log2(max(2, 1/eps)) qubits.
+    sqrt(D/Z), below 1 without a warning when negative energies make Z exceed
+    D; the caller supplies Z.  The register is priced at m_H = 2*log2(D) +
+    log2(max(2, 1/eps)) qubits.
     """
     _check_positive(beta=beta, dim=dim)
     if not partition_z > 0:
         raise InvalidArgumentError(f"partition function must be positive, got {partition_z}")
     ratio = math.sqrt(dim / partition_z)
     m_h = 2.0 * math.log2(dim) + math.log2(max(2.0, 1.0 / epsilon))
-    with warnings.catch_warnings():
-        # ratio < 1 is routine here (negative energies make Z exceed D)
-        warnings.simplefilter("ignore", AccuracyWarning)
-        report = schrodingerisation_cost(ratio, s, beta / 2.0, max_norm, epsilon, m_h)
+    report = _schrodingerisation_cost(ratio, s, beta / 2.0, max_norm, epsilon, m_h, 0.0)
     inputs = dict(report.inputs)
     inputs.update({"beta": beta, "dim": dim, "partition_z": partition_z})
     return replace(report, formula="gibbs", inputs=inputs)

@@ -143,12 +143,22 @@ class HermitianPair:
         return self.h.dense() + 1j * self.h_bar.dense()
 
 
+def _growth(lam_min: float, max_norm: float) -> str | None:
+    """The warning of a dissipative part H whose lam_min is below -PSD_RTOL |H|_max."""
+    if lam_min < -PSD_RTOL * max_norm:
+        return (
+            f"dissipative part has negative eigenvalue {lam_min:.3e}; "
+            "the original dynamics grow in time"
+        )
+    return None
+
+
 def hermitian_decompose(a: np.ndarray, *, check_psd: bool = True) -> HermitianPair:
     """Split a square matrix A into Hermitian H = (A+A^dag)/2 and
     Hbar = i(A^dag-A)/2, so that A = H + i*Hbar exactly.
 
     A negative eigenvalue of H beyond tolerance signals dynamics that grow
-    in time; that is legal input, so it warns instead of raising.
+    in time; that is legal input, so it warns (``_growth``) instead of raising.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -157,15 +167,9 @@ def hermitian_decompose(a: np.ndarray, *, check_psd: bool = True) -> HermitianPa
     h_bar = 0.5j * (a.conj().T - a)
     hm = HermitianMatrix.from_entries(h)
     hbm = HermitianMatrix.from_entries(h_bar)
-    if check_psd and hm.max_norm > 0:
-        lam_min = float(hm.spectrum[0][0])
-        if lam_min < -PSD_RTOL * hm.max_norm:
-            warnings.warn(
-                f"dissipative part has negative eigenvalue {lam_min:.3e}; "
-                "the original dynamics grow in time",
-                AccuracyWarning,
-                stacklevel=2,
-            )
+    growth = check_psd and hm.max_norm > 0 and _growth(float(hm.spectrum[0][0]), hm.max_norm)
+    if growth:
+        warnings.warn(growth, AccuracyWarning, stacklevel=2)
     return HermitianPair(h=hm, h_bar=hbm)
 
 

@@ -39,6 +39,7 @@ its modes turned by exp(-i t lam mu_j) (``_mode_phases``).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -55,8 +56,10 @@ from .core import (
     StateVector,
     _preflight,
 )
-from .costs import CostReport, schrodingerisation_cost
-from .operators import EtaDiagonal, HermitianPair, assemble_eta_diagonal, hermitian_decompose
+from .costs import CostReport, _schrodingerisation_cost
+from .operators import (
+    EtaDiagonal, HermitianPair, _growth, assemble_eta_diagonal, hermitian_decompose
+)
 
 __all__ = [
     "RecoveryResult",
@@ -235,27 +238,28 @@ def _p_grid_from(
     return Grid1D(float(half_width), int(count if given_count is None else given_count))
 
 
-def _check_p_grid(p_grid: Grid1D, reach: float, epsilon: float) -> None:
-    """The one auxiliary-grid check of a run, before any array of N: warns
-    the run's caller when exp(-L) is not below max(1e-4, eps) (truncation),
-    and when ``reach``, the distance t*lambda that the profile convects, is
-    at or past L (convection)."""
-    tolerance = max(1e-4, epsilon)
-    tail = math.exp(-p_grid.half_width)
-    if tail >= tolerance:
-        warnings.warn(
-            f"exp(-{p_grid.half_width:g}) = {tail:.2e} "
-            f"exceeds the requested truncation tolerance {tolerance:g}",
-            AccuracyWarning,
-            stacklevel=3,
-        )
-    if reach >= p_grid.half_width:
-        warnings.warn(
-            f"convection t*lambda = {reach:.2f} reaches the p boundary {p_grid.half_width:g}: "
-            "the lifted profile would convect past the p boundary; refine the auxiliary domain",
-            AccuracyWarning,
-            stacklevel=3,
-        )
+def _check_p_grid(p_grid: Grid1D, reach: float, epsilon: float, lam_min=0.0, max_norm=0.0):
+    """The one check of a run, before any array of N: warns the first line
+    outside the package once each for truncation, exp(-L) not below
+    max(1e-4, eps); convection, ``reach`` = t*lambda at or past L; and growth
+    (``operators._growth``), the smallest eigenvalue ``lam_min`` of H below
+    -PSD_RTOL * ``max_norm`` (0 for the shifted ground-state and Gibbs spectra)."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    half_width, tolerance = p_grid.half_width, max(1e-4, epsilon)
+    tail = math.exp(-half_width)
+    for message in (
+        tail >= tolerance
+        and f"exp(-{half_width:g}) = {tail:.2e} exceeds the requested truncation tolerance "
+        f"{tolerance:g}",
+        reach >= half_width
+        and f"convection t*lambda = {reach:.2f} reaches the p boundary {half_width:g}: the "
+        "lifted profile would convect past the p boundary; refine the auxiliary domain",
+        _growth(lam_min, max_norm),
+    ):
+        if message:
+            warnings.warn(message, AccuracyWarning, stacklevel=level)
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -422,17 +426,13 @@ def recover_integrate(w: StateVector) -> StateVector:
     return StateVector(u.reshape(-1), w.layout[:-1])
 
 
-def recover_point(
-    w: StateVector,
-    p_star: float,
-    convection_estimate: float | None = None,
-) -> StateVector:
+def recover_point(w: StateVector, p_star: float) -> StateVector:
     """u(x) = w(x, p*) / exp(-p*) at a positive grid point p*.
 
     No interpolation: p* must lie on the grid.  The value at p* is only
     meaningful while the convected profile has not wrapped past it, i.e.
-    while t*lambda_max < half_width - p*; pass ``convection_estimate`` =
-    t*lambda_max to get a warning when the window is violated.
+    while t*lambda_max < half_width - p*.  A stage, a diagnostic: it
+    computes and does not warn.
     """
     grid = _aux_grid(w, "p")
     if p_star <= 0:
@@ -440,13 +440,6 @@ def recover_point(
     idx = int(round((p_star + grid.half_width) / grid.spacing))
     if idx < 0 or idx >= grid.count or abs(grid.points[idx] - p_star) > 1e-9 * max(1.0, p_star):
         raise InvalidArgumentError(f"p_star = {p_star} is not a grid point")
-    if convection_estimate is not None and convection_estimate >= grid.half_width - p_star:
-        warnings.warn(
-            f"point recovery outside its validity window: convection {convection_estimate:g} "
-            f">= {grid.half_width - p_star:g}",
-            AccuracyWarning,
-            stacklevel=2,
-        )
     u = w.as_array()[..., idx] / _profile(grid)[idx]
     return StateVector(u.reshape(-1), w.layout[:-1])
 
@@ -573,15 +566,16 @@ def _price(
     size: int,
 ) -> CostReport:
     """Query/gate cost of a lifted run of ``size`` = dim(H) * N amplitudes,
-    priced by the recovered amplification |u(0)| / |u(t)|."""
-    return schrodingerisation_cost(
-        norm_ratio=u0_norm / u_t_norm if u_t_norm > 0 else float("inf"),
-        s=max(sparsity, 1),
-        t=max(t, np.finfo(float).tiny),
-        max_norm=max(max_norm, np.finfo(float).tiny),
-        epsilon=epsilon,
-        m_h=math.log2(size),
-        max_norm_oscillatory=max_norm_oscillatory,
+    priced by the recovered amplification |u(0)| / |u(t)|, without the
+    cost model's growth warning: the run's grid check decides growth."""
+    return _schrodingerisation_cost(
+        u0_norm / u_t_norm if u_t_norm > 0 else float("inf"),
+        max(sparsity, 1),
+        max(t, np.finfo(float).tiny),
+        max(max_norm, np.finfo(float).tiny),
+        epsilon,
+        math.log2(size),
+        max_norm_oscillatory,
     )
 
 
@@ -720,12 +714,13 @@ def evolve_eigenbasis(
     per distinct eigenvalue: 129 x N for a 256-point Laplacian, dim x N
     when every eigenvalue is distinct.
 
-    Checks the grid once, before any row, with ``epsilon`` and the reach
-    read off the weighted spectrum: the largest t*|lam| at which the part
-    of u0 with t*|lam| at or above it still has norm above ``epsilon`` *
-    |u0|; so it warns of convection exactly when the part with t*|lam| >= L
-    is that large.  Rows that would pass ``core.ARRAY_BYTES_LIMIT`` are
-    refused with ResourceLimitError before any is allocated.
+    Checks the grid once, before any row, with ``epsilon``, the growth of
+    H from min(lam) and ``max_norm``, and the reach read off the weighted
+    spectrum: the largest t*|lam| at which the part of u0 with t*|lam| at
+    or above it still has norm above ``epsilon`` * |u0|, so it warns of
+    convection exactly when the part with t*|lam| >= L is that large.
+    Rows past ``core.ARRAY_BYTES_LIMIT`` are refused with ResourceLimitError
+    before any is allocated.
     """
     if t < 0:
         raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
@@ -742,7 +737,8 @@ def evolve_eigenbasis(
     shift = t * np.abs(lam)
     order = np.argsort(shift)[::-1]
     above = np.flatnonzero(np.sqrt(np.cumsum(weight[order])) > epsilon * u0.norm)
-    _check_p_grid(p_grid, float(shift[order[above[0]]]) if above.size else 0.0, epsilon)
+    reach = float(shift[order[above[0]]]) if above.size else 0.0
+    _check_p_grid(p_grid, reach, epsilon, float(lam.min()), max_norm)
 
     values, inverse = np.unique(lam, return_inverse=True)
     _preflight(_lifted_phase(values.size, p_grid.count, 0, 0))
@@ -788,7 +784,8 @@ def schrodingerize_evolve(
 
     ``p_grid`` is None, a Grid1D or an (L, N) pair whose None entries take
     the defaults L=12, N=256.  Checks the grid once, before the lift, with
-    eps and the reach t*lambda_max(H).  Returns the lifted state at time t
+    eps, the reach t*max|lambda(H)| and the growth of H from its smallest
+    eigenvalue (the split does not check it).  Returns the lifted state at time t
     and the recovery of ``evolve_lifted``: the calibrated quadrature
     solution with its success probability, cost factor, spectral norms and
     cost report.  A split of A past a cap of ``core`` raises
@@ -801,8 +798,8 @@ def schrodingerize_evolve(
     if n != u0.amplitudes.size:
         raise InvalidArgumentError(f"matrix dimension {n} != state length {u0.amplitudes.size}")
     _preflight((f"the Hermitian split of dimension {n}", _SPLIT_COPIES * 16 * n * n, n**3))
-    pair = hermitian_decompose(a_matrix)
+    pair = hermitian_decompose(a_matrix, check_psd=False)
     p_grid = _p_grid_from(p_grid)
-    lam_max = float(np.abs(pair.h.spectrum[0]).max()) if pair.h.max_norm > 0 else 0.0
-    _check_p_grid(p_grid, t * lam_max, epsilon)
+    lam = pair.h.spectrum[0] if pair.h.max_norm > 0 else np.zeros(1)
+    _check_p_grid(p_grid, t * float(np.abs(lam).max()), epsilon, float(lam[0]), pair.h.max_norm)
     return evolve_lifted(u0, pair, p_grid, t, epsilon=epsilon)

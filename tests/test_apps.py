@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import time
@@ -35,7 +36,8 @@ from schrodingerize import (
     transport_exact,
 )
 from schrodingerize import apps, cli, core, oracle, pipeline
-from schrodingerize.operators import HermitianMatrix, HermitianPair
+from schrodingerize.costs import schrodingerisation_cost
+from schrodingerize.operators import HermitianMatrix, HermitianPair, hermitian_decompose
 from schrodingerize.pipeline import evolve_lifted
 
 
@@ -1130,45 +1132,89 @@ def gibbs_run(p_grid, beta):
     return prepare_gibbs(np.diag([0.0, 1.0]), beta, p_grid=p_grid)  # reach beta/2
 
 
-def transport_grid_run(p_grid, t):
-    grid = make_grid(1.0, 8)  # lambda_max = 1
-    model = TransportModel.create([grid], [grid], np.full((8, 8), 1.0 / 8))
+def transport_model_and_state(cross=None):
+    """The 8 x 8 model with sigma = 1/8 (lambda_max = 1), or with
+    sigma[0, 1] = sigma[1, 0] = ``cross``, and a positive w0."""
+    grid = make_grid(1.0, 8)
+    sigma = np.full((8, 8), 1.0 / 8)
+    if cross is not None:
+        sigma[0, 1] = sigma[1, 0] = cross
     xx, kk = np.meshgrid(grid.points, grid.points, indexing="ij")
     w0 = 1.0 + 0.3 * np.cos(np.pi * xx) + 0.2 * np.cos(np.pi * kk)
+    return TransportModel.create([grid], [grid], sigma), w0
+
+
+def transport_grid_run(p_grid, t):
+    model, w0 = transport_model_and_state()
     return run_transport(model, w0, p_config=p_grid, t=t)
 
 
-TRUNCATION, CONVECTION = "truncation tolerance", "convect past the p boundary"
+def general_growth_run(p_grid, t):
+    a = np.array([[-0.5, 0.3], [-0.3, 1.0]])  # lambda(H) = {-0.5, 1}
+    return schrodingerize_evolve(vector_state([1.0, 0.5]), a, p_grid, t)
+
+
+def heat_growth_run(p_grid, t):
+    grid = make_grid(1.0, 32)  # V = -2 shifts the eigenvalues 0, pi^2 down by 2
+    u0 = 1.0 + np.cos(np.pi * grid.points)
+    return run_heat(u0, np.full(32, -2.0), grid, p_config=p_grid, t=t)
+
+
+def transport_growth_run(p_grid, t):
+    # the smallest rate of the collision matrix is -0.25
+    model, w0 = transport_model_and_state(cross=-0.5)
+    return run_transport(model, w0, p_config=p_grid, t=t)
+
+
+def stationary_growth_run(_, leg):
+    model, w0 = transport_model_and_state(cross=-0.5)
+    return find_stationary_transport(model, w0, leg=leg, max_legs=1)
+
+
+def negative_gibbs_run(p_grid, beta):
+    # negative energies make Z exceed D: the amplification ratio is below 1
+    return prepare_gibbs(np.diag([-2.0, -1.0, 0.5]), beta, p_grid=p_grid)
+
+
+TRUNCATION, CONVECTION, GROWTH = "truncation tolerance", "convect past the p boundary", "grow"
+
+
+GRID_CASES = [
+    # exp(-5) = 6.7e-3 >= max(1e-4, eps) = 1e-3 with the reach inside L;
+    # L = 8 clears the tolerance (exp(-8) = 3.4e-4) with the reach past it
+    pytest.param(general_run, (5.0, 64), 1.0, (1, 0, 0), id="general-truncation"),
+    pytest.param(general_run, (8.0, 64), 10.0, (0, 1, 0), id="general-convection"),
+    pytest.param(heat_run, (5.0, 64), 0.1, (1, 0, 0), id="heat-truncation"),
+    pytest.param(heat_run, (8.0, 64), 1.0, (0, 1, 0), id="heat-convection"),
+    # a relaxation's reach is at least ln(1/eps): a grid short enough
+    # to truncate is also short enough to convect past
+    pytest.param(ground_state_run, (6.0, 256), None, (1, 1, 0), id="ground_state-truncation"),
+    pytest.param(ground_state_run, (12.0, 256), None, (0, 1, 0), id="ground_state-convection"),
+    pytest.param(gibbs_run, (5.0, 256), 1.0, (1, 0, 0), id="gibbs-truncation"),
+    pytest.param(gibbs_run, (8.0, 256), 20.0, (0, 1, 0), id="gibbs-convection"),
+    pytest.param(transport_grid_run, (5.0, 64), 3.0, (1, 0, 0), id="transport-truncation"),
+    pytest.param(transport_grid_run, (8.0, 64), 10.0, (0, 1, 0), id="transport-convection"),
+    # H not positive semi-definite: the recovery from p >= 0 fails (heat
+    # misses its reference by 3.2e-2), and only the check says so
+    pytest.param(general_growth_run, (12.0, 64), 0.5, (0, 0, 1), id="general-growth"),
+    pytest.param(heat_growth_run, (12.0, 256), 0.1, (0, 0, 1), id="heat-growth"),
+    pytest.param(transport_growth_run, None, 1.0, (0, 0, 1), id="transport-growth"),
+    pytest.param(stationary_growth_run, None, 0.5, (0, 0, 1), id="stationary-growth"),
+    # a dissipative profile wrapped past L (relative error 0.36) recovers
+    # |u(t)| > |u0|: a fault of the grid, not growth
+    pytest.param(transport_grid_run, (5.0, 64), 6.0, (1, 1, 0), id="transport-wrap"),
+    # the shifted spectra start at 0, and Z > D is routine for Gibbs
+    pytest.param(negative_gibbs_run, None, 1.0, (0, 0, 0), id="gibbs-negative-energies"),
+    pytest.param(ground_state_run, None, None, (0, 0, 0), id="ground_state-default"),
+]
 
 
 class TestGridCheck:
-    """One auxiliary-grid check per run: each of the five runs calls
-    ``pipeline._check_p_grid`` once, and each grid warning comes once."""
+    """One check per run: each of the six runs calls ``pipeline._check_p_grid``
+    once, and each of its warnings (truncation, convection, growth) comes
+    once, at the line that called the run."""
 
-    @pytest.mark.parametrize(
-        "run, p_grid, time, expected",
-        [
-            # exp(-5) = 6.7e-3 >= max(1e-4, eps) = 1e-3 with the reach inside L;
-            # L = 8 clears the tolerance (exp(-8) = 3.4e-4) with the reach past it
-            (general_run, (5.0, 64), 1.0, (1, 0)),
-            (general_run, (8.0, 64), 10.0, (0, 1)),
-            (heat_run, (5.0, 64), 0.1, (1, 0)),
-            (heat_run, (8.0, 64), 1.0, (0, 1)),
-            # a relaxation's reach is at least ln(1/eps): a grid short enough
-            # to truncate is also short enough to convect past
-            (ground_state_run, (6.0, 256), None, (1, 1)),
-            (ground_state_run, (12.0, 256), None, (0, 1)),
-            (gibbs_run, (5.0, 256), 1.0, (1, 0)),
-            (gibbs_run, (8.0, 256), 20.0, (0, 1)),
-            (transport_grid_run, (5.0, 64), 3.0, (1, 0)),
-            (transport_grid_run, (8.0, 64), 10.0, (0, 1)),
-        ],
-        ids=[
-            f"{run}-{case}"
-            for run in ("general", "heat", "ground_state", "gibbs", "transport")
-            for case in ("truncation", "convection")
-        ],
-    )
+    @pytest.mark.parametrize("run, p_grid, time, expected", GRID_CASES)
     def test_each_condition_warns_once(self, monkeypatch, run, p_grid, time, expected):
         checks = []
         check = pipeline._check_p_grid
@@ -1182,10 +1228,42 @@ class TestGridCheck:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run(p_grid, time)
-        texts = [str(w.message) for w in caught if issubclass(w.category, AccuracyWarning)]
-        counts = tuple(sum(m in text for text in texts) for m in (TRUNCATION, CONVECTION))
+        accuracy = [w for w in caught if issubclass(w.category, AccuracyWarning)]
+        texts = [str(w.message) for w in accuracy]
+        counts = tuple(sum(m in text for text in texts) for m in (TRUNCATION, CONVECTION, GROWTH))
         assert counts == expected, texts
         assert len(checks) == 1
+
+    @pytest.mark.parametrize(
+        "run, p_grid, time, expected", [case for case in GRID_CASES if any(case.values[3])]
+    )
+    def test_warnings_name_the_line_that_called_the_run(self, run, p_grid, time, expected):
+        # one rule for the depth: heat's check sits a frame deeper than the
+        # others', and find_stationary_transport's in another module
+        lines, first = inspect.getsourcelines(run)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(p_grid, time)
+        accuracy = [w for w in caught if issubclass(w.category, AccuracyWarning)]
+        assert len(accuracy) == sum(expected)
+        for w in accuracy:
+            assert w.filename == __file__
+            assert first < w.lineno < first + len(lines), (w.lineno, str(w.message))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: schrodingerisation_cost(0.5, 2, 1, 1.0, 0.01, 4),
+            lambda: hermitian_decompose(np.diag([1.0, -1.0])),
+        ],
+        ids=["schrodingerisation_cost", "hermitian_decompose"],
+    )
+    def test_direct_calls_still_warn_of_growth(self, call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [GROWTH in str(w.message) for w in caught] == [True]
+        assert caught[0].filename == __file__
 
     @pytest.mark.parametrize("name", ["heat-lift", "general-dense", "transport", "ground-state"])
     def test_workload_grids_warn_nothing(self, workloads, tmp_path, name):

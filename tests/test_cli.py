@@ -531,6 +531,52 @@ class TestRun:
         summary = json.loads((tmp_path / "c" / "summary.json").read_text())
         assert summary["results"]["cost"]["queries"] == pytest.approx(5.210, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "resolution, physics, ratio",
+        [
+            # no L: the grid of a transport run, L = max(8, t*lambda_max + 4)
+            # with lambda_max = 1, so 8 at t = 1 and 10 at t = 6
+            ({"J": 4, "K": 4}, {}, 2.0),
+            ({"J": 4, "K": 4}, {"t": 6.0}, 2.5),
+            ({"J": 4, "K": 4, "L": 1.0}, {}, 0.25),
+        ],
+    )
+    def test_cost_parity_takes_the_transport_grid(self, tmp_path, resolution, physics, ratio):
+        # advection max-norm 2*pi; scattering (1/4)*pi*(64/2)/L
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "cost",
+                "resolution": resolution,
+                "physics": physics,
+                "output": {"directory": str(tmp_path / "c")},
+            },
+        )
+        assert run(path) == 0
+        summary = json.loads((tmp_path / "c" / "summary.json").read_text())
+        assert summary["results"]["transport_parity"]["ratio"] == pytest.approx(ratio, rel=1e-12)
+
+    def test_cost_parity_past_the_work_cap_refused_before_the_model(self, tmp_path):
+        # the transport grid is sized from the rates, one eigvalsh of K x K;
+        # at K = 8192 that is 8 times the work cap, refused before sigma exists
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "cost",
+                "resolution": {"J": 2, "K": 8192},
+                "output": {"directory": str(tmp_path / "c")},
+            },
+        )
+        tracemalloc.start()
+        try:
+            assert run(path) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        summary = json.loads((tmp_path / "c" / "summary.json").read_text())
+        assert "scattering rates of dimension 8192" in summary["error"]
+
 
 NAN, INF = float("nan"), float("inf")
 NON_FINITE = {
