@@ -57,7 +57,6 @@ from .pipeline import (
     decay_factors,
     default_p_grid,
     evolve_eigenbasis,
-    evolve_lifted,
 )
 
 __all__ = [
@@ -451,10 +450,10 @@ def _transport_layout(model: TransportModel) -> tuple[AxisSpec, ...]:
     ) + tuple(AxisSpec(f"k{i + 1}", g.count, g) for i, g in enumerate(model.k_grids))
 
 
-def _transport_phases(model: TransportModel, count: int, held_modes: int) -> list:
-    """The pair build and lifted run of a transport model on ``count`` modes,
-    the run holding the pair and the real spectra of ``held_modes`` modes."""
-    jd, kd = model.x_count, model.k_count
+def _transport_phases(jd: int, kd: int, count: int, held_modes: int) -> list:
+    """The pair build and lifted run of a transport model of ``jd`` spatial
+    frequencies and ``kd`` velocities on ``count`` modes, the run holding the
+    pair and the real spectra of ``held_modes`` modes."""
     stack = 16 * jd * kd * kd
     held = _PAIR_STACKS * stack + held_modes * jd * kd * (kd + 1) * 8
     return [
@@ -465,6 +464,19 @@ def _transport_phases(model: TransportModel, count: int, held_modes: int) -> lis
         ),
         _lifted_phase(jd * kd, count, held, count * jd * kd**3),
     ]
+
+
+def _run_transport_phases(jd: int, kd: int, p_config) -> list:
+    """The phases of ``run_transport``: ``_transport_phases`` on the count of
+    ``p_config`` and the ``transport_exact`` reference, from the counts alone."""
+    # the count alone sets the sizes; the half-width is a placeholder
+    count = _p_grid_from(p_config, 1.0, TRANSPORT_P_COUNT).count
+    reference = (
+        f"the transport_exact reference of {jd} spatial frequencies and {kd} velocities",
+        _PADE_COPIES * 16 * min(jd * kd * kd, max(kd * kd, _EXPM_CHUNK)),
+        jd * kd**3,
+    )
+    return _transport_phases(jd, kd, count, held_modes=0) + [reference]
 
 
 def _transport_p_grid(model: TransportModel, p_config, t: float) -> tuple[Grid1D, tuple]:
@@ -515,9 +527,11 @@ def run_transport(
     p_config=None,
     t: float = 0.0,
 ) -> TransportRunResult:
-    """Transport pipeline over (x, k): spatial Fourier transform,
-    ``evolve_lifted`` with its per-mode unitary evolution decomposed block by
-    block, inverse spatial transform.
+    """Transport pipeline over (x, k): spatial Fourier transform, the body
+    of ``evolve_lifted`` with every auxiliary mode decomposed block by block
+    (never the Chebyshev recurrence, so ``find_stationary_transport`` repeats
+    the run bit for bit from its held decompositions), inverse spatial
+    transform.
 
     The per-mode generator is mu*(Sigma - sigma) + diag(xi . k): the
     scattering enters through the loss-gain matrix (positive semi-definite
@@ -529,7 +543,7 @@ def run_transport(
     ``transport_exact`` on the same (x, k) grid: the exact exponential of
     each spatial frequency's K^d x K^d generator, built from the
     scattering data rather than from the pair.  Recovery, the
-    projection bookkeeping and the cost come from ``evolve_lifted`` in
+    projection bookkeeping and the cost come from that body in
     (xi, k) space, where the norms equal those over (x, k) to rounding;
     the cost is priced at precision eps = 1e-3.
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
@@ -540,22 +554,17 @@ def run_transport(
     A pair build, lifted run or reference past a cap of ``core`` raises
     ResourceLimitError before any of them starts.
     """
-    jd, kd = model.x_count, model.k_count
-    # the count alone sets the sizes; the half-width is a placeholder
-    count = _p_grid_from(p_config, 1.0, TRANSPORT_P_COUNT).count
-    reference = (
-        f"the transport_exact reference of {jd} spatial frequencies and {kd} velocities",
-        _PADE_COPIES * 16 * min(jd * kd * kd, max(kd * kd, _EXPM_CHUNK)),
-        jd * kd**3,
-    )
-    _preflight(*_transport_phases(model, count, held_modes=0), reference)
+    _preflight(*_run_transport_phases(model.x_count, model.k_count, p_config))
     w0_state = _transport_state(model, w0)
     p_grid, check = _transport_p_grid(model, p_config, t)
     _check_p_grid(p_grid, *check)
-    rec = evolve_lifted(
-        _to_frequencies(model, w0_state), model.hermitian_pair(), p_grid, t,
-        epsilon=_TRANSPORT_EPSILON,
+    pair = model.hermitian_pair()
+    mus = assemble_eta_diagonal(p_grid).diagonal
+    rec = _lifted_run(
+        _to_frequencies(model, w0_state), pair, p_grid, t, _TRANSPORT_EPSILON,
+        lambda s0: _evolve_modes(s0, model.k_count, (_mode_spectrum(pair, mu) for mu in mus), t),
     )[1]
+    del pair  # the reference runs without it
     w_rec_state = _from_frequencies(model, rec.u)
     w_ref = transport_exact(model, w0_state.as_array(), t)
     w_ref_state = StateVector(w_ref.reshape(-1), _transport_layout(model))
@@ -619,7 +628,9 @@ def find_stationary_transport(
     _positive_finite("tol", tol)
     if isinstance(max_legs, bool) or not isinstance(max_legs, numbers.Integral) or max_legs < 1:
         raise InvalidArgumentError(f"max_legs must be an int >= 1, got {max_legs!r}")
-    _preflight(*_transport_phases(model, TRANSPORT_P_COUNT, held_modes=TRANSPORT_P_COUNT))
+    _preflight(*_transport_phases(
+        model.x_count, model.k_count, TRANSPORT_P_COUNT, held_modes=TRANSPORT_P_COUNT
+    ))
     current = _transport_state(model, w0)
     pair = model.hermitian_pair()
     p_grid, check = _transport_p_grid(model, None, leg)

@@ -354,6 +354,8 @@ def _sigma_matrix(cfg: ExperimentConfig, k_count: int) -> np.ndarray:
 def _run_transport(cfg: ExperimentConfig):
     j = int(cfg.res("J", 16))
     k = int(cfg.res("K", 16))
+    # refused from the counts, before sigma and the model are built
+    _preflight(*apps._run_transport_phases(j, k, _p_config(cfg)))
     x_grid = Grid1D(1.0, j)
     k_grid = Grid1D(1.0, k)
     model = TransportModel.create([x_grid], [k_grid], _sigma_matrix(cfg, k))

@@ -120,6 +120,12 @@ class HermitianMatrix:
         vec.setflags(write=False)
         return lam, vec
 
+    @cached_property
+    def _bounds(self) -> tuple[float, float]:
+        """Smallest and largest eigenvalue, from ``spectrum`` if held, else eigvalsh."""
+        lam = self.spectrum[0] if "spectrum" in vars(self) else np.linalg.eigvalsh(self.blocks)
+        return float(lam.min()), float(lam.max())
+
 
 @dataclass(frozen=True)
 class HermitianPair:

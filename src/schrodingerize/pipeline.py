@@ -95,6 +95,12 @@ _PAIR_STACKS = 4
 # measured for a complex A at n = 256 .. 1024 (5.5 for a real one)
 _SPLIT_COPIES = 7
 
+# complex entries per chunk buffer of the Chebyshev recurrence; a step costs _STEP_PER_B2
+# eigh b^3-units per column and b^2, _STEP_OVERHEAD per chunk (fit: CHANGES.md)
+_CHEB_CHUNK = 1 << 16
+_STEP_PER_B2 = 0.23
+_STEP_OVERHEAD = 2.7e4
+
 # Fitted error model of the Hbar = 0 factor, quadrature recovery (see
 # default_p_grid): constant, order in dp, and the share of the half-width's
 # wrap error that the discretisation may add.
@@ -360,6 +366,92 @@ def _evolve_modes(s0: StateVector, block: int, spectra, t: float) -> StateVector
     return StateVector._adopt(blocks_out, s0.layout)
 
 
+def _bessel_series(x: float) -> np.ndarray:
+    """J_0(x) .. J_K(x), x >= 0, K where the tail 2 sum |J_k| falls below
+    2^-52: Miller's backward recurrence from past the turning point k = x,
+    scaled by J_0^2 + 2 sum J_k^2 = 1 and signed by J_0 + 2 sum J_2k = 1."""
+    if x < 2.0**-52:
+        return np.ones(1)
+    top = int(x + 10.0 * x ** (1 / 3) + 40.0)
+    j = np.zeros(top + 2)
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e100:
+            j[k - 1 :] *= 1e-100
+    j /= math.copysign(math.sqrt(2.0 * float(j @ j) - j[0] ** 2), j[0] + 2.0 * j[2::2].sum())
+    tail = 2.0 * np.cumsum(np.abs(j[::-1]))[::-1]
+    return j[: np.flatnonzero(tail >= 2.0**-52)[-1] + 1]
+
+
+def _mode_intervals(pair: HermitianPair, mus) -> tuple[float, float, np.ndarray]:
+    """Centres c_H, c_Hbar of the spectra of H and Hbar, and the half-widths r_j
+    of Weyl's intervals mu_j lam(H) + [lam_min(Hbar), lam_max(Hbar)] of mu_j*H
+    + Hbar, centred at mu_j c_H + c_Hbar, padded by 1e-12 of their scale."""
+    (h_lo, h_hi), (bar_lo, bar_hi) = pair.h._bounds, pair.h_bar._bounds
+    scale = np.abs(mus) * max(-h_lo, h_hi) + max(-bar_lo, bar_hi)
+    radius = np.abs(mus) * (0.5 * (h_hi - h_lo)) + 0.5 * (bar_hi - bar_lo) + 1e-12 * scale
+    return 0.5 * (h_lo + h_hi), 0.5 * (bar_lo + bar_hi), radius
+
+
+def _propagator_cost(pair: HermitianPair, p_grid: Grid1D, t: float) -> tuple[float, float]:
+    """Work of the cheaper path for the modes of ``p_grid`` to time t, and the
+    recurrence's bytes if it is that path, else 0; from scalars, before any
+    array of N.  Per-mode eigh takes N*B*b^3, the recurrence degree*(N*B*b^2
+    *_STEP_PER_B2 + chunks*_STEP_OVERHEAD), degree that of t*r at |mu| = pi*N/(2L)."""
+    blocks, b, _ = pair.h.blocks.shape
+    count, step = p_grid.count, max(1, _CHEB_CHUNK // (blocks * b))
+    per_step = count * blocks * b * b * _STEP_PER_B2 + -(-count // step) * _STEP_OVERHEAD
+    eigh = count * blocks * b**3
+    x = t * float(_mode_intervals(pair, math.pi * (count // 2) / p_grid.half_width)[2])
+    degree = x if x * per_step >= eigh else _bessel_series(x).size - 1
+    if degree * per_step >= eigh:
+        return eigh, 0.0
+    # three chunk buffers, two arrays of N and the series' four of its length
+    table = 32 * (degree + 10 * degree ** (1 / 3) + 42)
+    return degree * per_step, 16 * (3 * blocks * b * min(count, step) + 2 * count) + table
+
+
+def _gemm(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ x for a complex ``x``; a real ``a`` acts on its float view."""
+    real = not np.iscomplexobj(a)
+    np.matmul(a, x.view(float) if real else x, out=out.view(float) if real else out)
+
+
+def _evolve_chebyshev(s0: StateVector, pair: HermitianPair, mus: np.ndarray, t: float):
+    """Evolve mode slice j of s0 by exp(-i*t*(mu_j*H + Hbar)) with one
+    Chebyshev recurrence (Tal-Ezer & Kosloff 1984) per chunk of columns: with r
+    the chunk's largest r_j, exp(-i*t*A_j) = exp(-i*t*c_j) sum_k (2 - delta_k0)
+    (-i)^k J_k(t*r) T_k(X_j), X_j = (mu_j*(H - c_H) + Hbar - c_Hbar)/r, and a
+    step T_{k+1} = 2 X T_k - T_{k-1} is two batched GEMMs in three buffers."""
+    (blocks, b, _), n = pair.h.blocks.shape, mus.size
+    h_mid, bar_mid, radius = _mode_intervals(pair, mus)
+    state = s0.amplitudes.reshape(blocks, b, n)
+    out = np.empty_like(state)
+    step, shifts = max(1, _CHEB_CHUNK // (blocks * b)), ((pair.h, h_mid), (pair.h_bar, bar_mid))
+    for lo in range(0, n, step):
+        cols = slice(lo, lo + step)
+        r, mu = float(radius[cols].max()), mus[cols]
+        bessel = _bessel_series(t * r)
+        h2, bar2 = ((m.blocks - c * np.eye(b)) * (2.0 / r) for m, c in shifts)
+        cur = state[..., cols].copy()
+        prev, tmp, acc = np.zeros_like(cur), np.empty_like(cur), out[..., cols]
+        np.multiply(cur, bessel[0], out=acc)
+        for k in range(1, bessel.size):
+            _gemm(h2, cur, tmp)
+            tmp *= mu
+            np.subtract(tmp, prev, out=prev)
+            _gemm(bar2, cur, tmp)
+            prev += tmp
+            if k == 1:
+                prev *= 0.5  # T_1 = X T_0
+            prev, cur = cur, prev
+            np.multiply(cur, 2.0 * bessel[k] * (1, -1j, -1, 1j)[k % 4], out=tmp)
+            acc += tmp
+        acc *= np.exp(-1j * t * (mu * h_mid + bar_mid))
+    return StateVector._adopt(out, s0.layout)
+
+
 def evolve_blocks(
     s0: StateVector, pair: HermitianPair, d_matrix: EtaDiagonal, t: float
 ) -> StateVector:
@@ -367,17 +459,21 @@ def evolve_blocks(
 
     Flattened, this equals exp(-i*(H (x) D + Hbar (x) 1)*t).  With Hbar = 0
     all modes share the eigenbasis of H, read from its cached spectrum.
-    Otherwise every mode is decomposed block by block: H and Hbar carry the
-    same (B, b, b) stack shape (B = 1 for a matrix without block
-    structure), and each mode takes one batched eigendecomposition of
-    mu_j*H.blocks + Hbar.blocks, applied and discarded before the next.
-    For transport, whose x axis is Fourier transformed, that is one
-    K^d x K^d block per spatial frequency.
+    Otherwise H and Hbar carry the same (B, b, b) stack shape (B = 1 for a
+    matrix without block structure), and the cheaper of two paths by
+    ``_propagator_cost`` runs: each mode takes one batched
+    eigendecomposition of mu_j*H.blocks + Hbar.blocks, applied and
+    discarded before the next, or one Chebyshev recurrence advances every
+    mode at once, two batched GEMMs a step, its spectral bounds taken from
+    the spectrum of H and one eigvalsh of the Hbar stack.  The two agree to
+    rounding (the general-dense benchmark's solution moves by 3.7e-15
+    relative); at large t*|mu|*|H| the recurrence is the more accurate.
     """
     if t < 0:
         raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
     n = d_matrix.count
-    if _aux_grid(s0, "eta").count != n:
+    p_grid = _aux_grid(s0, "eta")
+    if p_grid.count != n:
         raise InvalidArgumentError("eta axis and mode diagonal disagree in size")
     arr = s0.amplitudes.reshape(-1, n)
     if arr.shape[0] != pair.h.dimension:
@@ -390,6 +486,8 @@ def evolve_blocks(
         coeff = vec.conj().T @ arr
         coeff *= _mode_phases(lam, mus, t)
         return StateVector._adopt(vec @ coeff, s0.layout)
+    if _propagator_cost(pair, p_grid, t)[1]:
+        return _evolve_chebyshev(s0, pair, mus, t)
     return _evolve_modes(s0, pair.h.blocks.shape[-1], (_mode_spectrum(pair, mu) for mu in mus), t)
 
 
@@ -597,14 +695,18 @@ def evolve_lifted(
     priced by the recovered amplification |u(0)|/|u(t)|; the auxiliary
     register adds log2(N) qubits to the system's.  Other recovery routes
     (``recover_point``, ``project_positive``) read the returned lifted state.
-    A run past a cap of ``core`` by its lifted copies or by its mode
-    decompositions (one of H when Hbar = 0, else one per mode) raises
-    ResourceLimitError before the lift.  A stage: the runs that call it
-    (``schrodingerize_evolve``, ``apps.run_transport``) check the grid.
+    A run past a cap of ``core`` by its lifted copies or by its evolution's
+    work raises ResourceLimitError before the lift: one decomposition of H
+    when Hbar = 0, else the path ``evolve_blocks`` takes, one decomposition
+    per mode or the Chebyshev recurrence in decomposition units, with the
+    recurrence's buffers among the bytes.  A stage: its caller,
+    ``schrodingerize_evolve``, checks the grid.
     """
     blocks, b, _ = pair.h.blocks.shape
-    work = (blocks * b) ** 3 if pair.h_bar.max_norm == 0.0 else p_grid.count * blocks * b**3
-    held = _PAIR_STACKS * 16 * pair.h.blocks.size
+    work, held = (blocks * b) ** 3, _PAIR_STACKS * 16 * pair.h.blocks.size
+    if pair.h_bar.max_norm != 0.0:
+        work, recurrence = _propagator_cost(pair, p_grid, t)
+        held += recurrence
     _preflight(_lifted_phase(u0.amplitudes.size, p_grid.count, held, work))
     return _lifted_run(
         u0, pair, p_grid, t, epsilon,

@@ -814,12 +814,12 @@ class TestRunTransport:
         # (J^2 K^2)^2 matrix alone would take 26 MiB
         pairs = []
 
-        def recording_evolve_lifted(u0, pair, *args, **kwargs):
+        def recording_lifted_run(u0, pair, *args, **kwargs):
             pairs.append(pair)
-            return evolve_lifted(u0, pair, *args, **kwargs)
+            return lifted_run(u0, pair, *args, **kwargs)
 
-        evolve_lifted = apps.evolve_lifted
-        monkeypatch.setattr(apps, "evolve_lifted", recording_evolve_lifted)
+        lifted_run = apps._lifted_run
+        monkeypatch.setattr(apps, "_lifted_run", recording_lifted_run)
         kd = 36
         grid = make_grid(1.0, 6)
         model = TransportModel.create([grid] * 2, [grid] * 2, np.full((kd, kd), 1.0 / kd))

@@ -259,6 +259,25 @@ class TestRun:
         assert validate_summary(summary) == []
         assert not (tmp_path / "out" / "solution.csv").exists()
 
+    def test_oversize_transport_config_refused_from_its_counts(self, tmp_path, traced_peak):
+        # J = 4, K = 4096: the pair build needs 4.5 GiB; refused from (J, K)
+        # before the K x K sigma (128 MiB) and the model are built
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "transport",
+                "resolution": {"J": 4, "K": 4096},
+                "output": {"directory": str(tmp_path / "out")},
+            },
+        )
+        codes = []
+        assert traced_peak(lambda: codes.append(run(path)), warm=False) < 16 * 2**20
+        assert codes == [3]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["error"].startswith(
+            "the pair build of 4 spatial frequencies and 4096 velocities needs about 4608 MiB"
+        )
+
     def test_general_with_a_refused_reference_exits_3_before_the_run(self, tmp_path, monkeypatch):
         # the cap set below the Pade working set of the 2 x 2 non-Hermitian
         # A: the reference is refused, and the lifted run never starts
@@ -506,6 +525,30 @@ class TestRun:
             tmp_path, dict(general_dense_config, output={"directory": str(tmp_path / "gen")})
         )
         assert run(path) == 0
+
+    @pytest.mark.parametrize(
+        "fixture, decompositions",
+        [
+            # the spectrum of H for the reach, one eigvalsh of Hbar for the
+            # recurrence's bounds, and no decomposition per mode
+            ("general_dense_config", [("eigh", (64, 64)), ("eigvalsh", (1, 64, 64))]),
+            # the scattering rates, then one (J, K, K) stack per mode
+            ("transport_config", [("eigvalsh", (16, 16))] + [("eigh", (16, 16, 16))] * 64),
+        ],
+        ids=["general-dense", "transport"],
+    )
+    def test_decompositions_of_a_benchmark_run(self, tmp_path, monkeypatch, request, fixture, decompositions):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(a, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _call(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        config = request.getfixturevalue(fixture)
+        path = write_config(tmp_path, dict(config, output={"directory": str(tmp_path / "out")}))
+        assert run(path) == 0
+        assert calls == decompositions
 
     def test_transport_run_without_scipy_expm(self, tmp_path, monkeypatch, transport_config):
         # the exact transport reference is NumPy's own Pade, not SciPy's expm
@@ -882,6 +925,24 @@ class TestMainEntry:
 
     def test_main_sweep_bad_values(self, tmp_path):
         assert main(["sweep", str(heat_config(tmp_path)), "--axis", "N", "--values", "x,y"]) == 2
+
+    def test_cli_import_adds_no_third_party_module(self):
+        # a fresh process: after NumPy, importing the CLI loads only the
+        # standard library and the package (no SciPy, no new NumPy submodule)
+        code = (
+            "import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import schrodingerize.cli\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.partition('.')[0] not in sys.stdlib_module_names\n"
+            "             and m.partition('.')[0] != 'schrodingerize'))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src, "PATH": ""}, timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_module_invocation(self, tmp_path):
         cfg = heat_config(tmp_path)

@@ -470,6 +470,60 @@ class TestBlockSplit:
         assert np.abs(got - per_mode_expm(h, hbar, amps, self.P_GRID, t)).max() < 1e-12
 
 
+class TestChebyshevPropagator:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=16),
+        st.booleans(),
+        st.integers(min_value=1, max_value=512),
+        st.floats(min_value=1.0, max_value=20.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # N = 1,024: at the reach limit, and in two chunks of columns
+    @example(nblocks=1, b=16, complex_blocks=True, half=512, width=12.0, reach=1.0, seed=1)
+    @example(nblocks=5, b=13, complex_blocks=False, half=512, width=2.0, reach=0.2, seed=2)
+    def test_matches_per_mode_decompositions(self, nblocks, b, complex_blocks, half, width, reach, seed):
+        # t up to the reach limit t*max|lam(H)| = L.  Past t*r = 400 the bound
+        # grows with t*r: per-mode eigh's own phase error does (1.8e-13 at
+        # t*r = 1150 against a 40-digit reference, where the recurrence's
+        # was 3e-14)
+        rng = np.random.default_rng(seed)
+        stacks = [
+            block_stack(rng, nblocks, b) if complex_blocks
+            else rng.standard_normal((nblocks, b, b)) for _ in range(2)
+        ]
+        pair = HermitianPair(*(HermitianMatrix.from_entries(s + s.transpose(0, 2, 1).conj()) for s in stacks))
+        assert (pair.h.blocks.dtype == complex) == (complex_blocks and b > 1)
+        p_grid = Grid1D(width, 2 * half)
+        t = reach * width / max(np.abs(pair.h._bounds).max(), 1e-3)
+        amps = rng.standard_normal(nblocks * b * 2 * half) * (1 + 1j)
+        s0 = StateVector(amps, (AxisSpec("x1", nblocks * b), AxisSpec("eta", 2 * half, p_grid)))
+        mus = assemble_eta_diagonal(p_grid).diagonal
+        got = pipeline._evolve_chebyshev(s0, pair, mus, t).amplitudes
+        spectra = (pipeline._mode_spectrum(pair, mu) for mu in mus)
+        expected = pipeline._evolve_modes(s0, b, spectra, t).amplitudes
+        tr = t * pipeline._mode_intervals(pair, np.abs(mus).max())[2]
+        tolerance = 1e-13 * max(1.0, tr / 400)
+        assert np.linalg.norm(got - expected) <= tolerance * np.linalg.norm(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e4)))
+    @example(x=1e4)
+    @example(x=9697.875)
+    def test_bessel_coefficients_match_scipy(self, x):
+        # SciPy's own error reaches 1.5e-14 at x = 1000 against a 40-digit
+        # reference, the series' 3.5e-16; the omitted tail, cut where it
+        # falls below 2^-52, is allowed twice that for the values at the cut
+        import scipy.special
+
+        series = pipeline._bessel_series(x)
+        reference = scipy.special.jv(np.arange(series.size + 40), x)
+        assert np.abs(series - reference[: series.size]).max() < 1e-14 * max(1.0, x) ** 0.5
+        assert 2.0 * np.abs(reference[series.size :]).sum() < 2.0**-51
+
+
 class TestRecoverIntegrate:
     def test_exponential_profile_quadrature(self):
         # integral of exp(-p) over p >= 0 is exactly 1
@@ -925,6 +979,34 @@ class TestPreflightPhases:
         predicted = max(nbytes for _, nbytes, _ in preflight_phases)
         assert peak <= predicted
         assert peak < 8 * 2**20 or predicted < 2 * peak
+
+    def test_lifted_phase_holds_the_recurrence(self, monkeypatch, preflight_phases, traced_peak):
+        # a 256 x 256 non-Hermitian A on 1,024 modes takes the recurrence
+        # (per-mode eigh took 6.4 s here); its chunk buffers and coefficients
+        # are part of the lifted phase, which without them would fall short
+        # of the peak
+        shapes, results = [], []
+        eigh = np.linalg.eigh
+
+        def counting(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        a = np.eye(256) + 0.5 * np.eye(256, k=1)
+        u0 = vector_state(np.ones(256))
+        peak = traced_peak(
+            lambda: results.append(schrodingerize_evolve(u0, a, (12.0, 1024), 0.5)[1].u)
+        )
+        assert shapes == [(256, 256)] * 2  # each call's spectrum of H, for the reach
+        expected = expm_apply(a, u0.amplitudes, 0.5)
+        assert np.linalg.norm(results[-1].amplitudes - expected) < 1e-4 * np.linalg.norm(expected)
+        lifted = [nbytes for name, nbytes, _ in preflight_phases if name.startswith("a lifted run")]
+        pair = hermitian_decompose(a, check_psd=False)
+        pair.h.spectrum
+        _, recurrence = pipeline._propagator_cost(pair, Grid1D(12.0, 1024), 0.5)
+        assert recurrence > 0
+        assert lifted[-1] - recurrence < peak <= lifted[-1] < 2 * peak
 
     def test_predicted_rows_bound_the_peak(self, preflight_phases, traced_peak):
         # 256 distinct eigenvalues on 4096 modes: 16 MiB per row copy
