@@ -5,8 +5,9 @@ toward its velocity average through the scattering matrix.  The lifted
 run is compared to the exact solution (with x Fourier transformed, one
 matrix exponential per spatial frequency), and the moment observables
 (mass, momentum, energy) are read off the recovered density.  The long-time
-search at the end chains lifted legs, each auxiliary mode decomposed once
-for all of them.
+search at the end chains lifted legs, each the same lifted run of one
+transport pair, so every leg evolves its auxiliary modes by the path the
+cost estimate picks for that pair and leg time.
 """
 
 import numpy as np

@@ -9,8 +9,8 @@
 * run_transport: kinetic transport with isotropic scattering, checked
   against the exact solution (one matrix exponential per spatial
   frequency, ``transport_exact``), plus moment observables;
-  find_stationary_transport chains its legs with each auxiliary mode
-  decomposed once for the whole search.
+  find_stationary_transport chains its legs, each an ``evolve_lifted`` of
+  the one pair it builds.
 
 Each run reports its hypothetical quantum resource cost.
 """
@@ -39,7 +39,6 @@ from .operators import (
     TransportModel,
     _laplacian_sparsity_and_max_norm,
     _laplacian_symbol,
-    assemble_eta_diagonal,
     assemble_schrodinger_hamiltonian,
 )
 from .oracle import _EXPM_CHUNK, _PADE_COPIES, expm_apply, heat_analytic, transport_exact
@@ -47,16 +46,15 @@ from .pipeline import (
     _MODE_BYTES,
     _PAIR_STACKS,
     _check_p_grid,
-    _evolve_modes,
+    _check_time,
     _lifted_phase,
-    _lifted_run,
     _matvec,
-    _mode_spectrum,
     _p_grid_from,
     _relaxation_error,
     decay_factors,
     default_p_grid,
     evolve_eigenbasis,
+    evolve_lifted,
 )
 
 __all__ = [
@@ -135,6 +133,7 @@ def run_heat(
     cost is priced by |u(0)|/|u_recovered|.  ``workers`` is accepted and
     ignored.
     """
+    _check_time(t)
     if isinstance(grids, Grid1D):
         grids = [grids]
     grids = list(grids)
@@ -450,19 +449,19 @@ def _transport_layout(model: TransportModel) -> tuple[AxisSpec, ...]:
     ) + tuple(AxisSpec(f"k{i + 1}", g.count, g) for i, g in enumerate(model.k_grids))
 
 
-def _transport_phases(jd: int, kd: int, count: int, held_modes: int) -> list:
+def _transport_phases(jd: int, kd: int, count: int) -> list:
     """The pair build and lifted run of a transport model of ``jd`` spatial
-    frequencies and ``kd`` velocities on ``count`` modes, the run holding the
-    pair and the real spectra of ``held_modes`` modes."""
+    frequencies and ``kd`` velocities on ``count`` modes, from the counts
+    alone, before the pair exists: the run's work booked as per-mode
+    decompositions, its bytes as the pair and one mode's decomposition."""
     stack = 16 * jd * kd * kd
-    held = _PAIR_STACKS * stack + held_modes * jd * kd * (kd + 1) * 8
     return [
         (
             f"the pair build of {jd} spatial frequencies and {kd} velocities",
             _PAIR_BUILD_STACKS * stack,
             0,
         ),
-        _lifted_phase(jd * kd, count, held, count * jd * kd**3),
+        _lifted_phase(jd * kd, count, _PAIR_STACKS * stack, count * jd * kd**3),
     ]
 
 
@@ -476,7 +475,7 @@ def _run_transport_phases(jd: int, kd: int, p_config) -> list:
         _PADE_COPIES * 16 * min(jd * kd * kd, max(kd * kd, _EXPM_CHUNK)),
         jd * kd**3,
     )
-    return _transport_phases(jd, kd, count, held_modes=0) + [reference]
+    return _transport_phases(jd, kd, count) + [reference]
 
 
 def _transport_p_grid(model: TransportModel, p_config, t: float) -> tuple[Grid1D, tuple]:
@@ -527,11 +526,8 @@ def run_transport(
     p_config=None,
     t: float = 0.0,
 ) -> TransportRunResult:
-    """Transport pipeline over (x, k): spatial Fourier transform, the body
-    of ``evolve_lifted`` with every auxiliary mode decomposed block by block
-    (never the Chebyshev recurrence, so ``find_stationary_transport`` repeats
-    the run bit for bit from its held decompositions), inverse spatial
-    transform.
+    """Transport pipeline over (x, k): spatial Fourier transform,
+    ``evolve_lifted``, inverse spatial transform.
 
     The per-mode generator is mu*(Sigma - sigma) + diag(xi . k): the
     scattering enters through the loss-gain matrix (positive semi-definite
@@ -539,11 +535,13 @@ def run_transport(
     With x Fourier transformed it is block diagonal, one K^d x K^d block per
     spatial frequency xi: ``model.hermitian_pair()`` builds H and Hbar as
     (J^d, K^d, K^d) block stacks, so neither the (J^d K^d)^2 generator nor
-    any matrix of that size is ever formed.  The reference is
+    any matrix of that size is ever formed; ``evolve_blocks`` evolves them
+    by the Chebyshev recurrence or, on long runs (from about t = 6 at J = K =
+    16), by per-mode decompositions of the stacks.  The reference is
     ``transport_exact`` on the same (x, k) grid: the exact exponential of
     each spatial frequency's K^d x K^d generator, built from the
     scattering data rather than from the pair.  Recovery, the
-    projection bookkeeping and the cost come from that body in
+    projection bookkeeping and the cost come from ``evolve_lifted`` in
     (xi, k) space, where the norms equal those over (x, k) to rounding;
     the cost is priced at precision eps = 1e-3.
     ``p_config`` is None, a Grid1D or an (L, N) pair whose None entries
@@ -551,20 +549,20 @@ def run_transport(
     the largest scattering rate, so the convected profile stays inside
     the auxiliary domain; a given L at or below t*lambda_max warns, as do
     exp(-L) not below the run's eps = 1e-3 and a growing loss-gain matrix.
-    A pair build, lifted run or reference past a cap of ``core`` raises
-    ResourceLimitError before any of them starts.
+    A negative or non-finite t raises InvalidArgumentError first.  A pair
+    build, lifted run (booked from the counts as per-mode decompositions)
+    or reference past a cap of ``core`` raises ResourceLimitError before
+    any of them starts.
     """
+    _check_time(t)
     _preflight(*_run_transport_phases(model.x_count, model.k_count, p_config))
     w0_state = _transport_state(model, w0)
     p_grid, check = _transport_p_grid(model, p_config, t)
     _check_p_grid(p_grid, *check)
-    pair = model.hermitian_pair()
-    mus = assemble_eta_diagonal(p_grid).diagonal
-    rec = _lifted_run(
-        _to_frequencies(model, w0_state), pair, p_grid, t, _TRANSPORT_EPSILON,
-        lambda s0: _evolve_modes(s0, model.k_count, (_mode_spectrum(pair, mu) for mu in mus), t),
+    rec = evolve_lifted(
+        _to_frequencies(model, w0_state), model.hermitian_pair(), p_grid, t,
+        epsilon=_TRANSPORT_EPSILON,
     )[1]
-    del pair  # the reference runs without it
     w_rec_state = _from_frequencies(model, rec.u)
     w_ref = transport_exact(model, w0_state.as_array(), t)
     w_ref_state = StateVector(w_ref.reshape(-1), _transport_layout(model))
@@ -610,37 +608,29 @@ def find_stationary_transport(
     Runs the pipeline leg by leg (re-lifting the recovered state each time)
     rather than solving a nullspace problem, so the stationary state is
     produced by the same machinery as the transient runs, and equals that
-    many chained ``run_transport`` legs bit for bit.  Every leg applies the
-    same linear map (same pair, auxiliary grid and leg time), so each
-    auxiliary mode's generator stack mu_j*H + Hbar is decomposed once, up
-    front; each leg then runs the body of ``evolve_lifted`` with those
-    spectra as its evolution step, after ``run_transport``'s grid check (on
-    the default grid only growth warns).  It holds them: N*B*b*(b + 1)*8
-    bytes for N modes and B blocks of size b (2.1 MiB at N = 64, B = b =
-    16).  The legs skip the reference and moments of ``run_transport``.
+    many chained ``run_transport`` legs bit for bit: after
+    ``run_transport``'s grid check (on the default grid only growth warns),
+    each leg is one ``evolve_lifted`` of the same pair, auxiliary grid and
+    leg time, so its cost estimate picks the same path every leg, and the
+    pair's spectral bounds are decomposed once for the whole search.  The
+    legs skip the reference and moments of ``run_transport``.
     ``leg`` and ``tol`` must be finite and > 0 and ``max_legs`` an int >= 1,
-    else InvalidArgumentError before any evolution; a pair build, or legs
-    with their held spectra, past a cap of ``core`` are refused with
-    ResourceLimitError before any is built.  Returns (W_stationary,
-    legs_used, converged).
+    else InvalidArgumentError before any evolution; a pair build or legs
+    past a cap of ``core`` are refused with ResourceLimitError before any
+    is built.  Returns (W_stationary, legs_used, converged).
     """
     _positive_finite("leg", leg)
     _positive_finite("tol", tol)
     if isinstance(max_legs, bool) or not isinstance(max_legs, numbers.Integral) or max_legs < 1:
         raise InvalidArgumentError(f"max_legs must be an int >= 1, got {max_legs!r}")
-    _preflight(*_transport_phases(
-        model.x_count, model.k_count, TRANSPORT_P_COUNT, held_modes=TRANSPORT_P_COUNT
-    ))
+    _preflight(*_transport_phases(model.x_count, model.k_count, TRANSPORT_P_COUNT))
     current = _transport_state(model, w0)
     pair = model.hermitian_pair()
     p_grid, check = _transport_p_grid(model, None, leg)
     _check_p_grid(p_grid, *check)
-    mus = assemble_eta_diagonal(p_grid).diagonal
-    spectra = [_mode_spectrum(pair, mu) for mu in mus]
     for n in range(1, max_legs + 1):
-        rec = _lifted_run(
-            _to_frequencies(model, current), pair, p_grid, leg, _TRANSPORT_EPSILON,
-            lambda s0: _evolve_modes(s0, model.k_count, spectra, leg),
+        rec = evolve_lifted(
+            _to_frequencies(model, current), pair, p_grid, leg, epsilon=_TRANSPORT_EPSILON
         )[1]
         nxt = _from_frequencies(model, rec.u)
         delta = float(np.linalg.norm(nxt.amplitudes - current.amplitudes))

@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,7 +88,8 @@ _MODE_BYTES = 128
 # inverse transform) plus the p >= 0 blocks the recoveries read; 2.8 measured
 _LIFTED_COPIES = 3
 # complex (B, b, b) stacks held beside them: the pair and one mode's
-# decomposition (3.5 measured for a general 64 x 64 A on 256 modes)
+# decomposition (3.5 measured for a general 64 x 64 A on 256 modes); the
+# Chebyshev recurrence holds the pair alone beside its buffers
 _PAIR_STACKS = 4
 # complex n x n copies of hermitian_decompose with the spectrum of H: 7.0
 # measured for a complex A at n = 256 .. 1024 (5.5 for a real one)
@@ -100,6 +100,10 @@ _SPLIT_COPIES = 7
 _CHEB_CHUNK = 1 << 16
 _STEP_PER_B2 = 0.23
 _STEP_OVERHEAD = 2.7e4
+# small eigh calls are call-bound: for the choice of path alone, one mode costs
+# _EIGH_PER_B2 b^3-units per b^2 and block and _EIGH_PER_CALL more (fit: CHANGES.md)
+_EIGH_PER_B2 = 56
+_EIGH_PER_CALL = 9.6e3
 
 # Fitted error model of the Hbar = 0 factor, quadrature recovery (see
 # default_p_grid): constant, order in dp, and the share of the half-width's
@@ -268,6 +272,12 @@ def _check_p_grid(p_grid: Grid1D, reach: float, epsilon: float, lam_min=0.0, max
             warnings.warn(message, AccuracyWarning, stacklevel=level)
 
 
+def _check_time(t: float) -> None:
+    """Refuse an evolution time that is negative or not finite."""
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidArgumentError(f"evolution time must be finite and nonnegative, got {t}")
+
+
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x; a real ``a`` acts on the real and imaginary parts of a complex
     ``x`` apart, so NumPy makes no complex copy of ``a``."""
@@ -397,15 +407,17 @@ def _mode_intervals(pair: HermitianPair, mus) -> tuple[float, float, np.ndarray]
 def _propagator_cost(pair: HermitianPair, p_grid: Grid1D, t: float) -> tuple[float, float]:
     """Work of the cheaper path for the modes of ``p_grid`` to time t, and the
     recurrence's bytes if it is that path, else 0; from scalars, before any
-    array of N.  Per-mode eigh takes N*B*b^3, the recurrence degree*(N*B*b^2
+    array of N.  Per-mode eigh is priced N*(B*(b^3 + _EIGH_PER_B2*b^2) +
+    _EIGH_PER_CALL) and books N*B*b^3, the recurrence degree*(N*B*b^2
     *_STEP_PER_B2 + chunks*_STEP_OVERHEAD), degree that of t*r at |mu| = pi*N/(2L)."""
     blocks, b, _ = pair.h.blocks.shape
     count, step = p_grid.count, max(1, _CHEB_CHUNK // (blocks * b))
     per_step = count * blocks * b * b * _STEP_PER_B2 + -(-count // step) * _STEP_OVERHEAD
     eigh = count * blocks * b**3
+    price = eigh + count * (blocks * b * b * _EIGH_PER_B2 + _EIGH_PER_CALL)
     x = t * float(_mode_intervals(pair, math.pi * (count // 2) / p_grid.half_width)[2])
-    degree = x if x * per_step >= eigh else _bessel_series(x).size - 1
-    if degree * per_step >= eigh:
+    degree = x if x * per_step >= price else _bessel_series(x).size - 1
+    if degree * per_step >= price:
         return eigh, 0.0
     # three chunk buffers, two arrays of N and the series' four of its length
     table = 32 * (degree + 10 * degree ** (1 / 3) + 42)
@@ -422,33 +434,37 @@ def _evolve_chebyshev(s0: StateVector, pair: HermitianPair, mus: np.ndarray, t: 
     """Evolve mode slice j of s0 by exp(-i*t*(mu_j*H + Hbar)) with one
     Chebyshev recurrence (Tal-Ezer & Kosloff 1984) per chunk of columns: with r
     the chunk's largest r_j, exp(-i*t*A_j) = exp(-i*t*c_j) sum_k (2 - delta_k0)
-    (-i)^k J_k(t*r) T_k(X_j), X_j = (mu_j*(H - c_H) + Hbar - c_Hbar)/r, and a
-    step T_{k+1} = 2 X T_k - T_{k-1} is two batched GEMMs in three buffers."""
+    (-i)^k J_k(t*r) T_k(X_j), X_j = (mu_j*H + Hbar - c_j)/r, c_j = mu_j*c_H +
+    c_Hbar, and a step T_{k+1} = 2 X T_k - T_{k-1} is two batched GEMMs of the
+    pair in three buffers, the shift and 2/r applied to the columns."""
     (blocks, b, _), n = pair.h.blocks.shape, mus.size
     h_mid, bar_mid, radius = _mode_intervals(pair, mus)
     state = s0.amplitudes.reshape(blocks, b, n)
     out = np.empty_like(state)
-    step, shifts = max(1, _CHEB_CHUNK // (blocks * b)), ((pair.h, h_mid), (pair.h_bar, bar_mid))
+    step = max(1, _CHEB_CHUNK // (blocks * b))
     for lo in range(0, n, step):
         cols = slice(lo, lo + step)
         r, mu = float(radius[cols].max()), mus[cols]
-        bessel = _bessel_series(t * r)
-        h2, bar2 = ((m.blocks - c * np.eye(b)) * (2.0 / r) for m, c in shifts)
+        bessel, centre, scale = _bessel_series(t * r), mu * h_mid + bar_mid, 2.0 / r
+        mu_scaled, shift = scale * mu, scale * centre
         cur = state[..., cols].copy()
         prev, tmp, acc = np.zeros_like(cur), np.empty_like(cur), out[..., cols]
         np.multiply(cur, bessel[0], out=acc)
         for k in range(1, bessel.size):
-            _gemm(h2, cur, tmp)
-            tmp *= mu
+            _gemm(pair.h.blocks, cur, tmp)
+            tmp *= mu_scaled
             np.subtract(tmp, prev, out=prev)
-            _gemm(bar2, cur, tmp)
+            _gemm(pair.h_bar.blocks, cur, tmp)
+            tmp *= scale
             prev += tmp
+            np.multiply(cur, shift, out=tmp)
+            prev -= tmp
             if k == 1:
                 prev *= 0.5  # T_1 = X T_0
             prev, cur = cur, prev
             np.multiply(cur, 2.0 * bessel[k] * (1, -1j, -1, 1j)[k % 4], out=tmp)
             acc += tmp
-        acc *= np.exp(-1j * t * (mu * h_mid + bar_mid))
+        acc *= np.exp(-1j * t * centre)
     return StateVector._adopt(out, s0.layout)
 
 
@@ -465,12 +481,13 @@ def evolve_blocks(
     eigendecomposition of mu_j*H.blocks + Hbar.blocks, applied and
     discarded before the next, or one Chebyshev recurrence advances every
     mode at once, two batched GEMMs a step, its spectral bounds taken from
-    the spectrum of H and one eigvalsh of the Hbar stack.  The two agree to
-    rounding (the general-dense benchmark's solution moves by 3.7e-15
-    relative); at large t*|mu|*|H| the recurrence is the more accurate.
+    the spectrum of H if held, else an eigvalsh of the H stack, and an
+    eigvalsh of the Hbar stack.  The two agree to rounding (the
+    general-dense benchmark's solution moves by 3.7e-15 relative); at large
+    t*|mu|*|H| the recurrence is the more accurate.  A negative or
+    non-finite t raises InvalidArgumentError.
     """
-    if t < 0:
-        raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
+    _check_time(t)
     n = d_matrix.count
     p_grid = _aux_grid(s0, "eta")
     if p_grid.count != n:
@@ -638,8 +655,7 @@ def decay_factors(lam, p_grid: Grid1D, t: float, recovery: str) -> np.ndarray:
     and no len(lam) x N array is built.  A stage: the runs that call it
     check the grid against t * max|lam| first.
     """
-    if t < 0:
-        raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
+    _check_time(t)
     summed, weights = _mode_weights(p_grid, recovery)
     lam = np.asarray(lam, dtype=float)
     weights = weights[summed]
@@ -686,7 +702,8 @@ def evolve_lifted(
 ) -> tuple[StateVector, RecoveryResult]:
     """Lift u0, evolve every auxiliary mode to time t, recover, measure, price.
 
-    The one route from an initial state to a recovered run.  Returns the
+    The one route from an initial state to a recovered run, for general
+    and transport runs and each leg of the stationary search.  Returns the
     lifted state at time t and the calibrated quadrature recovery, which
     also carries the projection's ``success_probability`` and
     ``cost_factor``, the ``spectral_norms`` before and after the evolution
@@ -695,38 +712,23 @@ def evolve_lifted(
     priced by the recovered amplification |u(0)|/|u(t)|; the auxiliary
     register adds log2(N) qubits to the system's.  Other recovery routes
     (``recover_point``, ``project_positive``) read the returned lifted state.
-    A run past a cap of ``core`` by its lifted copies or by its evolution's
+    A negative or non-finite t raises InvalidArgumentError first; a run past
+    a cap of ``core`` by its lifted copies or by its evolution's
     work raises ResourceLimitError before the lift: one decomposition of H
     when Hbar = 0, else the path ``evolve_blocks`` takes, one decomposition
     per mode or the Chebyshev recurrence in decomposition units, with the
-    recurrence's buffers among the bytes.  A stage: its caller,
-    ``schrodingerize_evolve``, checks the grid.
+    recurrence's buffers among the bytes.  A stage: its callers check the grid.
     """
+    _check_time(t)
     blocks, b, _ = pair.h.blocks.shape
     work, held = (blocks * b) ** 3, _PAIR_STACKS * 16 * pair.h.blocks.size
     if pair.h_bar.max_norm != 0.0:
         work, recurrence = _propagator_cost(pair, p_grid, t)
-        held += recurrence
+        if recurrence:  # its buffers beside the pair instead of a mode's decomposition
+            held = held // 2 + recurrence
     _preflight(_lifted_phase(u0.amplitudes.size, p_grid.count, held, work))
-    return _lifted_run(
-        u0, pair, p_grid, t, epsilon,
-        lambda s0: evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t),
-    )
-
-
-def _lifted_run(
-    u0: StateVector,
-    pair: HermitianPair,
-    p_grid: Grid1D,
-    t: float,
-    epsilon: float,
-    evolve: Callable[[StateVector], StateVector],
-) -> tuple[StateVector, RecoveryResult]:
-    """The body of ``evolve_lifted``, its evolution step ``evolve`` taking
-    the lifted mode spectrum to the spectrum at time t: lift, evolution,
-    inverse transform, recovery, the projection's two numbers and the cost."""
     s0 = dft_p(warp_extend(u0, p_grid))
-    s_t = evolve(s0)
+    s_t = evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t)
     spectral_norms = (s0.norm, s_t.norm)
     del s0  # one lifted copy fewer while the inverse transform allocates
     w_t = idft_p(s_t)
@@ -824,8 +826,7 @@ def evolve_eigenbasis(
     Rows past ``core.ARRAY_BYTES_LIMIT`` are refused with ResourceLimitError
     before any is allocated.
     """
-    if t < 0:
-        raise InvalidArgumentError(f"evolution time must be nonnegative, got {t}")
+    _check_time(t)
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if lam.size != u0.amplitudes.size:
         raise InvalidArgumentError(
@@ -893,6 +894,7 @@ def schrodingerize_evolve(
     cost report.  A split of A past a cap of ``core`` raises
     ResourceLimitError before A is copied.
     """
+    _check_time(t)
     shape = np.shape(a_matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise InvalidArgumentError(f"matrix must be square, got shape {shape}")

@@ -814,12 +814,12 @@ class TestRunTransport:
         # (J^2 K^2)^2 matrix alone would take 26 MiB
         pairs = []
 
-        def recording_lifted_run(u0, pair, *args, **kwargs):
+        def recording_evolve_lifted(u0, pair, *args, **kwargs):
             pairs.append(pair)
-            return lifted_run(u0, pair, *args, **kwargs)
+            return lifted(u0, pair, *args, **kwargs)
 
-        lifted_run = apps._lifted_run
-        monkeypatch.setattr(apps, "_lifted_run", recording_lifted_run)
+        lifted = apps.evolve_lifted
+        monkeypatch.setattr(apps, "evolve_lifted", recording_evolve_lifted)
         kd = 36
         grid = make_grid(1.0, 6)
         model = TransportModel.create([grid] * 2, [grid] * 2, np.full((kd, kd), 1.0 / kd))
@@ -854,24 +854,52 @@ class TestRunTransport:
         assert peak < 22 * 2**20
 
     def test_generator_decomposed_block_by_block(self, monkeypatch):
-        # one (J, K, K) stack per auxiliary mode, never the (J*K)^2 generator
+        # every decomposition is of one (J, K, K) stack or less, never of the
+        # (J*K)^2 generator
         j = k = 8
         shapes = []
-        eigh = np.linalg.eigh
+        for name in ("eigh", "eigvalsh"):
+            def recording(a, *args, _call=getattr(np.linalg, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _call(a, *args, **kwargs)
 
-        def recording_eigh(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+            monkeypatch.setattr(np.linalg, name, recording)
         model = constant_sigma_model(j=j, k=k)
         xx, kk = np.meshgrid(model.x_grids[0].points, model.k_grids[0].points, indexing="ij")
         w0 = 1.0 + 0.5 * np.cos(np.pi * xx) + 0.25 * np.cos(np.pi * kk)
         result = run_transport(model, w0, t=0.5)
         assert result.l2_relative_error < 1e-2
-        assert len(shapes) == 64  # the default auxiliary grid has 64 modes
-        assert all(shape == (j, k, k) for shape in shapes)
+        assert shapes
+        for shape in shapes:
+            assert len(shape) <= 3 and all(n <= m for n, m in zip(shape[::-1], (k, k, j)))
         assert (j * k, j * k) not in shapes
+
+    def test_long_run_decomposes_each_mode(self, monkeypatch):
+        # J = 4, K = 8 at t = 4: the recurrence's degree grows with t and the
+        # estimate returns to per-mode eigh, one (J, K, K) stack per mode,
+        # still through evolve_lifted and evolve_blocks
+        model = constant_sigma_model(j=4, k=8)
+        pair, t = model.hermitian_pair(), 4.0
+        p_grid = apps._transport_p_grid(model, None, t)[0]
+        assert pipeline._propagator_cost(pair, p_grid, t) == (64 * 4 * 8**3, 0.0)
+        shapes, evolved = [], []
+        eigh, evolve_blocks = np.linalg.eigh, pipeline.evolve_blocks
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def recording_evolve_blocks(s0, pair, d_matrix, t):
+            evolved.append(d_matrix.count)
+            return evolve_blocks(s0, pair, d_matrix, t)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(pipeline, "evolve_blocks", recording_evolve_blocks)
+        xx, kk = np.meshgrid(model.x_grids[0].points, model.k_grids[0].points, indexing="ij")
+        result = run_transport(model, 1.0 + 0.5 * np.cos(np.pi * xx) * np.cos(np.pi * kk), t=t)
+        assert result.l2_relative_error < 1e-2
+        assert evolved == [64]
+        assert shapes == [(4, 8, 8)] * 64
 
     def test_reference_runs_without_the_lifted_state(self, monkeypatch, traced_peak):
         # J = 64, K = 16 on 64 modes: one chunk of the reference is a complex
@@ -981,21 +1009,29 @@ class TestStationaryTransport:
             find_stationary_transport(model, np.zeros((4, 4)), leg=0.5)
 
     def test_one_decomposition_per_mode_over_the_whole_search(self, monkeypatch):
-        # J = K = 16: 64 auxiliary modes, each a (16, 16, 16) stack decomposed once
+        # J = K = 16 on 64 auxiliary modes: every leg takes the Chebyshev
+        # recurrence, its bounds decomposed once for the whole search
         model = constant_sigma_model()
         xx, kk = np.meshgrid(model.x_grids[0].points, model.k_grids[0].points, indexing="ij")
         w0 = 1.0 + 0.5 * np.cos(np.pi * xx) + 0.25 * np.cos(np.pi * kk)
         shapes = []
-        eigh = np.linalg.eigh
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
         def recording_eigh(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            shapes.append(("eigh", np.shape(a)))
             return eigh(a, *args, **kwargs)
 
+        def recording_eigvalsh(a, *args, **kwargs):
+            shapes.append(("eigvalsh", np.shape(a)))
+            return eigvalsh(a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         stationary, legs, converged = find_stationary_transport(model, w0, leg=0.5, tol=1e-3)
         assert converged and legs > 1
-        assert shapes == [(16, 16, 16)] * 64
+        # the scattering rates, then the bounds of the held pair's H and Hbar
+        # stacks, once for every leg; no leg decomposes a mode
+        assert shapes == [("eigvalsh", (16, 16))] + [("eigvalsh", (16, 16, 16))] * 2
         monkeypatch.undo()
 
         expected = StateVector(w0.astype(complex).reshape(-1), apps._transport_layout(model))
@@ -1030,16 +1066,16 @@ class TestStationaryTransport:
         with pytest.raises(InvalidArgumentError):
             find_stationary_transport(model, np.ones((4, 4)), **kwargs)
 
-    def test_held_spectra_count_toward_the_byte_cap(self, monkeypatch):
-        # J = 16, K = 512: the pair build fits (4.5 stacks of 64 MiB), but
-        # the search's legs also hold 64 modes' spectra, 2.1 GiB
+    def test_oversize_pair_refused_before_the_search_builds_it(self, monkeypatch):
+        # J = 64, K = 1024: each complex (J, K, K) stack is 1 GiB, and
+        # building the pair peaks at over four of them
         monkeypatch.setattr(TransportModel, "hermitian_pair", refuse_to_build)
-        model = constant_sigma_model(j=16, k=512)
-        w0 = np.ones((16, 512))
-        legs = "^a lifted run of 64 auxiliary modes over 8192 rows needs about 2.* MiB cap"
+        model = constant_sigma_model(j=64, k=1024)
+        w0 = np.ones((64, 1024))
+        build = "^the pair build of 64 spatial frequencies and 1024 velocities needs about"
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match=legs):
+            with pytest.raises(ResourceLimitError, match=build):
                 find_stationary_transport(model, w0, leg=0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1282,3 +1318,29 @@ class TestGridCheck:
             warnings.simplefilter("always")
             prepare_gibbs(np.diag([0.0, 1.0, 12.0]), 2.0)
         assert [str(w.message) for w in caught if issubclass(w.category, AccuracyWarning)] == []
+
+
+def refuse_before_the_time_check(*args, **kwargs):
+    raise AssertionError("built or pre-flighted before the time was checked")
+
+
+class TestEvolutionTime:
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "run",
+        [general_run, heat_run, heat_growth_run, transport_grid_run],
+        ids=["general", "heat", "heat-potential", "transport"],
+    )
+    def test_bad_time_refused_before_any_build(self, monkeypatch, run, t):
+        # one message for every run, before the split, the assembly of H,
+        # the transport pair or any pre-flight
+        for owner, name in (
+            (pipeline, "hermitian_decompose"),
+            (apps, "assemble_schrodinger_hamiltonian"),
+            (TransportModel, "hermitian_pair"),
+            (apps, "_preflight"),
+            (pipeline, "_preflight"),
+        ):
+            monkeypatch.setattr(owner, name, refuse_before_the_time_check)
+        with pytest.raises(InvalidArgumentError, match="^evolution time must be finite and nonnegative"):
+            run(None, t)

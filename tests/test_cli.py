@@ -532,8 +532,9 @@ class TestRun:
             # the spectrum of H for the reach, one eigvalsh of Hbar for the
             # recurrence's bounds, and no decomposition per mode
             ("general_dense_config", [("eigh", (64, 64)), ("eigvalsh", (1, 64, 64))]),
-            # the scattering rates, then one (J, K, K) stack per mode
-            ("transport_config", [("eigvalsh", (16, 16))] + [("eigh", (16, 16, 16))] * 64),
+            # the scattering rates, then one eigvalsh of each of the H and Hbar
+            # stacks for the recurrence's bounds, and no decomposition per mode
+            ("transport_config", [("eigvalsh", (16, 16))] + [("eigvalsh", (16, 16, 16))] * 2),
         ],
         ids=["general-dense", "transport"],
     )
