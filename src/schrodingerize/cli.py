@@ -424,17 +424,17 @@ _SWEEP_AXES = {
 
 
 def _write_solution_csv(path: Path, coords, solution, reference) -> None:
-    names = [name for name, _ in coords]
-    header = names + ["re", "im", "ref_re", "ref_im", "abs_error"]
-    lines = [",".join(header)]
+    """One line per entry: its coordinates, the solution, the reference and
+    their distance, each value as ``_fmt`` writes it."""
+    header = [name for name, _ in coords] + ["re", "im", "ref_re", "ref_im", "abs_error"]
     solution = np.asarray(solution, dtype=complex).reshape(-1)
     reference = np.asarray(reference, dtype=complex).reshape(-1)
-    err = np.abs(solution - reference)
-    for i in range(solution.size):
-        row = [_fmt(vals[i]) for _, vals in coords]
-        row += [_fmt(solution[i].real), _fmt(solution[i].imag)]
-        row += [_fmt(reference[i].real), _fmt(reference[i].imag), _fmt(err[i])]
-        lines.append(",".join(row))
+    columns = [vals for _, vals in coords] + [
+        solution.real, solution.imag, reference.real, reference.imag, np.abs(solution - reference)
+    ]
+    line = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)]
+    lines += [line % tuple(row) for row in np.array(columns, dtype=float).T.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

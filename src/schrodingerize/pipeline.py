@@ -32,8 +32,8 @@ weight vector off the p row (``_recovery_weights``).
 ``evolve_lifted`` is the one run of the whole path: it recovers by
 quadrature, attaches the projection's two numbers and prices the run.
 ``evolve_eigenbasis`` gives the same result when Hbar = 0 from the spectrum
-of H, one auxiliary row per distinct eigenvalue instead of the whole state,
-its modes turned by exp(-i t lam mu_j) (``_mode_phases``).
+of H, one auxiliary row per distinct eigenvalue that u0 weighs instead of
+the whole state, its modes turned by exp(-i t lam mu_j) (``_mode_phases``).
 """
 
 from __future__ import annotations
@@ -814,17 +814,24 @@ def evolve_eigenbasis(
     ``RecoveryResult`` of ``evolve_lifted``: the solution ``u``, the
     projection's ``success_probability`` and ``cost_factor``, the
     ``spectral_norms`` and the ``cost``, priced by the same rule from the
-    ``sparsity`` and ``max_norm`` of H.  The largest arrays hold one row
-    per distinct eigenvalue: 129 x N for a 256-point Laplacian, dim x N
-    when every eigenvalue is distinct.
+    ``sparsity`` and ``max_norm`` of H.
+
+    Rows are built only where u0 has weight: the lightest components, of
+    total mass at most (2^-52 |u0|)^2, get none and add nothing to ``u``,
+    the fit or the block mass, which moves ``u`` by at most 2^-52 |u0|
+    times the largest quadrature factor |g(lam)|; their mass enters the
+    spectral norms exactly, every row's phases having modulus 1.  The
+    heaviest component always keeps its row.  The largest arrays hold one
+    row per distinct eigenvalue kept: on a 256-point Laplacian 3 x N for a
+    u0 on cos(j pi x), j <= 2, and 129 x N for one that weighs every mode.
 
     Checks the grid once, before any row, with ``epsilon``, the growth of
     H from min(lam) and ``max_norm``, and the reach read off the weighted
     spectrum: the largest t*|lam| at which the part of u0 with t*|lam| at
     or above it still has norm above ``epsilon`` * |u0|, so it warns of
     convection exactly when the part with t*|lam| >= L is that large.
-    Rows past ``core.ARRAY_BYTES_LIMIT`` are refused with ResourceLimitError
-    before any is allocated.
+    Kept rows past ``core.ARRAY_BYTES_LIMIT`` are refused with
+    ResourceLimitError before any is allocated.
     """
     _check_time(t)
     lam = np.asarray(lam, dtype=float).reshape(-1)
@@ -843,18 +850,28 @@ def evolve_eigenbasis(
     reach = float(shift[order[above[0]]]) if above.size else 0.0
     _check_p_grid(p_grid, reach, epsilon, float(lam.min()), max_norm)
 
-    values, inverse = np.unique(lam, return_inverse=True)
+    # the heaviest component keeps its row, so a zero u0 reaches the
+    # projection's refusal
+    light = np.argsort(weight)
+    below = np.searchsorted(np.cumsum(weight[light]), (2.0**-52 * u0.norm) ** 2, "right")
+    dropped, kept = np.split(light, [min(below, lam.size - 1)])
+    kept = np.sort(kept)
+    values, inverse = np.unique(lam[kept], return_inverse=True)
     _preflight(_lifted_phase(values.size, p_grid.count, 0, 0))
     rows = _lifted_rows(values, p_grid, t)
-    mass = np.bincount(inverse, weights=weight, minlength=values.size)
-    w_norm = math.sqrt(float(mass @ rows.spectral_sq))
+    mass = np.bincount(inverse, weights=weight[kept], minlength=values.size)
+    # every row's phases have modulus 1, so the dropped mass keeps its
+    # initial squared norm in the lifted one
+    dropped_sq = float(weight[dropped].sum()) * rows.initial_sq
+    w_norm = math.sqrt(float(mass @ rows.spectral_sq) + dropped_sq)
     success, cost_factor = _projection_numbers(
         float(mass @ rows.block_mass),
-        float(np.linalg.norm(coeffs * rows.fit[inverse])),
+        float(np.linalg.norm(coeffs[kept] * rows.fit[inverse])),
         w_norm,
         p_grid,
     )
-    u_coeffs = coeffs * rows.integration[inverse]
+    u_coeffs = np.zeros_like(coeffs)
+    u_coeffs[kept] = coeffs[kept] * rows.integration[inverse]
     if vectors is None:
         u = np.fft.ifftn(u_coeffs.reshape(u0.shape), norm="ortho")
     else:
@@ -864,7 +881,7 @@ def evolve_eigenbasis(
         u=u,
         success_probability=success,
         cost_factor=cost_factor,
-        spectral_norms=(math.sqrt(float(mass.sum()) * rows.initial_sq), w_norm),
+        spectral_norms=(math.sqrt(float(mass.sum()) * rows.initial_sq + dropped_sq), w_norm),
         cost=_price(
             u0.norm, u.norm, t, epsilon,
             sparsity=sparsity,

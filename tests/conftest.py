@@ -30,6 +30,13 @@ def general_dense_matrix(general_dense_config):
     return np.asarray(spec["real"]) + 1j * np.asarray(spec["imag"])
 
 
+@pytest.fixture(scope="session", params=[1, 2, 3])
+def heat_lift_config(workloads, request):
+    """The benchmark's ``heat-lift`` config at seeds 1 to 3: V = 0, M = 256,
+    N = 4096, u0 = 1.5 plus seeded cos modes j = 1 and 2."""
+    return workloads.make_config("heat-lift", request.param)
+
+
 @pytest.fixture(scope="session")
 def transport_config(workloads):
     """The benchmark's ``transport`` config at seed 1: J = K = 16, constant
@@ -53,6 +60,22 @@ def preflight_phases(monkeypatch):
     for module in (apps, oracle, pipeline):
         monkeypatch.setattr(module, "_preflight", recording)
     return phases
+
+
+@pytest.fixture
+def lifted_row_counts(monkeypatch):
+    """The eigenvalue count of every ``pipeline._lifted_rows`` call, in order."""
+    from schrodingerize import pipeline
+
+    counts = []
+    rows = pipeline._lifted_rows
+
+    def counting(lam, *args):
+        counts.append(lam.size)
+        return rows(lam, *args)
+
+    monkeypatch.setattr(pipeline, "_lifted_rows", counting)
+    return counts
 
 
 @pytest.fixture

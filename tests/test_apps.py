@@ -519,9 +519,15 @@ def heat_with_potential(m, count):
     return lambda: run_heat(1 + np.cos(np.pi * x), potential, grid, (12.0, count), t=0.1)
 
 
-def heat_without_potential(m, count):
+def heat_without_potential(m, count, collapsed=False):
+    # a seeded random u0 weighs every eigenvalue of the Laplacian, m/2 + 1
+    # rows, over a t at which its highest mode stays inside L; 1 + cos(pi x)
+    # weighs two, and the run builds no row for the rest
     grid = make_grid(1.0, m)
-    return lambda: run_heat(1 + np.cos(np.pi * grid.points), None, grid, (12.0, count), t=0.1)
+    if collapsed:
+        return lambda: run_heat(1 + np.cos(np.pi * grid.points), None, grid, (12.0, count), t=0.1)
+    u0 = np.random.default_rng(m).standard_normal(m)
+    return lambda: run_heat(u0, None, grid, (12.0, count), t=1e-5)
 
 
 def symmetric(n, complex_entries=False, seed=5):
@@ -578,6 +584,8 @@ class TestOneBudget:
              "the 1073741824 auxiliary modes of decay_factors needs"),
             ({}, (heat_without_potential, 64, 2**30),
              "a lifted run of 1073741824 auxiliary modes over 33 rows needs"),
+            ({}, (heat_without_potential, 64, 2**30, True),
+             "a lifted run of 1073741824 auxiliary modes over 2 rows needs"),
             ({"ARRAY_BYTES_LIMIT": 1_000_000}, (transport_run, 2, 64, 64),
              "the transport_exact reference of 2 spatial frequencies and 64 velocities needs"),
             ({}, (transport_run, 64, 1024, 64),
@@ -587,7 +595,8 @@ class TestOneBudget:
         ],
         ids=[
             "heat-dense", "spectrum-bytes", "spectrum-work", "density", "decay-ground",
-            "decay-gibbs", "heat-rows", "reference", "pair-build", "transport-lifted",
+            "decay-gibbs", "heat-rows", "heat-rows-collapsed", "reference", "pair-build",
+            "transport-lifted",
         ],
     )
     def test_each_phase_refused_alone_before_it_allocates(

@@ -551,6 +551,15 @@ class TestRun:
         assert run(path) == 0
         assert calls == decompositions
 
+    def test_rows_of_the_benchmark_heat_run(self, tmp_path, lifted_row_counts, heat_lift_config):
+        # u0 weighs the eigenvalues 0, pi^2 and (2 pi)^2 of the Laplacian
+        # alone: three lifted rows, not one for each of the 129 distinct ones
+        path = write_config(
+            tmp_path, dict(heat_lift_config, output={"directory": str(tmp_path / "out")})
+        )
+        assert run(path) == 0
+        assert lifted_row_counts == [3]
+
     def test_transport_run_without_scipy_expm(self, tmp_path, monkeypatch, transport_config):
         # the exact transport reference is NumPy's own Pade, not SciPy's expm
         def refuse(*args, **kwargs):
@@ -711,6 +720,39 @@ class TestPricing:
         norms = results["norms"]
         expected = norms[f"{prefix}_initial"] / norms[f"{prefix}_recovered"]
         assert results["cost"]["norm_ratio"] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def per_value_csv(coords, solution, reference) -> bytes:
+    """solution.csv as written with one format(x, ".17g") call per value."""
+    header = [name for name, _ in coords] + ["re", "im", "ref_re", "ref_im", "abs_error"]
+    lines = [",".join(header)]
+    err = np.abs(solution - reference)
+    for i in range(solution.size):
+        row = [vals[i] for _, vals in coords]
+        row += [solution[i].real, solution[i].imag, reference[i].real, reference[i].imag, err[i]]
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestSolutionCsv:
+    @pytest.mark.parametrize("names", [("x",), ("x", "k")])
+    def test_bytes_equal_a_format_per_value(self, tmp_path, names):
+        # signed zeros, subnormals, the ends of the range and infinities,
+        # among random values of every magnitude, with integer coordinates
+        rng = np.random.default_rng(len(names))
+        edges = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                 1.7976931348623157e308, float("inf"), -float("inf"), 0.1, 1 / 3, -1.5]
+        values = np.concatenate(
+            [edges, rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)]
+        )
+        parts = rng.permuted(np.tile(values, (5, 1)), axis=1)
+        solution, reference = parts[0].astype(complex), parts[1].astype(complex)
+        solution.imag, reference.imag = parts[2], parts[3]
+        coords = [(names[0], parts[4])] + [(name, np.arange(values.size)) for name in names[1:]]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in abs_error
+            cli._write_solution_csv(tmp_path / "solution.csv", coords, solution, reference)
+            expected = per_value_csv(coords, solution, reference)
+        assert (tmp_path / "solution.csv").read_bytes() == expected
 
 
 class TestDeterminism:

@@ -32,7 +32,7 @@ from schrodingerize import (
     schrodingerize_evolve,
     warp_extend,
 )
-from schrodingerize.operators import HermitianMatrix, HermitianPair
+from schrodingerize.operators import HermitianMatrix, HermitianPair, _laplacian_symbol
 from schrodingerize import core, pipeline
 from schrodingerize.pipeline import (
     _discretisation_error,
@@ -843,7 +843,95 @@ class TestDecayFactors:
             decay_factors(np.array([1.0]), Grid1D(12.0, 64), -1.0, "integration")
 
 
+def every_row(u0, lam, vectors, p_grid, t):
+    """``evolve_eigenbasis`` with a row for every distinct eigenvalue: the
+    solution's amplitudes, the success probability, the cost factor and the
+    spectral norms."""
+    if vectors is None:
+        coeffs = np.fft.fftn(u0.as_array(), norm="ortho").reshape(-1)
+    else:
+        coeffs = vectors.conj().T @ u0.amplitudes
+    values, inverse = np.unique(lam, return_inverse=True)
+    rows = _lifted_rows(values, p_grid, t)
+    mass = np.bincount(inverse, weights=np.abs(coeffs) ** 2)
+    w_norm = math.sqrt(mass @ rows.spectral_sq)
+    u_coeffs = coeffs * rows.integration[inverse]
+    if vectors is None:
+        u = np.fft.ifftn(u_coeffs.reshape(u0.shape), norm="ortho").reshape(-1)
+    else:
+        u = vectors @ u_coeffs
+    normalizer = math.sqrt(p_grid.count / (2.0 * p_grid.half_width))
+    return (
+        u,
+        (mass @ rows.block_mass) / w_norm**2,
+        w_norm / (normalizer * np.linalg.norm(coeffs * rows.fit[inverse])),
+        (math.sqrt(mass.sum() * rows.initial_sq), w_norm),
+    )
+
+
 class TestEvolveEigenbasis:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["fourier-1d", "fourier-2d", "eigh"]),
+        st.integers(min_value=8, max_value=128).map(lambda k: 2 * k),
+        st.floats(min_value=0.0, max_value=0.2),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.data(),
+    )
+    def test_rows_skipped_only_without_weight(self, form, n, t, seed, data):
+        # coefficients drawn with a random subset exactly zero and others
+        # light: the run against a row for every distinct eigenvalue
+        rng = np.random.default_rng(seed)
+        if form == "eigh":
+            dim = data.draw(st.integers(min_value=2, max_value=12))
+            # five levels, so eigenvalues repeat and rows are shared
+            levels = rng.choice(np.linspace(0.1, 2.0, 5), dim)
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            q = np.linalg.qr(g)[0]
+            lam, vectors = np.linalg.eigh((q * levels) @ q.conj().T)
+            layout = (AxisSpec("x1", dim),)
+        else:
+            one_axis = form == "fourier-1d"
+            sizes = st.sampled_from([4, 6, 8, 12, 16] if one_axis else [2, 4, 6, 8])
+            counts = [data.draw(sizes) for _ in range(1 if one_axis else 2)]
+            grids = [make_grid(4.0, count) for count in counts]
+            lam, vectors = _laplacian_symbol(grids).reshape(-1), None
+            layout = tuple(AxisSpec(f"x{i + 1}", g.count, g) for i, g in enumerate(grids))
+            dim = lam.size
+        # light components about the threshold 2^-52 |u0| and above it
+        scale = st.sampled_from([0.0, 1e-17, 1e-16, 1e-15, 1e-12, 1e-8, 1.0])
+        scales = np.array(data.draw(st.lists(scale, min_size=dim, max_size=dim)))
+        scales[rng.integers(dim)] = 1.0
+        coeffs = scales * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        if vectors is None:
+            amps = np.fft.ifftn(coeffs.reshape([a.count for a in layout]), norm="ortho")
+        else:
+            amps = vectors @ coeffs
+        u0 = StateVector(amps.reshape(-1), layout)
+        grid = Grid1D(12.0, n)
+        rec = evolve_eigenbasis(u0, lam, vectors, grid, t, 3, float(lam.max()))
+        u, success, cost_factor, spectral_norms = every_row(u0, lam, vectors, grid, t)
+        assert np.linalg.norm(rec.u.amplitudes - u) <= 4 * 2.0**-52 * u0.norm
+        assert rec.success_probability == pytest.approx(success, rel=1e-14)
+        assert rec.cost_factor == pytest.approx(cost_factor, rel=1e-14)
+        assert rec.spectral_norms == pytest.approx(spectral_norms, rel=1e-14)
+
+    @pytest.mark.parametrize("start", ["random", "gaussian", "cosine"])
+    def test_rows_follow_the_weighted_spectrum(self, lifted_row_counts, start):
+        # a random u0 and a narrow Gaussian weigh all 33 distinct eigenvalues
+        # of a 64-point Laplacian; 1 + cos(pi x) weighs two
+        grid = make_grid(1.0, 64)
+        x = grid.points
+        u0 = {
+            "random": np.random.default_rng(5).standard_normal(64),
+            "gaussian": np.exp(-(x**2) / (2 * 0.05**2)),
+            "cosine": 1.0 + np.cos(np.pi * x),
+        }[start]
+        u0 = StateVector(u0.astype(complex), (AxisSpec("x1", 64, grid),))
+        lam = fourier_modes(grid) ** 2
+        evolve_eigenbasis(u0, lam, None, Grid1D(12.0, 256), 1e-4, 3, float(lam.max()))
+        assert lifted_row_counts == [2 if start == "cosine" else 33]
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.floats(min_value=-1.0, max_value=60.0), min_size=1, max_size=12),
