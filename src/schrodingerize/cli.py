@@ -46,6 +46,13 @@ __all__ = ["ExperimentConfig", "load_config", "run", "sweep", "main", "validate_
 EXPERIMENTS = ("heat", "general", "ground_state", "gibbs", "transport", "cost")
 _GRID_SIZES = ("M", "N", "K", "J")
 
+SCHEMA_VERSION = 2
+# the config sections a summary echoes
+_ECHOED = ("resolution", "physics", "tolerance")
+# a physics list of more numbers than this is echoed as its digest
+_ECHO_CAP = 64
+_DIGEST_KEYS = ("dtype", "sha256", "shape")
+
 DEFAULT_TOLERANCES = {
     "heat": 1e-2,
     "general": 1e-2,
@@ -438,16 +445,87 @@ def _write_solution_csv(path: Path, coords, solution, reference) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _number_count(value: list) -> int | None:
+    """How many numbers the nested list ``value`` holds, or None when it
+    holds anything else (a string, a bool, null, an object, or numbers
+    beside lists)."""
+    types = set(map(type, value))
+    if types <= {int, float}:
+        return len(value)
+    if types == {list}:
+        counts = [_number_count(item) for item in value]
+        return None if None in counts else sum(counts)
+    return None
+
+
+def _echo(value):
+    """``value`` as the summary echoes it: each list of more than
+    ``_ECHO_CAP`` numbers that forms an array becomes its shape, its dtype
+    and the SHA-256 of its little-endian float64 bytes in C order; the rest
+    as loaded."""
+    if isinstance(value, dict):
+        return {key: _echo(item) for key, item in value.items()}
+    if not isinstance(value, list):
+        return value
+    if (_number_count(value) or 0) > _ECHO_CAP:
+        try:
+            array = np.asarray(value, dtype="<f8")
+        except (ValueError, OverflowError):  # ragged, or an integer past float64
+            pass
+        else:
+            import hashlib  # here: OpenSSL's load would cost every run's start-up
+
+            digest = hashlib.sha256(array.tobytes()).hexdigest()
+            return {"shape": list(array.shape), "dtype": "float64", "sha256": digest}
+    return [_echo(item) for item in value]
+
+
+def _digest_problems(value, where: str) -> list[str]:
+    """Problems with the digest objects (those with a ``sha256`` key) in
+    the echoed ``value``."""
+    if isinstance(value, list):
+        return [p for i, item in enumerate(value) for p in _digest_problems(item, f"{where}[{i}]")]
+    if not isinstance(value, dict):
+        return []
+    if "sha256" not in value:
+        return [p for key, item in value.items() for p in _digest_problems(item, f"{where}.{key}")]
+    shape, sha256 = value.get("shape"), value.get("sha256")
+    if (
+        sorted(value) != list(_DIGEST_KEYS)
+        or not isinstance(shape, list)
+        or not all(type(n) is int and n >= 0 for n in shape)
+        or value["dtype"] != "float64"
+        or not isinstance(sha256, str)
+        or len(sha256) != 64
+        or not set(sha256) <= set("0123456789abcdef")
+    ):
+        return [
+            f"{where} must be a digest of exactly shape (a list of ints), "
+            "dtype float64 and sha256 (64 lowercase hex characters)"
+        ]
+    return []
+
+
 def validate_summary(summary: dict) -> list[str]:
     """Check a summary dict against the shipped schema; returns problems."""
     problems = []
     for key in ("schema_version", "experiment", "config", "results", "status"):
         if key not in summary:
             problems.append(f"missing key {key!r}")
+    if summary.get("schema_version") != SCHEMA_VERSION:
+        problems.append(f"schema_version must be {SCHEMA_VERSION}")
     if summary.get("experiment") not in EXPERIMENTS:
         problems.append("experiment not in the known set")
     if summary.get("status") not in ("ok", "tolerance_exceeded", "error"):
         problems.append("status must be ok, tolerance_exceeded or error")
+    config = summary.get("config", {})
+    if not isinstance(config, dict):
+        problems.append("config must be an object")
+    else:
+        for name in _ECHOED:
+            if not isinstance(config.get(name), dict):
+                problems.append(f"config.{name} must be an object")
+        problems += _digest_problems(config.get("physics"), "config.physics")
     results = summary.get("results", {})
     if not isinstance(results, dict):
         problems.append("results must be an object")
@@ -476,11 +554,11 @@ def _execute(cfg: ExperimentConfig, out_dir: Path) -> tuple[int, dict]:
         err = float(results.get("l2_relative_error", 0.0))
         status = "ok" if err <= tol else "tolerance_exceeded"
     summary = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "experiment": cfg.experiment,
         "config": {
             "resolution": cfg.resolution,
-            "physics": cfg.physics,
+            "physics": _echo(cfg.physics),
             "tolerance": cfg.tolerance,
         },
         "results": _jsonable(results),
@@ -504,8 +582,6 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
     return obj
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -63,6 +64,18 @@ def general_config(tmp_path, out="out"):
             "u0": {"real": [1.0, 0.5]},
             "t": 0.5,
         },
+        "output": {"directory": str(tmp_path / out)},
+    }
+    return write_config(tmp_path, payload)
+
+
+def large_general_config(tmp_path, out="out", dim=9):
+    # a dim x dim non-Hermitian A: 81 entries at dim 9, past the echo's cap
+    a = [[1.0 if j == i else 0.5 if j == i + 1 else 0.0 for j in range(dim)] for i in range(dim)]
+    payload = {
+        "experiment": "general",
+        "resolution": {"N": 64, "L": 12.0},
+        "physics": {"matrix": a, "t": 0.5},
         "output": {"directory": str(tmp_path / out)},
     }
     return write_config(tmp_path, payload)
@@ -167,6 +180,41 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["config"]["physics"] == load_config(path).physics
         assert summary["config"]["physics"]["note"] == [-INF, INF]
+
+    def test_non_finite_results_keep_their_values_and_signs(self, tmp_path, monkeypatch):
+        # Python and NumPy floats, alone or in an array, are all written as
+        # JSON's Infinity, -Infinity and NaN tokens
+        def runner(cfg):
+            return [], None, None, {
+                "l2_relative_error": 0.0,
+                "python": float("-inf"),
+                "numpy": np.float64("inf"),
+                "array": np.array([np.nan, -np.inf]),
+            }
+
+        monkeypatch.setitem(cli._RUNNERS, "cost", runner)
+        output = {"directory": str(tmp_path / "c")}
+        path = write_config(tmp_path, {"experiment": "cost", "output": output})
+        assert run(path) == 0
+        results = json.loads((tmp_path / "c" / "summary.json").read_text())["results"]
+        assert results["python"] == -INF
+        assert results["numpy"] == INF
+        assert np.isnan(results["array"][0]) and results["array"][1] == -INF
+
+    def test_parity_ratio_at_zero_scattering_is_infinity(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "cost",
+                "resolution": {"J": 4, "K": 4},
+                "physics": {"sigma": {"kind": "constant", "value": 0.0}},
+                "output": {"directory": str(tmp_path / "c")},
+            },
+        )
+        assert run(path) == 0
+        text = (tmp_path / "c" / "summary.json").read_text()
+        assert '"ratio": Infinity' in text
+        assert json.loads(text)["results"]["transport_parity"]["ratio"] == INF
 
     def test_exit_code_3_on_tolerance(self, tmp_path):
         path = heat_config(tmp_path, tolerance={"l2_relative_error": 1e-12})
@@ -631,6 +679,106 @@ class TestRun:
         assert "scattering rates of dimension 8192" in summary["error"]
 
 
+def digest(value) -> dict:
+    """The echo of a numeric list past the cap, as the schema defines it."""
+    array = np.asarray(value, dtype="<f8")
+    sha256 = hashlib.sha256(array.tobytes()).hexdigest()
+    return {"shape": list(array.shape), "dtype": "float64", "sha256": sha256}
+
+
+def echoed_physics(tmp_path, physics) -> dict:
+    """The physics section of the summary of a heat run whose config adds
+    ``physics`` to the usual one; no runner reads the added keys."""
+    path = heat_config(tmp_path, physics=dict({"t": 0.1}, **physics))
+    assert run(path) == 0
+    return json.loads((tmp_path / "out" / "summary.json").read_text())["config"]["physics"]
+
+
+class TestEcho:
+    def test_matrix_past_the_cap_echoed_as_its_digest(self, tmp_path):
+        path = large_general_config(tmp_path)
+        matrix = json.loads(path.read_text())["physics"]["matrix"]
+        assert run(path) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["config"]["physics"]["matrix"] == digest(matrix)
+        assert summary["config"]["physics"]["matrix"]["shape"] == [9, 9]
+        assert validate_summary(summary) == []
+
+    def test_each_part_of_a_complex_pair_echoed_as_its_digest(self, tmp_path):
+        rng = np.random.default_rng(0)
+        real, imag = rng.standard_normal((2, 9, 9)).tolist()
+        physics = echoed_physics(tmp_path, {"pair": {"real": real, "imag": imag}})
+        assert physics["pair"] == {"real": digest(real), "imag": digest(imag)}
+
+    def test_integer_and_float_spellings_share_a_digest(self, tmp_path):
+        ints = [[i * 9 + j - 40 for j in range(9)] for i in range(9)]
+        floats = [[float(v) for v in row] for row in ints]
+        physics = echoed_physics(tmp_path, {"ints": ints, "floats": floats})
+        assert physics["ints"] == physics["floats"] == digest(floats)
+
+    def test_cap_is_64_numbers(self, tmp_path):
+        at_cap, past_cap = [0.5] * 64, [0.5] * 65
+        square_at_cap = [[0.25] * 8] * 8
+        physics = echoed_physics(
+            tmp_path, {"at_cap": at_cap, "past_cap": past_cap, "square_at_cap": square_at_cap}
+        )
+        assert physics["at_cap"] == at_cap
+        assert physics["square_at_cap"] == square_at_cap
+        assert physics["past_cap"] == digest(past_cap)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ["a"] * 65,
+            [True] * 65,
+            [None] * 65,
+            [[1.0] * 40, [2.0] * 30],
+            [1.0] * 40 + [[2.0] * 30],
+            [10**400] * 65,
+            ["a"] + [1.0] * 65,
+        ],
+        ids=["strings", "bools", "nulls", "ragged", "numbers-beside-a-list", "huge-int", "mixed"],
+    )
+    def test_list_that_is_no_array_echoed_as_loaded(self, tmp_path, value):
+        assert echoed_physics(tmp_path, {"note": value})["note"] == value
+
+    def test_non_finite_numbers_past_the_cap_digested(self, tmp_path):
+        value = [NAN, INF, -INF] * 22
+        assert echoed_physics(tmp_path, {"note": value})["note"] == digest(value)
+
+    def test_array_inside_a_list_digested(self, tmp_path):
+        value = [{"matrix": [1.0] * 65}, "label"]
+        physics = echoed_physics(tmp_path, {"terms": value})
+        assert physics["terms"] == [{"matrix": digest([1.0] * 65)}, "label"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_general_summary_is_small(self, tmp_path, workloads, seed):
+        # the 64 x 64 complex matrix echoed entry by entry took about 284 KB
+        config = workloads.make_config("general-dense", seed)
+        path = write_config(tmp_path, dict(config, output={"directory": str(tmp_path / "out")}))
+        assert run(path) == 0
+        assert (tmp_path / "out" / "summary.json").stat().st_size < 8 * 1024
+
+    def test_runs_without_an_array_past_the_cap_load_no_hashlib(self, tmp_path):
+        # hashlib loads OpenSSL, a few ms of every start-up; only a run that
+        # digests may pay for it
+        code = (
+            "import sys\n"
+            "from schrodingerize import cli\n"
+            "codes = [cli.run(path) for path in sys.argv[1:]]\n"
+            "print(codes, 'hashlib' in sys.modules)\n"
+        )
+        (tmp_path / "transport").mkdir()
+        paths = [str(heat_config(tmp_path)), str(transport_config(tmp_path / "transport"))]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *paths], capture_output=True, text=True,
+            env={"PYTHONPATH": src, "PATH": ""}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0] False"
+
+
 NAN, INF = float("nan"), float("inf")
 NON_FINITE = {
     "heat-initial-condition": ("heat", {"initial_condition": "x/0"}, "physics.initial_condition"),
@@ -757,8 +905,8 @@ class TestSolutionCsv:
 
 class TestDeterminism:
     @pytest.mark.parametrize(
-        "make_config", [heat_config, general_config, transport_config],
-        ids=["heat", "general", "transport"],
+        "make_config", [heat_config, general_config, large_general_config, transport_config],
+        ids=["heat", "general", "general-digested", "transport"],
     )
     def test_byte_identical_on_repeat(self, tmp_path, make_config):
         assert run(make_config(tmp_path, out="a")) == 0
@@ -1050,3 +1198,75 @@ class TestMainEntry:
             assert key in summary
         assert summary["status"] in schema["properties"]["status"]["enum"]
         assert summary["experiment"] in schema["properties"]["experiment"]["enum"]
+        assert schema["properties"]["schema_version"]["const"] == cli.SCHEMA_VERSION == 2
+        assert summary["schema_version"] == cli.SCHEMA_VERSION
+        assert schema["properties"]["config"]["required"] == list(cli._ECHOED)
+        assert f"more than {cli._ECHO_CAP} numbers" in schema["properties"]["config"]["description"]
+        digest_schema = schema["$defs"]["array_digest"]
+        assert digest_schema["required"] == list(cli._DIGEST_KEYS)
+        assert digest_schema["additionalProperties"] is False
+        assert digest_schema["properties"]["dtype"] == {"const": "float64"}
+        assert digest_schema["properties"]["sha256"]["pattern"] == "^[0-9a-f]{64}$"
+        assert digest_schema["properties"]["shape"]["items"]["type"] == "integer"
+
+
+def _with(summary: dict, path: tuple, value) -> dict:
+    """A deep copy of ``summary`` with the entry at ``path`` set to
+    ``value``, or removed when ``value`` is ``_REMOVED``."""
+    changed = json.loads(json.dumps(summary))
+    target = changed
+    for key in path[:-1]:
+        target = target[key]
+    if value is _REMOVED:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return changed
+
+
+_REMOVED = object()
+_DIGEST = ("config", "physics", "matrix")
+_GOOD_DIGEST = {"shape": [9, 9], "dtype": "float64", "sha256": "0123456789abcdef" * 4}
+_NOT_A_DIGEST = "config.physics.matrix must be a digest"
+
+
+class TestValidateSummary:
+    @pytest.fixture
+    def summary(self, tmp_path):
+        assert run(large_general_config(tmp_path)) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert validate_summary(summary) == []
+        return summary
+
+    def test_digest_with_every_field_accepted(self, summary):
+        assert validate_summary(_with(summary, _DIGEST, _GOOD_DIGEST)) == []
+
+    @pytest.mark.parametrize(
+        "path, value, problem",
+        [
+            (("schema_version",), 1, "schema_version must be 2"),
+            (("config", "resolution"), _REMOVED, "config.resolution must be an object"),
+            (("config", "physics"), [1.0], "config.physics must be an object"),
+            (("config", "tolerance"), None, "config.tolerance must be an object"),
+            (_DIGEST, dict(_GOOD_DIGEST, note="x"), _NOT_A_DIGEST),
+            (_DIGEST, {"sha256": _GOOD_DIGEST["sha256"]}, _NOT_A_DIGEST),
+            (_DIGEST, dict(_GOOD_DIGEST, shape=[9, 9.0]), _NOT_A_DIGEST),
+            (_DIGEST, dict(_GOOD_DIGEST, shape=81), _NOT_A_DIGEST),
+            (_DIGEST, dict(_GOOD_DIGEST, dtype="complex128"), _NOT_A_DIGEST),
+            (_DIGEST, dict(_GOOD_DIGEST, sha256="0123456789ABCDEF" * 4), _NOT_A_DIGEST),
+            (_DIGEST, dict(_GOOD_DIGEST, sha256="0" * 63), _NOT_A_DIGEST),
+            (
+                ("config", "physics", "terms"),
+                [_GOOD_DIGEST, {"sha256": None}],
+                "config.physics.terms[1] must be a digest",
+            ),
+        ],
+        ids=[
+            "version-1", "no-resolution", "physics-not-object", "tolerance-not-object",
+            "digest-extra-key", "digest-missing-keys", "digest-float-shape", "digest-scalar-shape",
+            "digest-dtype", "digest-uppercase-hex", "digest-short-hex", "digest-in-a-list",
+        ],
+    )
+    def test_rejected(self, summary, path, value, problem):
+        problems = validate_summary(_with(summary, path, value))
+        assert len(problems) == 1 and problems[0].startswith(problem)
