@@ -44,12 +44,12 @@ from .operators import (
 from .oracle import _EXPM_CHUNK, _PADE_COPIES, expm_apply, heat_analytic, transport_exact
 from .pipeline import (
     _MODE_BYTES,
-    _PAIR_STACKS,
     _check_p_grid,
     _check_time,
     _lifted_phase,
     _matvec,
     _p_grid_from,
+    _propagator,
     _relaxation_error,
     decay_factors,
     default_p_grid,
@@ -450,18 +450,17 @@ def _transport_layout(model: TransportModel) -> tuple[AxisSpec, ...]:
 
 
 def _transport_phases(jd: int, kd: int, count: int) -> list:
-    """The pair build and lifted run of a transport model of ``jd`` spatial
-    frequencies and ``kd`` velocities on ``count`` modes, from the counts
-    alone, before the pair exists: the run's work booked as per-mode
-    decompositions, its bytes as the pair and one mode's decomposition."""
-    stack = 16 * jd * kd * kd
+    """The pair build and the lifted copies of a transport model of ``jd``
+    spatial frequencies and ``kd`` velocities on ``count`` modes, from the
+    counts alone, before the pair exists; ``_transport_p_grid`` prices the
+    lifted run's evolution."""
     return [
         (
             f"the pair build of {jd} spatial frequencies and {kd} velocities",
-            _PAIR_BUILD_STACKS * stack,
+            _PAIR_BUILD_STACKS * 16 * jd * kd * kd,
             0,
         ),
-        _lifted_phase(jd * kd, count, _PAIR_STACKS * stack, count * jd * kd**3),
+        _lifted_phase(jd * kd, count, 0, 0),
     ]
 
 
@@ -478,15 +477,22 @@ def _run_transport_phases(jd: int, kd: int, p_config) -> list:
     return _transport_phases(jd, kd, count) + [reference]
 
 
-def _transport_p_grid(model: TransportModel, p_config, t: float) -> tuple[Grid1D, tuple]:
+def _transport_p_grid(model: TransportModel, p_config, t: float) -> tuple[Grid1D, tuple, tuple]:
     """Auxiliary grid of a transport run, ``p_config`` over the defaults N = 64
-    and L = max(8, t*lambda_max + 4), and the rest of its grid check: reach
-    t*lambda_max, eps, and the smallest rate lambda_min and max-norm of H."""
+    and L = max(8, t*lambda_max + 4), the rest of its grid check: reach
+    t*lambda_max, eps, and the smallest rate lambda_min and max-norm of H,
+    and its lifted run's phase, priced by ``_propagator`` from the rates and
+    the range of the advection symbol xi . k before the pair exists."""
     collision = model.collision_matrix()
     rates = np.linalg.eigvalsh(collision)
     reach = t * float(np.abs(rates).max())
     p_grid = _p_grid_from(p_config, max(TRANSPORT_P_HALF_WIDTH, reach + 4.0), TRANSPORT_P_COUNT)
-    return p_grid, (reach, _TRANSPORT_EPSILON, float(rates[0]), float(np.abs(collision).max()))
+    advection = model.advection_diagonal()
+    bounds = (float(rates[0]), float(rates[-1])), (float(advection.min()), float(advection.max()))
+    jd, kd = model.x_count, model.k_count
+    _, work, held = _propagator((jd, kd, kd), bounds, p_grid, t)
+    check = (reach, _TRANSPORT_EPSILON, float(rates[0]), float(np.abs(collision).max()))
+    return p_grid, check, _lifted_phase(jd * kd, p_grid.count, held, work)
 
 
 def _to_frequencies(model: TransportModel, w_state: StateVector) -> StateVector:
@@ -550,14 +556,15 @@ def run_transport(
     the auxiliary domain; a given L at or below t*lambda_max warns, as do
     exp(-L) not below the run's eps = 1e-3 and a growing loss-gain matrix.
     A negative or non-finite t raises InvalidArgumentError first.  A pair
-    build, lifted run (booked from the counts as per-mode decompositions)
-    or reference past a cap of ``core`` raises ResourceLimitError before
-    any of them starts.
+    build, lifted run (its evolution priced from the scattering rates and
+    the advection range) or reference past a cap of ``core`` raises
+    ResourceLimitError before any of them starts.
     """
     _check_time(t)
     _preflight(*_run_transport_phases(model.x_count, model.k_count, p_config))
+    p_grid, check, lifted = _transport_p_grid(model, p_config, t)
+    _preflight(lifted)
     w0_state = _transport_state(model, w0)
-    p_grid, check = _transport_p_grid(model, p_config, t)
     _check_p_grid(p_grid, *check)
     rec = evolve_lifted(
         _to_frequencies(model, w0_state), model.hermitian_pair(), p_grid, t,
@@ -624,9 +631,10 @@ def find_stationary_transport(
     if isinstance(max_legs, bool) or not isinstance(max_legs, numbers.Integral) or max_legs < 1:
         raise InvalidArgumentError(f"max_legs must be an int >= 1, got {max_legs!r}")
     _preflight(*_transport_phases(model.x_count, model.k_count, TRANSPORT_P_COUNT))
+    p_grid, check, lifted = _transport_p_grid(model, None, leg)
+    _preflight(lifted)
     current = _transport_state(model, w0)
     pair = model.hermitian_pair()
-    p_grid, check = _transport_p_grid(model, None, leg)
     _check_p_grid(p_grid, *check)
     for n in range(1, max_legs + 1):
         rec = evolve_lifted(

@@ -403,7 +403,7 @@ def _run_cost(cfg: ExperimentConfig):
         # the parity prices the grid of a transport run, sized from its rates
         _preflight((f"the scattering rates of dimension {k}", 4 * 8 * k * k, k**3))
         model = TransportModel.create([Grid1D(1.0, j)], [Grid1D(1.0, k)], _sigma_matrix(cfg, k))
-        p_grid, _ = apps._transport_p_grid(model, _p_config(cfg), _physics(cfg, "t", 1.0))
+        p_grid = apps._transport_p_grid(model, _p_config(cfg), _physics(cfg, "t", 1.0))[0]
         d_matrix = assemble_eta_diagonal(p_grid)
         extras["transport_parity"] = transport_norm_parity(model, d_matrix)
     return [], None, None, extras
@@ -542,10 +542,13 @@ def _execute(cfg: ExperimentConfig, out_dir: Path) -> tuple[int, dict]:
         coords, solution, reference, results = _RUNNERS[cfg.experiment](cfg)
     except ConfigError:
         raise
+    # before ValueError, which LinAlgError subclasses: a solver error exits 3
+    except (
+        DegenerateStateError, UnsupportedProblemError, ResourceLimitError, np.linalg.LinAlgError
+    ) as exc:
+        solution, results, error = None, {}, str(exc)
     except (InvalidArgumentError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    except (DegenerateStateError, UnsupportedProblemError, ResourceLimitError) as exc:
-        solution, results, error = None, {}, str(exc)
 
     if error is not None:
         status = "error"

@@ -122,7 +122,10 @@ class HermitianMatrix:
 
     @cached_property
     def _bounds(self) -> tuple[float, float]:
-        """Smallest and largest eigenvalue, from ``spectrum`` if held, else eigvalsh."""
+        """Smallest and largest eigenvalue: (0, 0) for a zero matrix, else from
+        ``spectrum`` if held, else eigvalsh."""
+        if self.max_norm == 0.0:
+            return 0.0, 0.0
         lam = self.spectrum[0] if "spectrum" in vars(self) else np.linalg.eigvalsh(self.blocks)
         return float(lam.min()), float(lam.max())
 

@@ -348,11 +348,6 @@ def idft_p(s: StateVector) -> StateVector:
     return StateVector._adopt(phys, s.layout[:-1] + (AxisSpec("p", grid.count, grid),))
 
 
-def _mode_spectrum(pair: HermitianPair, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the (B, b, b) block stack mu*H + Hbar."""
-    return np.linalg.eigh(mu * pair.h.blocks + pair.h_bar.blocks)
-
-
 def _mode_phases(lam: np.ndarray, mus: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t lam mu_j), the turn of auxiliary mode mu_j of the eigencomponent
     lam when Hbar = 0, built and exponentiated in one complex buffer."""
@@ -364,13 +359,14 @@ def _mode_phases(lam: np.ndarray, mus: np.ndarray, t: float) -> np.ndarray:
     return np.exp(phases, out=phases)
 
 
-def _evolve_modes(s0: StateVector, block: int, spectra, t: float) -> StateVector:
-    """Evolve mode slice j of s0 by exp(-i*t*(mu_j*H + Hbar)), block by
-    block of size ``block``, from the j-th entry of ``spectra``, the
-    (eigenvalues, eigenvectors) of its generator stack."""
-    blocks_in = s0.amplitudes.reshape(-1, block, s0.shape[-1])
+def _evolve_modes(s0: StateVector, pair: HermitianPair, mus: np.ndarray, t: float):
+    """Evolve mode slice j of s0 by exp(-i*t*(mu_j*H + Hbar)), one batched
+    eigendecomposition of the (B, b, b) stack mu_j*H + Hbar per mode,
+    applied and discarded before the next."""
+    blocks_in = s0.amplitudes.reshape(-1, pair.h.blocks.shape[-1], s0.shape[-1])
     blocks_out = np.empty_like(blocks_in)
-    for j, (lam, vec) in enumerate(spectra):
+    for j, mu in enumerate(mus):
+        lam, vec = np.linalg.eigh(mu * pair.h.blocks + pair.h_bar.blocks)
         coeff = vec.conj().transpose(0, 2, 1) @ blocks_in[:, :, j, None]
         blocks_out[:, :, j] = (vec @ (np.exp(-1j * t * lam)[:, :, None] * coeff))[:, :, 0]
     return StateVector._adopt(blocks_out, s0.layout)
@@ -394,34 +390,49 @@ def _bessel_series(x: float) -> np.ndarray:
     return j[: np.flatnonzero(tail >= 2.0**-52)[-1] + 1]
 
 
-def _mode_intervals(pair: HermitianPair, mus) -> tuple[float, float, np.ndarray]:
-    """Centres c_H, c_Hbar of the spectra of H and Hbar, and the half-widths r_j
-    of Weyl's intervals mu_j lam(H) + [lam_min(Hbar), lam_max(Hbar)] of mu_j*H
-    + Hbar, centred at mu_j c_H + c_Hbar, padded by 1e-12 of their scale."""
-    (h_lo, h_hi), (bar_lo, bar_hi) = pair.h._bounds, pair.h_bar._bounds
+def _intervals(pair: HermitianPair) -> tuple:
+    """Spectral intervals (lo, hi) of H and Hbar; with Hbar = 0 that of H is
+    None, read by no path, so an eigenbasis run decomposes H once."""
+    bar = pair.h_bar._bounds
+    return (pair.h._bounds if bar != (0.0, 0.0) else None), bar
+
+
+def _mode_intervals(bounds, mus) -> tuple[float, float, np.ndarray]:
+    """Centres c_H, c_Hbar of the spectral ``bounds`` of H and Hbar, and the
+    half-widths r_j of Weyl's intervals mu_j lam(H) + [lam_min(Hbar),
+    lam_max(Hbar)] of mu_j*H + Hbar, centred at mu_j c_H + c_Hbar, padded by
+    1e-12 of their scale."""
+    (h_lo, h_hi), (bar_lo, bar_hi) = bounds
     scale = np.abs(mus) * max(-h_lo, h_hi) + max(-bar_lo, bar_hi)
     radius = np.abs(mus) * (0.5 * (h_hi - h_lo)) + 0.5 * (bar_hi - bar_lo) + 1e-12 * scale
     return 0.5 * (h_lo + h_hi), 0.5 * (bar_lo + bar_hi), radius
 
 
-def _propagator_cost(pair: HermitianPair, p_grid: Grid1D, t: float) -> tuple[float, float]:
-    """Work of the cheaper path for the modes of ``p_grid`` to time t, and the
-    recurrence's bytes if it is that path, else 0; from scalars, before any
-    array of N.  Per-mode eigh is priced N*(B*(b^3 + _EIGH_PER_B2*b^2) +
-    _EIGH_PER_CALL) and books N*B*b^3, the recurrence degree*(N*B*b^2
-    *_STEP_PER_B2 + chunks*_STEP_OVERHEAD), degree that of t*r at |mu| = pi*N/(2L)."""
-    blocks, b, _ = pair.h.blocks.shape
+def _propagator(shape, bounds, p_grid: Grid1D, t: float) -> tuple[str, float, float]:
+    """The path for the modes of ``p_grid`` to time t under a pair of (B, b, b)
+    stacks of ``shape`` and spectral ``bounds`` (``_intervals``), its work in
+    decomposition units and the bytes it holds beside the lifted copies; from
+    scalars, before any array of N.  "eigenbasis" when Hbar = 0 decomposes H
+    once; else per-mode eigh, "modes", priced N*(B*(b^3 + _EIGH_PER_B2*b^2) +
+    _EIGH_PER_CALL) and booked N*B*b^3, or the recurrence, "chebyshev",
+    degree*(N*B*b^2*_STEP_PER_B2 + chunks*_STEP_OVERHEAD), degree that of t*r
+    at |mu| = pi*N/(2L), runs, whichever is cheaper."""
+    blocks, b, _ = shape
+    stack = 16 * blocks * b * b
+    if bounds[1] == (0.0, 0.0):
+        return "eigenbasis", (blocks * b) ** 3, _PAIR_STACKS * stack
     count, step = p_grid.count, max(1, _CHEB_CHUNK // (blocks * b))
     per_step = count * blocks * b * b * _STEP_PER_B2 + -(-count // step) * _STEP_OVERHEAD
     eigh = count * blocks * b**3
     price = eigh + count * (blocks * b * b * _EIGH_PER_B2 + _EIGH_PER_CALL)
-    x = t * float(_mode_intervals(pair, math.pi * (count // 2) / p_grid.half_width)[2])
+    x = t * float(_mode_intervals(bounds, math.pi * (count // 2) / p_grid.half_width)[2])
     degree = x if x * per_step >= price else _bessel_series(x).size - 1
     if degree * per_step >= price:
-        return eigh, 0.0
+        return "modes", eigh, _PAIR_STACKS * stack
     # three chunk buffers, two arrays of N and the series' four of its length
     table = 32 * (degree + 10 * degree ** (1 / 3) + 42)
-    return degree * per_step, 16 * (3 * blocks * b * min(count, step) + 2 * count) + table
+    recurrence = 16 * (3 * blocks * b * min(count, step) + 2 * count) + table
+    return "chebyshev", degree * per_step, 2 * stack + recurrence
 
 
 def _gemm(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
@@ -438,7 +449,7 @@ def _evolve_chebyshev(s0: StateVector, pair: HermitianPair, mus: np.ndarray, t: 
     c_Hbar, and a step T_{k+1} = 2 X T_k - T_{k-1} is two batched GEMMs of the
     pair in three buffers, the shift and 2/r applied to the columns."""
     (blocks, b, _), n = pair.h.blocks.shape, mus.size
-    h_mid, bar_mid, radius = _mode_intervals(pair, mus)
+    h_mid, bar_mid, radius = _mode_intervals(_intervals(pair), mus)
     state = s0.amplitudes.reshape(blocks, b, n)
     out = np.empty_like(state)
     step = max(1, _CHEB_CHUNK // (blocks * b))
@@ -473,19 +484,16 @@ def evolve_blocks(
 ) -> StateVector:
     """Evolve each mode slice by exp(-i*t*(mu_j*H + Hbar)), exact in time.
 
-    Flattened, this equals exp(-i*(H (x) D + Hbar (x) 1)*t).  With Hbar = 0
-    all modes share the eigenbasis of H, read from its cached spectrum.
-    Otherwise H and Hbar carry the same (B, b, b) stack shape (B = 1 for a
-    matrix without block structure), and the cheaper of two paths by
-    ``_propagator_cost`` runs: each mode takes one batched
-    eigendecomposition of mu_j*H.blocks + Hbar.blocks, applied and
-    discarded before the next, or one Chebyshev recurrence advances every
-    mode at once, two batched GEMMs a step, its spectral bounds taken from
-    the spectrum of H if held, else an eigvalsh of the H stack, and an
-    eigvalsh of the Hbar stack.  The two agree to rounding (the
-    general-dense benchmark's solution moves by 3.7e-15 relative); at large
-    t*|mu|*|H| the recurrence is the more accurate.  A negative or
-    non-finite t raises InvalidArgumentError.
+    Flattened, this equals exp(-i*(H (x) D + Hbar (x) 1)*t).  H and Hbar
+    carry the same (B, b, b) stack shape (B = 1 for a matrix without block
+    structure), and the path ``_propagator`` names from their spectral
+    bounds runs: with Hbar = 0 the eigenbasis of H, read from its cached
+    spectrum; otherwise one batched eigendecomposition of mu_j*H.blocks +
+    Hbar.blocks per mode, applied and discarded before the next, or one
+    Chebyshev recurrence for every mode at once, two batched GEMMs a step.
+    The two agree to rounding (the general-dense benchmark's solution moves
+    by 3.7e-15 relative); at large t*|mu|*|H| the recurrence is the more
+    accurate.  A negative or non-finite t raises InvalidArgumentError.
     """
     _check_time(t)
     n = d_matrix.count
@@ -498,14 +506,13 @@ def evolve_blocks(
             f"state block dimension {arr.shape[0]} != Hamiltonian dimension {pair.h.dimension}"
         )
     mus = d_matrix.diagonal
-    if pair.h_bar.max_norm == 0.0:
+    path = _propagator(pair.h.blocks.shape, _intervals(pair), p_grid, t)[0]
+    if path == "eigenbasis":
         lam, vec = pair.h.spectrum
         coeff = vec.conj().T @ arr
         coeff *= _mode_phases(lam, mus, t)
         return StateVector._adopt(vec @ coeff, s0.layout)
-    if _propagator_cost(pair, p_grid, t)[1]:
-        return _evolve_chebyshev(s0, pair, mus, t)
-    return _evolve_modes(s0, pair.h.blocks.shape[-1], (_mode_spectrum(pair, mu) for mu in mus), t)
+    return (_evolve_chebyshev if path == "chebyshev" else _evolve_modes)(s0, pair, mus, t)
 
 
 def _recovery_weights(p_grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -714,18 +721,11 @@ def evolve_lifted(
     (``recover_point``, ``project_positive``) read the returned lifted state.
     A negative or non-finite t raises InvalidArgumentError first; a run past
     a cap of ``core`` by its lifted copies or by its evolution's
-    work raises ResourceLimitError before the lift: one decomposition of H
-    when Hbar = 0, else the path ``evolve_blocks`` takes, one decomposition
-    per mode or the Chebyshev recurrence in decomposition units, with the
-    recurrence's buffers among the bytes.  A stage: its callers check the grid.
+    work raises ResourceLimitError before the lift, both as ``_propagator``
+    prices the path ``evolve_blocks`` takes.  A stage: its callers check the grid.
     """
     _check_time(t)
-    blocks, b, _ = pair.h.blocks.shape
-    work, held = (blocks * b) ** 3, _PAIR_STACKS * 16 * pair.h.blocks.size
-    if pair.h_bar.max_norm != 0.0:
-        work, recurrence = _propagator_cost(pair, p_grid, t)
-        if recurrence:  # its buffers beside the pair instead of a mode's decomposition
-            held = held // 2 + recurrence
+    _, work, held = _propagator(pair.h.blocks.shape, _intervals(pair), p_grid, t)
     _preflight(_lifted_phase(u0.amplitudes.size, p_grid.count, held, work))
     s0 = dft_p(warp_extend(u0, p_grid))
     s_t = evolve_blocks(s0, pair, assemble_eta_diagonal(p_grid), t)

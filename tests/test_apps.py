@@ -1,7 +1,6 @@
 import inspect
 import json
 import math
-import time
 import tracemalloc
 import warnings
 
@@ -385,17 +384,24 @@ class TestPrepareGroundState:
         assert peak < 28 * 2**20
 
     @pytest.mark.parametrize("epsilon", [1e-6, 1e-8])
-    def test_default_grid_at_small_epsilon_is_fast_and_exact(self, epsilon):
+    def test_default_grid_at_small_epsilon_is_fast_and_exact(self, monkeypatch, epsilon):
         # the former rule asked for 2.8e8 modes at 1e-6 (the process was
-        # killed) and 3.6e10 at 1e-8; 1 - fidelity sits at rounding there, so
-        # the infidelity is read as the excited weight of the recovered state
+        # killed) and 3.6e10 at 1e-8, where the grid rule asks for 11,968 and
+        # 42,834 beside one decomposition; 1 - fidelity sits at rounding
+        # there, so the infidelity is read as the excited weight of the
+        # recovered state
         h, u0, q, energies = benchmark_ground_state(32)
-        elapsed = []
-        for _ in range(3):
-            start = time.perf_counter()
-            report = prepare_ground_state(h, u0, epsilon)
-            elapsed.append(time.perf_counter() - start)
-        assert min(elapsed) < 0.1
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        report = prepare_ground_state(h, u0, epsilon)
+        assert report.p_grid.count <= {1e-6: 12_000, 1e-8: 43_000}[epsilon]
+        assert shapes == [(32, 32)]
         excited = float((np.abs(q.T @ report.u_recovered.amplitudes)[1:] ** 2).sum())
         relaxed = (q.T @ u0) * np.exp(-report.t_final * energies)
         exact = float((relaxed[1:] ** 2).sum() / (relaxed**2).sum())
@@ -890,7 +896,9 @@ class TestRunTransport:
         model = constant_sigma_model(j=4, k=8)
         pair, t = model.hermitian_pair(), 4.0
         p_grid = apps._transport_p_grid(model, None, t)[0]
-        assert pipeline._propagator_cost(pair, p_grid, t) == (64 * 4 * 8**3, 0.0)
+        bounds = pipeline._intervals(pair)
+        propagator = pipeline._propagator(pair.h.blocks.shape, bounds, p_grid, t)
+        assert propagator == ("modes", 64 * 4 * 8**3, 4 * 16 * 4 * 8**2)
         shapes, evolved = [], []
         eigh, evolve_blocks = np.linalg.eigh, pipeline.evolve_blocks
 
@@ -909,6 +917,16 @@ class TestRunTransport:
         assert result.l2_relative_error < 1e-2
         assert evolved == [64]
         assert shapes == [(4, 8, 8)] * 64
+
+    def test_lifted_run_booked_as_the_path_it_takes(self, monkeypatch):
+        # J = 4, K = 64 at t = 1 takes the recurrence; booked as per-mode
+        # decompositions, its work was that of one matrix of dimension 406,
+        # past a work cap at dimension 300 that the recurrence's work fits
+        monkeypatch.setattr(core, "EXPM_DENSE_LIMIT", 300)
+        model = constant_sigma_model(j=4, k=64)
+        xx, kk = np.meshgrid(model.x_grids[0].points, model.k_grids[0].points, indexing="ij")
+        w0 = 1.0 + 0.5 * np.cos(np.pi * xx) + 0.25 * np.cos(np.pi * kk)
+        assert run_transport(model, w0, t=1.0).l2_relative_error < 1e-3
 
     def test_reference_runs_without_the_lifted_state(self, monkeypatch, traced_peak):
         # J = 64, K = 16 on 64 modes: one chunk of the reference is a complex
@@ -1093,10 +1111,11 @@ class TestStationaryTransport:
 
     def test_reference_sized_model_refused_by_the_work_cap(self, monkeypatch, preflight_phases):
         # J = 2, K = 3400: every phase fits the byte cap (the largest, one
-        # frequency of the reference's Pade, about 1.95 GiB), but the run
-        # would decompose 64 stacks of two 3400 x 3400 blocks, 73 times the
-        # work of one 4096 x 4096 decomposition.  The scattering matrix is a
-        # broadcast view, so the test allocates nothing of size K^2
+        # frequency of the reference's Pade, about 1.95 GiB), but the
+        # reference would take two 3400 x 3400 Pade exponentials, the work of
+        # one decomposition of dimension 4284, refused from the counts before
+        # the rates are decomposed.  The scattering matrix is a broadcast
+        # view, so the test allocates nothing of size K^2
         monkeypatch.setattr(TransportModel, "hermitian_pair", refuse_to_build)
         k = 3400
         model = TransportModel(
@@ -1107,7 +1126,7 @@ class TestStationaryTransport:
             dimension=1,
         )
         w0 = np.ones((2, k))
-        work = "^a lifted run of 64 auxiliary modes over 6800 rows takes .* got 17135$"
+        work = "^the transport_exact reference of 2 spatial .* takes .* got 4284$"
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match=work):
@@ -1119,6 +1138,33 @@ class TestStationaryTransport:
         largest = max(preflight_phases, key=lambda phase: phase[1])
         assert largest[0].startswith("the transport_exact reference")
         assert 1.9 * 2**30 < largest[1] <= core.ARRAY_BYTES_LIMIT
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda model, w0: run_transport(model, w0, t=40.0),
+            lambda model, w0: find_stationary_transport(model, w0, leg=40.0),
+        ],
+        ids=["run_transport", "find_stationary_transport"],
+    )
+    def test_long_lifted_run_refused_before_the_pair_is_built(self, monkeypatch, entry):
+        # J = 16, K = 1024 at t = 40: the pair build and the reference fit
+        # both caps, but the cheaper path of the lifted run takes the work of
+        # one decomposition of dimension 6596.  Priced from the rates and the
+        # advection range, it is refused before the pair is built; refused
+        # only by evolve_lifted, it was refused after (4.2 s, 568 MiB)
+        monkeypatch.setattr(TransportModel, "hermitian_pair", refuse_to_build)
+        model = constant_sigma_model(j=16, k=1024)
+        w0 = np.ones((16, 1024))
+        work = "^a lifted run of 64 auxiliary modes over 16384 rows takes .* got 6596$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=work):
+                entry(model, w0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_legs_free_each_lifted_state(self, traced_peak):
         # J = 4096, K = 2 on 64 modes (8 MiB per lifted copy): three legs

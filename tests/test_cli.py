@@ -391,6 +391,24 @@ class TestRun:
             assert summary["status"] == "error"
             assert summary["error"] == "raised by the runner"
 
+    def test_solver_error_exits_3_with_error_status(self, tmp_path, monkeypatch):
+        # LinAlgError subclasses ValueError, which maps to a config error
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        payload = {
+            "experiment": "ground_state",
+            "physics": {"matrix": [[0.0, 0.4], [0.4, 1.5]]},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        assert run(write_config(tmp_path, payload)) == 3
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "error"
+        assert summary["error"] == "Eigenvalues did not converge"
+        assert validate_summary(summary) == []
+        assert not (tmp_path / "out" / "solution.csv").exists()
+
     def test_gibbs_run(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -799,6 +817,7 @@ NON_FINITE = {
     "transport-sigma": (
         "transport", {"sigma": {"kind": "constant", "value": INF}}, "physics.sigma.value"
     ),
+    "transport-sigma-matrix": ("transport", {"sigma": [[NAN] * 4] * 4}, "physics.sigma"),
 }
 
 
@@ -855,6 +874,105 @@ class TestNonFiniteInput:
     def test_half_width_accepts_int_and_float(self, tmp_path, value):
         path = heat_config(tmp_path, resolution={"M": 8, "N": 16, "L": value})
         assert load_config(path).resolution["L"] == value
+
+
+_HEAT_X = make_grid(1.0, 64).points
+_TRANSPORT_X, _TRANSPORT_K = np.meshgrid(
+    make_grid(1.0, 8).points, make_grid(1.0, 8).points, indexing="ij"
+)
+_BASES = {
+    "heat": ({"M": 64, "N": 256, "L": 12.0}, {"t": 0.1}),
+    "transport": ({"J": 8, "K": 8, "N": 32, "L": 8.0}, {"t": 0.5}),
+}
+
+
+def solution_bytes(tmp_path, experiment, physics, out):
+    resolution, base = _BASES[experiment]
+    payload = {
+        "experiment": experiment,
+        "resolution": resolution,
+        "physics": dict(base, **physics),
+        "output": {"directory": str(tmp_path / out)},
+    }
+    assert run(write_config(tmp_path, payload, f"{out}.json")) == 0
+    return (tmp_path / out / "solution.csv").read_bytes()
+
+
+class TestConfigForms:
+    @pytest.mark.parametrize(
+        "experiment, given, equivalent",
+        [
+            (
+                "heat",
+                {"initial_condition": (1 + np.cos(np.pi * _HEAT_X)).tolist()},
+                {"initial_condition": "1 + cos(pi*x)"},
+            ),
+            (
+                "heat",
+                {"potential": (1 + np.cos(np.pi * _HEAT_X)).tolist()},
+                {"potential": "1 + cos(pi*x)"},
+            ),
+            ("heat", {"potential": "0*x"}, {}),
+            (
+                "transport",
+                {
+                    "initial_condition": (
+                        1 + 0.5 * np.cos(np.pi * _TRANSPORT_X)
+                        + 0.25 * np.cos(np.pi * _TRANSPORT_K)
+                    ).tolist()
+                },
+                {},
+            ),
+            (
+                "transport",
+                {"sigma": [[1 / 8] * 8] * 8},
+                {"sigma": {"kind": "constant", "value": 1.0}},
+            ),
+        ],
+        ids=[
+            "heat-initial-list", "heat-potential-list", "heat-zero-potential",
+            "transport-initial-list", "transport-sigma-matrix",
+        ],
+    )
+    def test_list_forms_write_the_same_solution(self, tmp_path, experiment, given, equivalent):
+        assert solution_bytes(tmp_path, experiment, given, "given") == solution_bytes(
+            tmp_path, experiment, equivalent, "equivalent"
+        )
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {"experiment": "general", "physics": {"matrix": np.eye(2).tolist(), "u0": [1]}},
+                "physics.u0 length must match",
+            ),
+            ({"experiment": "general", "physics": {}}, "physics.matrix is required"),
+            (
+                {"experiment": "ground_state", "physics": {"matrix": [[1.0, 0.0, 0.0]] * 2}},
+                "physics.matrix must be square",
+            ),
+            (
+                {"experiment": "transport", "physics": {"sigma": {"kind": "gaussian"}}},
+                "unknown sigma kind 'gaussian'",
+            ),
+            (
+                {"experiment": "transport", "physics": {"sigma": [[0.5] * 2] * 2}},
+                "sigma must be 16x16",
+            ),
+            ({"experiment": "heat", "physics": {"t": "fast"}}, "physics.t must be a number"),
+            (["heat"], "top level must be an object"),
+        ],
+        ids=[
+            "u0-length", "no-matrix", "matrix-not-square", "sigma-kind", "sigma-shape",
+            "scalar-text", "top-level-list",
+        ],
+    )
+    def test_bad_form_exits_2_naming_the_field(self, tmp_path, capsys, payload, message):
+        if isinstance(payload, dict):
+            payload["output"] = {"directory": str(tmp_path / "out")}
+        assert run(write_config(tmp_path, payload)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPricing:
@@ -1260,11 +1378,23 @@ class TestValidateSummary:
                 [_GOOD_DIGEST, {"sha256": None}],
                 "config.physics.terms[1] must be a digest",
             ),
+            (("results",), _REMOVED, "missing key 'results'"),
+            (("experiment",), "weather", "experiment not in the known set"),
+            (("status",), "done", "status must be ok, tolerance_exceeded or error"),
+            (("config",), [], "config must be an object"),
+            (("results",), [], "results must be an object"),
+            (
+                ("results", "l2_relative_error"),
+                "small",
+                "results.l2_relative_error must be a number",
+            ),
         ],
         ids=[
             "version-1", "no-resolution", "physics-not-object", "tolerance-not-object",
             "digest-extra-key", "digest-missing-keys", "digest-float-shape", "digest-scalar-shape",
             "digest-dtype", "digest-uppercase-hex", "digest-short-hex", "digest-in-a-list",
+            "no-results", "unknown-experiment", "bad-status", "config-not-object",
+            "results-not-object", "error-not-a-number",
         ],
     )
     def test_rejected(self, summary, path, value, problem):

@@ -502,9 +502,8 @@ class TestChebyshevPropagator:
         s0 = StateVector(amps, (AxisSpec("x1", nblocks * b), AxisSpec("eta", 2 * half, p_grid)))
         mus = assemble_eta_diagonal(p_grid).diagonal
         got = pipeline._evolve_chebyshev(s0, pair, mus, t).amplitudes
-        spectra = (pipeline._mode_spectrum(pair, mu) for mu in mus)
-        expected = pipeline._evolve_modes(s0, b, spectra, t).amplitudes
-        tr = t * pipeline._mode_intervals(pair, np.abs(mus).max())[2]
+        expected = pipeline._evolve_modes(s0, pair, mus, t).amplitudes
+        tr = t * pipeline._mode_intervals(pipeline._intervals(pair), np.abs(mus).max())[2]
         tolerance = 1e-13 * max(1.0, tr / 400)
         assert np.linalg.norm(got - expected) <= tolerance * np.linalg.norm(expected)
 
@@ -522,6 +521,50 @@ class TestChebyshevPropagator:
         reference = scipy.special.jv(np.arange(series.size + 40), x)
         assert np.abs(series - reference[: series.size]).max() < 1e-14 * max(1.0, x) ** 0.5
         assert 2.0 * np.abs(reference[series.size :]).sum() < 2.0**-51
+
+
+class TestOnePropagator:
+    @pytest.mark.parametrize(
+        "hermitian, count, t, path",
+        [(True, 64, 0.3, "eigenbasis"), (False, 16, 5.0, "modes"), (False, 256, 0.3, "chebyshev")],
+    )
+    def test_blocks_run_and_lifted_books_the_named_path(
+        self, monkeypatch, preflight_phases, hermitian, count, t, path
+    ):
+        # the path _propagator names is the one evolve_blocks runs, with the
+        # decompositions it needs and no more (an Hbar = 0 run decomposes H
+        # once, its spectrum not cached before), and evolve_lifted books
+        # exactly its work and bytes
+        dim = 8
+        rng = np.random.default_rng(47)
+        a = random_dissipative(rng, dim)
+        pair = hermitian_decompose((a + a.conj().T) / 2 if hermitian else a, check_psd=False)
+        p_grid = Grid1D(12.0, count)
+        decompositions, ran = [], []
+        for name in ("eigh", "eigvalsh"):
+            def recording(m, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                decompositions.append((_name, np.shape(m)))
+                return _call(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        for name in ("_evolve_modes", "_evolve_chebyshev"):
+            def evolving(*args, _name=name, _call=getattr(pipeline, name)):
+                ran.append(_name)
+                return _call(*args)
+
+            monkeypatch.setattr(pipeline, name, evolving)
+        pipeline.evolve_lifted(vector_state(rng.standard_normal(dim)), pair, p_grid, t)
+        name, work, held = pipeline._propagator(
+            pair.h.blocks.shape, pipeline._intervals(pair), p_grid, t
+        )
+        assert name == path
+        stacks = [("eigvalsh", (1, dim, dim))] * 2
+        assert (ran, decompositions) == {
+            "eigenbasis": ([], [("eigh", (dim, dim))]),
+            "modes": (["_evolve_modes"], stacks + [("eigh", (1, dim, dim))] * count),
+            "chebyshev": (["_evolve_chebyshev"], stacks),
+        }[path]
+        assert preflight_phases == [pipeline._lifted_phase(dim, count, held, work)]
 
 
 class TestRecoverIntegrate:
@@ -1092,8 +1135,11 @@ class TestPreflightPhases:
         lifted = [nbytes for name, nbytes, _ in preflight_phases if name.startswith("a lifted run")]
         pair = hermitian_decompose(a, check_psd=False)
         pair.h.spectrum
-        _, recurrence = pipeline._propagator_cost(pair, Grid1D(12.0, 1024), 0.5)
-        assert recurrence > 0
+        path, _, held = pipeline._propagator(
+            pair.h.blocks.shape, pipeline._intervals(pair), Grid1D(12.0, 1024), 0.5
+        )
+        recurrence = held - 2 * 16 * 256**2  # its buffers beside the pair
+        assert path == "chebyshev" and recurrence > 0
         assert lifted[-1] - recurrence < peak <= lifted[-1] < 2 * peak
 
     def test_predicted_rows_bound_the_peak(self, preflight_phases, traced_peak):
