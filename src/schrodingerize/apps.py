@@ -483,15 +483,13 @@ def _transport_p_grid(model: TransportModel, p_config, t: float) -> tuple[Grid1D
     t*lambda_max, eps, and the smallest rate lambda_min and max-norm of H,
     and its lifted run's phase, priced by ``_propagator`` from the rates and
     the range of the advection symbol xi . k before the pair exists."""
-    collision = model.collision_matrix()
-    rates = np.linalg.eigvalsh(collision)
-    reach = t * float(np.abs(rates).max())
+    bounds = model._intervals
+    (lam_min, lam_max), _ = bounds
+    reach = t * max(-lam_min, lam_max)
     p_grid = _p_grid_from(p_config, max(TRANSPORT_P_HALF_WIDTH, reach + 4.0), TRANSPORT_P_COUNT)
-    advection = model.advection_diagonal()
-    bounds = (float(rates[0]), float(rates[-1])), (float(advection.min()), float(advection.max()))
     jd, kd = model.x_count, model.k_count
     _, work, held = _propagator((jd, kd, kd), bounds, p_grid, t)
-    check = (reach, _TRANSPORT_EPSILON, float(rates[0]), float(np.abs(collision).max()))
+    check = (reach, _TRANSPORT_EPSILON, lam_min, float(np.abs(model.collision_matrix()).max()))
     return p_grid, check, _lifted_phase(jd * kd, p_grid.count, held, work)
 
 
@@ -619,8 +617,9 @@ def find_stationary_transport(
     ``run_transport``'s grid check (on the default grid only growth warns),
     each leg is one ``evolve_lifted`` of the same pair, auxiliary grid and
     leg time, so its cost estimate picks the same path every leg, and the
-    pair's spectral bounds are decomposed once for the whole search.  The
-    legs skip the reference and moments of ``run_transport``.
+    pair's spectral bounds are the scattering rates, decomposed once for
+    the whole search.  The legs skip the reference and moments of
+    ``run_transport``.
     ``leg`` and ``tol`` must be finite and > 0 and ``max_legs`` an int >= 1,
     else InvalidArgumentError before any evolution; a pair build or legs
     past a cap of ``core`` are refused with ResourceLimitError before any

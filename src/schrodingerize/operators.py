@@ -392,6 +392,14 @@ class TransportModel:
         """diag(Sigma) - sigma: the dissipative part of the scattering."""
         return np.diag(self.sigma_total) - self.sigma
 
+    @cached_property
+    def _intervals(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Spectral intervals of H and Hbar of ``hermitian_pair()``: the
+        extreme scattering rates, from one eigvalsh of the collision matrix
+        on first use, and the range of xi . k."""
+        rates, symbol = np.linalg.eigvalsh(self.collision_matrix()), self.advection_diagonal()
+        return (float(rates[0]), float(rates[-1])), (float(symbol.min()), float(symbol.max()))
+
     def hermitian_pair(self) -> HermitianPair:
         """The split A = H + i*Hbar of the spatially Fourier-transformed
         transport generator, one K^d x K^d block per spatial frequency xi.
@@ -399,12 +407,16 @@ class TransportModel:
         H stacks diag(Sigma) - sigma (positive semi-definite for nonnegative
         sigma) J^d times, and Hbar holds the advection symbol diag(xi . k)
         on each block, so that mode mu evolves under
-        mu*(Sigma - sigma) + diag(xi . k).
+        mu*(Sigma - sigma) + diag(xi . k).  Both come with their spectral
+        bounds, the scattering rates and the range of xi . k, so no
+        propagator decomposes them for those.
         """
         jd, kd = self.x_count, self.k_count
         advection = np.zeros((jd, kd, kd))
         advection[:, np.arange(kd), np.arange(kd)] = self.advection_diagonal().reshape(jd, kd)
-        return HermitianPair(
-            h=HermitianMatrix.from_entries(np.broadcast_to(self.collision_matrix(), (jd, kd, kd))),
-            h_bar=HermitianMatrix.from_entries(advection),
-        )
+        h = HermitianMatrix.from_entries(np.broadcast_to(self.collision_matrix(), (jd, kd, kd)))
+        h_bar = HermitianMatrix.from_entries(advection)
+        # prime the cached properties: the blocks of H equal the collision
+        # matrix and Hbar is diagonal, so these are eigvalsh's bounds
+        vars(h)["_bounds"], vars(h_bar)["_bounds"] = self._intervals
+        return HermitianPair(h=h, h_bar=h_bar)

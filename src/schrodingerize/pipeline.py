@@ -42,6 +42,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -89,7 +90,7 @@ _MODE_BYTES = 128
 _LIFTED_COPIES = 3
 # complex (B, b, b) stacks held beside them: the pair and one mode's
 # decomposition (3.5 measured for a general 64 x 64 A on 256 modes); the
-# Chebyshev recurrence holds the pair alone beside its buffers
+# Chebyshev recurrence holds as many, the pair and its folded operators
 _PAIR_STACKS = 4
 # complex n x n copies of hermitian_decompose with the spectrum of H: 7.0
 # measured for a complex A at n = 256 .. 1024 (5.5 for a real one)
@@ -372,22 +373,28 @@ def _evolve_modes(s0: StateVector, pair: HermitianPair, mus: np.ndarray, t: floa
     return StateVector._adopt(blocks_out, s0.layout)
 
 
+@lru_cache(maxsize=4)
 def _bessel_series(x: float) -> np.ndarray:
     """J_0(x) .. J_K(x), x >= 0, K where the tail 2 sum |J_k| falls below
     2^-52: Miller's backward recurrence from past the turning point k = x,
-    scaled by J_0^2 + 2 sum J_k^2 = 1 and signed by J_0 + 2 sum J_2k = 1."""
+    scaled by J_0^2 + 2 sum J_k^2 = 1 and signed by J_0 + 2 sum J_2k = 1.
+    Read-only and cached by x: a run prices its path and evolves its first
+    chunk at the same t*r, so it builds that series once."""
     if x < 2.0**-52:
-        return np.ones(1)
-    top = int(x + 10.0 * x ** (1 / 3) + 40.0)
-    j = np.zeros(top + 2)
-    j[top] = 1.0
-    for k in range(top, 0, -1):
-        j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
-        if abs(j[k - 1]) > 1e100:
-            j[k - 1 :] *= 1e-100
-    j /= math.copysign(math.sqrt(2.0 * float(j @ j) - j[0] ** 2), j[0] + 2.0 * j[2::2].sum())
-    tail = 2.0 * np.cumsum(np.abs(j[::-1]))[::-1]
-    return j[: np.flatnonzero(tail >= 2.0**-52)[-1] + 1]
+        series = np.ones(1)
+    else:
+        top = int(x + 10.0 * x ** (1 / 3) + 40.0)
+        j = np.zeros(top + 2)
+        j[top] = 1.0
+        for k in range(top, 0, -1):
+            j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
+            if abs(j[k - 1]) > 1e100:
+                j[k - 1 :] *= 1e-100
+        j /= math.copysign(math.sqrt(2.0 * float(j @ j) - j[0] ** 2), j[0] + 2.0 * j[2::2].sum())
+        tail = 2.0 * np.cumsum(np.abs(j[::-1]))[::-1]
+        series = j[: np.flatnonzero(tail >= 2.0**-52)[-1] + 1]
+    series.setflags(write=False)
+    return series
 
 
 def _intervals(pair: HermitianPair) -> tuple:
@@ -408,15 +415,18 @@ def _mode_intervals(bounds, mus) -> tuple[float, float, np.ndarray]:
     return 0.5 * (h_lo + h_hi), 0.5 * (bar_lo + bar_hi), radius
 
 
+@lru_cache(maxsize=4)
 def _propagator(shape, bounds, p_grid: Grid1D, t: float) -> tuple[str, float, float]:
     """The path for the modes of ``p_grid`` to time t under a pair of (B, b, b)
     stacks of ``shape`` and spectral ``bounds`` (``_intervals``), its work in
     decomposition units and the bytes it holds beside the lifted copies; from
-    scalars, before any array of N.  "eigenbasis" when Hbar = 0 decomposes H
-    once; else per-mode eigh, "modes", priced N*(B*(b^3 + _EIGH_PER_B2*b^2) +
-    _EIGH_PER_CALL) and booked N*B*b^3, or the recurrence, "chebyshev",
-    degree*(N*B*b^2*_STEP_PER_B2 + chunks*_STEP_OVERHEAD), degree that of t*r
-    at |mu| = pi*N/(2L), runs, whichever is cheaper."""
+    scalars, before any array of N, and cached by them, so the pre-flight,
+    ``evolve_lifted`` and ``evolve_blocks`` of one run price it once.
+    "eigenbasis" when Hbar = 0 decomposes H once; else per-mode eigh,
+    "modes", priced N*(B*(b^3 + _EIGH_PER_B2*b^2) + _EIGH_PER_CALL) and
+    booked N*B*b^3, or the recurrence, "chebyshev", degree*(N*B*b^2*
+    _STEP_PER_B2 + chunks*_STEP_OVERHEAD), degree that of t*r at
+    |mu| = pi*N/(2L), runs, whichever is cheaper."""
     blocks, b, _ = shape
     stack = 16 * blocks * b * b
     if bounds[1] == (0.0, 0.0):
@@ -432,7 +442,7 @@ def _propagator(shape, bounds, p_grid: Grid1D, t: float) -> tuple[str, float, fl
     # three chunk buffers, two arrays of N and the series' four of its length
     table = 32 * (degree + 10 * degree ** (1 / 3) + 42)
     recurrence = 16 * (3 * blocks * b * min(count, step) + 2 * count) + table
-    return "chebyshev", degree * per_step, 2 * stack + recurrence
+    return "chebyshev", degree * per_step, _PAIR_STACKS * stack + recurrence
 
 
 def _gemm(a: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
@@ -446,36 +456,40 @@ def _evolve_chebyshev(s0: StateVector, pair: HermitianPair, mus: np.ndarray, t: 
     Chebyshev recurrence (Tal-Ezer & Kosloff 1984) per chunk of columns: with r
     the chunk's largest r_j, exp(-i*t*A_j) = exp(-i*t*c_j) sum_k (2 - delta_k0)
     (-i)^k J_k(t*r) T_k(X_j), X_j = (mu_j*H + Hbar - c_j)/r, c_j = mu_j*c_H +
-    c_Hbar, and a step T_{k+1} = 2 X T_k - T_{k-1} is two batched GEMMs of the
-    pair in three buffers, the shift and 2/r applied to the columns."""
+    c_Hbar.  Each chunk refills two stacks in place with the folded operators
+    H' = (2/r)(H - c_H) and Hbar' = (2/r)(Hbar - c_Hbar), so that 2 X_j T =
+    mu_j H'T + Hbar'T, and a step T_{k+1} = 2 X T_k - T_{k-1} is two batched
+    GEMMs and five elementwise passes over three chunk buffers: the column
+    scaling by mu, the subtraction of T_{k-1}, the addition of Hbar'T_k, and
+    the coefficient's product and accumulation."""
     (blocks, b, _), n = pair.h.blocks.shape, mus.size
     h_mid, bar_mid, radius = _mode_intervals(_intervals(pair), mus)
     state = s0.amplitudes.reshape(blocks, b, n)
     out = np.empty_like(state)
+    h, h_bar = (np.empty(m.blocks.shape, m.blocks.dtype) for m in (pair.h, pair.h_bar))
     step = max(1, _CHEB_CHUNK // (blocks * b))
     for lo in range(0, n, step):
         cols = slice(lo, lo + step)
         r, mu = float(radius[cols].max()), mus[cols]
-        bessel, centre, scale = _bessel_series(t * r), mu * h_mid + bar_mid, 2.0 / r
-        mu_scaled, shift = scale * mu, scale * centre
+        bessel, scale = _bessel_series(t * r), 2.0 / r
+        for folded, source, mid in ((h, pair.h, h_mid), (h_bar, pair.h_bar, bar_mid)):
+            np.multiply(source.blocks, scale, out=folded)
+            folded.reshape(blocks, b * b)[:, :: b + 1] -= scale * mid  # the diagonals
         cur = state[..., cols].copy()
         prev, tmp, acc = np.zeros_like(cur), np.empty_like(cur), out[..., cols]
         np.multiply(cur, bessel[0], out=acc)
         for k in range(1, bessel.size):
-            _gemm(pair.h.blocks, cur, tmp)
-            tmp *= mu_scaled
+            _gemm(h, cur, tmp)
+            tmp *= mu
             np.subtract(tmp, prev, out=prev)
-            _gemm(pair.h_bar.blocks, cur, tmp)
-            tmp *= scale
+            _gemm(h_bar, cur, tmp)
             prev += tmp
-            np.multiply(cur, shift, out=tmp)
-            prev -= tmp
             if k == 1:
                 prev *= 0.5  # T_1 = X T_0
             prev, cur = cur, prev
             np.multiply(cur, 2.0 * bessel[k] * (1, -1j, -1, 1j)[k % 4], out=tmp)
             acc += tmp
-        acc *= np.exp(-1j * t * centre)
+        acc *= np.exp(-1j * t * (mu * h_mid + bar_mid))
     return StateVector._adopt(out, s0.layout)
 
 
@@ -490,10 +504,12 @@ def evolve_blocks(
     bounds runs: with Hbar = 0 the eigenbasis of H, read from its cached
     spectrum; otherwise one batched eigendecomposition of mu_j*H.blocks +
     Hbar.blocks per mode, applied and discarded before the next, or one
-    Chebyshev recurrence for every mode at once, two batched GEMMs a step.
-    The two agree to rounding (the general-dense benchmark's solution moves
-    by 3.7e-15 relative); at large t*|mu|*|H| the recurrence is the more
-    accurate.  A negative or non-finite t raises InvalidArgumentError.
+    Chebyshev recurrence for every mode at once, a step two batched GEMMs
+    with H and Hbar shifted and scaled once per chunk of columns, and five
+    elementwise passes.  The two agree to rounding (the general-dense
+    benchmark's solution moves by 3.7e-15 relative); at large t*|mu|*|H|
+    the recurrence is the more accurate.  A negative or non-finite t raises
+    InvalidArgumentError.
     """
     _check_time(t)
     n = d_matrix.count

@@ -889,6 +889,43 @@ class TestRunTransport:
             assert len(shape) <= 3 and all(n <= m for n, m in zip(shape[::-1], (k, k, j)))
         assert (j * k, j * k) not in shapes
 
+    @pytest.mark.parametrize("d, j, k", [(1, 16, 16), (2, 4, 4)])
+    def test_one_eigvalsh_of_the_collision_matrix_bounds_the_pair(self, monkeypatch, d, j, k):
+        # the rates of the K^d x K^d collision matrix size the grid and are
+        # the bounds of H; Hbar's are the range of xi . k.  Both equal what
+        # eigvalsh of the stacks gives, so the path and r do not move
+        kd = k**d
+        sigma = np.random.default_rng(61).uniform(0.0, 1.0 / kd, (kd, kd))
+        sigma += sigma.T
+        model = TransportModel.create([make_grid(1.0, j)] * d, [make_grid(1.0, k)] * d, sigma)
+        w0 = np.ones((j,) * d + (k,) * d)
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        assert run_transport(model, w0, t=0.5).l2_relative_error < 1e-3
+        pair = model.hermitian_pair()
+        assert shapes == [(kd, kd)]
+        for matrix in (pair.h, pair.h_bar):
+            lam = eigvalsh(matrix.blocks)
+            assert matrix._bounds == (float(lam.min()), float(lam.max()))
+
+    def test_one_call_builds_the_bessel_series_once(self):
+        # the benchmark's transport run: the pre-flight, evolve_lifted and
+        # evolve_blocks price one path, and the recurrence's one chunk reads
+        # the series that pricing built
+        model = constant_sigma_model()
+        xx, kk = np.meshgrid(model.x_grids[0].points, model.k_grids[0].points, indexing="ij")
+        w0 = 1.0 + 0.5 * np.cos(np.pi * xx) + 0.25 * np.cos(np.pi * kk)
+        pipeline._propagator.cache_clear()
+        pipeline._bessel_series.cache_clear()
+        assert run_transport(model, w0, t=1.0).l2_relative_error < 1e-2
+        assert pipeline._propagator.cache_info().misses == 1
+        assert pipeline._bessel_series.cache_info().misses == 1
+
     def test_long_run_decomposes_each_mode(self, monkeypatch):
         # J = 4, K = 8 at t = 4: the recurrence's degree grows with t and the
         # estimate returns to per-mode eigh, one (J, K, K) stack per mode,
@@ -1056,9 +1093,9 @@ class TestStationaryTransport:
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         stationary, legs, converged = find_stationary_transport(model, w0, leg=0.5, tol=1e-3)
         assert converged and legs > 1
-        # the scattering rates, then the bounds of the held pair's H and Hbar
-        # stacks, once for every leg; no leg decomposes a mode
-        assert shapes == [("eigvalsh", (16, 16))] + [("eigvalsh", (16, 16, 16))] * 2
+        # the scattering rates, which also bound the held pair's H, once for
+        # every leg; no leg decomposes a mode
+        assert shapes == [("eigvalsh", (16, 16))]
         monkeypatch.undo()
 
         expected = StateVector(w0.astype(complex).reshape(-1), apps._transport_layout(model))

@@ -598,9 +598,9 @@ class TestRun:
             # the spectrum of H for the reach, one eigvalsh of Hbar for the
             # recurrence's bounds, and no decomposition per mode
             ("general_dense_config", [("eigh", (64, 64)), ("eigvalsh", (1, 64, 64))]),
-            # the scattering rates, then one eigvalsh of each of the H and Hbar
-            # stacks for the recurrence's bounds, and no decomposition per mode
-            ("transport_config", [("eigvalsh", (16, 16))] + [("eigvalsh", (16, 16, 16))] * 2),
+            # the scattering rates, which with the range of xi . k are the
+            # recurrence's bounds, and no decomposition per mode
+            ("transport_config", [("eigvalsh", (16, 16))]),
         ],
         ids=["general-dense", "transport"],
     )

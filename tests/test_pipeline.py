@@ -484,6 +484,9 @@ class TestChebyshevPropagator:
     # N = 1,024: at the reach limit, and in two chunks of columns
     @example(nblocks=1, b=16, complex_blocks=True, half=512, width=12.0, reach=1.0, seed=1)
     @example(nblocks=5, b=13, complex_blocks=False, half=512, width=2.0, reach=0.2, seed=2)
+    # N = 1,024 over a complex (16, 16, 16) stack: four chunks of 256 columns,
+    # each with its own r, through the same two folded stacks refilled in place
+    @example(nblocks=16, b=16, complex_blocks=True, half=512, width=6.0, reach=1.0, seed=3)
     def test_matches_per_mode_decompositions(self, nblocks, b, complex_blocks, half, width, reach, seed):
         # t up to the reach limit t*max|lam(H)| = L.  Past t*r = 400 the bound
         # grows with t*r: per-mode eigh's own phase error does (1.8e-13 at
@@ -1141,6 +1144,29 @@ class TestPreflightPhases:
         recurrence = held - 2 * 16 * 256**2  # its buffers beside the pair
         assert path == "chebyshev" and recurrence > 0
         assert lifted[-1] - recurrence < peak <= lifted[-1] < 2 * peak
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_recurrence_holds_what_it_books(self, traced_peak, dtype):
+        # the 2-D transport shape, J = K = 8: 64 blocks of 64 x 64 on 64
+        # modes.  Beside the pair the recurrence holds its two folded stacks,
+        # its chunk buffers and the evolved copy, within the bytes booked
+        rng = np.random.default_rng(48)
+        stacks = [rng.standard_normal((64, 64, 64)) for _ in range(2)]
+        if dtype is complex:
+            stacks = [m + 1j * rng.standard_normal(m.shape) for m in stacks]
+        pair = HermitianPair(
+            *(HermitianMatrix.from_entries(m + m.transpose(0, 2, 1).conj()) for m in stacks)
+        )
+        assert pair.h.blocks.dtype == dtype
+        p_grid, t = Grid1D(8.0, 64), 0.05
+        path, _, held = pipeline._propagator(
+            pair.h.blocks.shape, pipeline._intervals(pair), p_grid, t
+        )
+        amps = rng.standard_normal(64 * 64 * 64) * (1 + 1j)
+        s0 = StateVector(amps, (AxisSpec("x1", 64 * 64), AxisSpec("eta", 64, p_grid)))
+        mus = assemble_eta_diagonal(p_grid).diagonal
+        peak = traced_peak(lambda: pipeline._evolve_chebyshev(s0, pair, mus, t))
+        assert path == "chebyshev" and peak <= held
 
     def test_predicted_rows_bound_the_peak(self, preflight_phases, traced_peak):
         # 256 distinct eigenvalues on 4096 modes: 16 MiB per row copy
